@@ -16,7 +16,7 @@ period) need.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..model.packet import FlowId
 
@@ -95,9 +95,9 @@ class Blacklist:
     """Bounded set of currently-blacklisted flow IDs.
 
     The detector adds a flow when its counter crosses the threshold and
-    calls :meth:`prune` with the set of currently-stored flows; any
-    blacklisted flow that lost its counter is dropped, so ``len(blacklist)``
-    never exceeds the number of counters.
+    calls :meth:`prune` with its counter store; any blacklisted flow that
+    lost its counter is dropped, so ``len(blacklist)`` never exceeds the
+    number of counters.
     """
 
     def __init__(self) -> None:
@@ -120,12 +120,15 @@ class Blacklist:
         """Remove a flow if present."""
         self._flows.discard(fid)
 
-    def prune(self, stored: Set[FlowId]) -> int:
-        """Drop every blacklisted flow not in ``stored``; return the number
-        pruned."""
-        stale = self._flows - stored
+    def prune(self, stored: Container[FlowId]) -> int:
+        """Drop every blacklisted flow not in ``stored`` (a set of flow
+        IDs or the counter store itself); return the number pruned.
+
+        Walks the blacklist, which holds at most ``n`` flows, rather than
+        materializing the stored set."""
+        stale = [fid for fid in self._flows if fid not in stored]
         if stale:
-            self._flows -= stale
+            self._flows.difference_update(stale)
         return len(stale)
 
     def reset(self) -> None:

@@ -10,6 +10,11 @@ line rate:
   the ones that hit zero,
 - find the minimum counter value.
 
+The last two only ever run together, when a flow without a counter
+arrives at a full store (Algorithm 1 lines 12-17), so the stores also
+offer them as one step, :meth:`CounterStore.admit`, which every
+Misra-Gries update in the package goes through.
+
 Section 3.3 of the paper describes the key optimization this module
 implements: counter values are kept **relative to a floating ground**
 ``c_ground``.  The decrement-all operation then becomes a single addition
@@ -23,7 +28,8 @@ Two interchangeable implementations are provided:
   tests;
 - :class:`HeapCounterStore` — the floating-ground structure with an
   O(log n) lazy min-heap, mirroring the paper's "balanced search tree or
-  heap" suggestion.
+  heap" suggestion.  Its ``admit`` is fused: one heap peek, a ground bump
+  and an eviction sweep, with no calls back into the public operations.
 
 Both enforce the same invariants and are exercised against each other by
 property-based tests.
@@ -31,9 +37,9 @@ property-based tests.
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..model.packet import FlowId
 
@@ -112,6 +118,26 @@ class CounterStore(ABC):
         """Subtract ``amount`` from every stored counter and evict the ones
         that reach zero.  ``amount`` must not exceed :meth:`min_value` (the
         algorithm always passes ``min(w, min value)``)."""
+
+    def admit(self, size: int) -> int:
+        """Make room for ``size`` bytes of a flow that holds no counter
+        (Algorithm 1 lines 12-17); return the bytes left to insert.
+
+        With a free slot nothing changes and the result is ``size``.
+        Otherwise every counter is decremented by ``d = min(size, min
+        value)`` (evicting the ones that reach zero) and the result is
+        ``size - d``.  A positive result always finds a free slot, since
+        ``d`` was then the minimum; the caller inserts the flow with it.
+        This default is built from the public operations;
+        :class:`HeapCounterStore` fuses it into one step.
+        """
+        if size < 0:
+            raise CounterStoreError(f"negative admit size {size}")
+        if not self.is_full:
+            return size
+        decrement = min(size, self.min_value())
+        self.decrement_all(decrement)
+        return size - decrement
 
     @abstractmethod
     def reset(self) -> None:
@@ -266,7 +292,9 @@ class HeapCounterStore(CounterStore):
         #: fid -> (absolute value, version)
         self._entries: Dict[FlowId, Tuple[int, int]] = {}
         #: heap of (absolute value, version, fid); stale entries are pruned
-        #: lazily when they surface at the top.
+        #: lazily when they surface at the top.  Versions are unique among
+        #: heap entries (the counter only grows between rebuilds), so an
+        #: entry is live exactly when its version is its flow's current one.
         self._heap: List[Tuple[int, int, FlowId]] = []
         self._version = 0
 
@@ -275,6 +303,14 @@ class HeapCounterStore(CounterStore):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._entries
+
+    @property
+    def is_full(self) -> bool:
+        return len(self._entries) == self.capacity
 
     def get(self, fid: FlowId) -> int:
         absolute, _ = self._entries[fid]
@@ -293,31 +329,61 @@ class HeapCounterStore(CounterStore):
         )
 
     def increment(self, fid: FlowId, amount: int) -> int:
-        self._check_increment(fid, amount)
-        absolute, _ = self._entries[fid]
-        absolute += amount
-        self._store_entry(fid, absolute)
+        entries = self._entries
+        if amount < 0 or fid not in entries:
+            self._check_increment(fid, amount)
+        absolute = entries[fid][0] + amount
+        self._version = version = self._version + 1
+        entries[fid] = (absolute, version)
+        heappush(self._heap, (absolute, version, fid))
         return absolute - self._ground
 
     def insert(self, fid: FlowId, value: int) -> None:
-        self._check_insert(fid, value)
-        self._store_entry(fid, self._ground + value)
+        entries = self._entries
+        if value <= 0 or fid in entries or len(entries) >= self.capacity:
+            self._check_insert(fid, value)
+        absolute = self._ground + value
+        self._version = version = self._version + 1
+        entries[fid] = (absolute, version)
+        heappush(self._heap, (absolute, version, fid))
 
     def decrement_all(self, amount: int) -> None:
-        self._check_decrement(amount)
-        if amount == 0:
+        if amount <= 0:
+            self._check_decrement(amount)
             return
-        self._ground += amount
-        # Evict logically-zero flows: absolute value <= ground.
+        top = self._peek()
+        if top is None or amount > top[0] - self._ground:
+            self._check_decrement(amount)
+        self._sweep(self._ground + amount)
+
+    def admit(self, size: int) -> int:
+        """Fused :meth:`CounterStore.admit`: one heap peek, then either a
+        bare ground bump (``size`` below the minimum, nothing evicted) or
+        a bump to the minimum's absolute value plus the eviction sweep."""
+        if size < 0:
+            raise CounterStoreError(f"negative admit size {size}")
+        entries = self._entries
+        if len(entries) < self.capacity:
+            return size
+        heap = self._heap
         while True:
-            top = self._peek()
-            if top is None or top[0] > self._ground:
+            absolute, version, fid = heap[0]
+            current = entries.get(fid)
+            if current is not None and current[1] == version:
                 break
-            absolute, version, fid = heapq.heappop(self._heap)
-            del self._entries[fid]
-            self.evictions += 1
-        if self._ground >= self.REBASE_THRESHOLD:
-            self.rebase()
+            heappop(heap)
+        leftover = size - (absolute - self._ground)
+        if leftover < 0:
+            # Below the minimum: a bare decrement-all by ``size``.
+            if size:
+                self._ground += size
+                if self._ground >= self.REBASE_THRESHOLD:
+                    self.rebase()
+            return 0
+        # Decrement-all by the minimum: the ground reaches the top's
+        # absolute value, evicting every flow at that value.
+        self._sweep(absolute)
+        return leftover
 
     def reset(self) -> None:
         self._ground = 0
@@ -333,29 +399,44 @@ class HeapCounterStore(CounterStore):
         """
         ground = self._ground
         self._ground = 0
-        self._version = 0
         self._heap = []
         rebased = {}
-        for fid, (absolute, _) in self._entries.items():
+        for version, (fid, (absolute, _)) in enumerate(
+            self._entries.items(), start=1
+        ):
             value = absolute - ground
-            rebased[fid] = (value, 0)
-            self._heap.append((value, 0, fid))
+            rebased[fid] = (value, version)
+            self._heap.append((value, version, fid))
+        self._version = len(rebased)
         self._entries = rebased
-        heapq.heapify(self._heap)
+        heapify(self._heap)
 
-    def _store_entry(self, fid: FlowId, absolute: int) -> None:
-        self._version += 1
-        self._entries[fid] = (absolute, self._version)
-        heapq.heappush(self._heap, (absolute, self._version, fid))
+    def _sweep(self, ground: int) -> None:
+        """Raise the floating ground to ``ground`` (a decrement-all by the
+        difference) and evict every flow whose absolute value it reaches;
+        stale heap entries met on the way are dropped."""
+        self._ground = ground
+        heap = self._heap
+        entries = self._entries
+        evicted = 0
+        while heap and heap[0][0] <= ground:
+            _, version, fid = heappop(heap)
+            current = entries.get(fid)
+            if current is not None and current[1] == version:
+                del entries[fid]
+                evicted += 1
+        self.evictions += evicted
+        if ground >= self.REBASE_THRESHOLD:
+            self.rebase()
 
-    def _peek(self):
+    def _peek(self) -> Optional[Tuple[int, int, FlowId]]:
         """Top of the heap after pruning stale entries, or None if empty."""
         heap = self._heap
         entries = self._entries
         while heap:
-            absolute, version, fid = heap[0]
-            current = entries.get(fid)
-            if current is not None and current == (absolute, version):
-                return heap[0]
-            heapq.heappop(heap)
+            top = heap[0]
+            current = entries.get(top[2])
+            if current is not None and current[1] == top[1]:
+                return top
+            heappop(heap)
         return None

@@ -192,83 +192,69 @@ class EARDet(Detector):
     # -- Algorithm 1 -------------------------------------------------------
 
     def _update(self, packet: Packet) -> bool:
-        self.stats.packets += 1
+        stats = self.stats
+        stats.packets += 1
         fid = packet.fid
+        store = self._store
+        blacklist = self._blacklist
+        cut = False
 
-        if fid in self._blacklist:
-            if fid in self._store:
-                self.stats.blacklisted_packets += 1
-                if self._blacklisted_consumes_link:
-                    self._fill_idle_bandwidth(packet.time)
-                    self._consume_link(packet)
-                return False
-            # The counter decayed away: the flow leaves the local
-            # blacklist (its detection remains recorded at the sink).
-            self._blacklist.discard(fid)
-            self.stats.blacklist_prunes += 1
+        if fid in blacklist:
+            if fid in store:
+                stats.blacklisted_packets += 1
+                if not self._blacklisted_consumes_link:
+                    return False
+                # Monitor-only: the packet still occupies the wire, so it
+                # takes part in idle fill and link consumption below.
+                cut = True
+            else:
+                # The counter decayed away: the flow leaves the local
+                # blacklist (its detection remains recorded at the sink).
+                blacklist.discard(fid)
+                stats.blacklist_prunes += 1
 
-        self._fill_idle_bandwidth(packet.time)
-        self._consume_link(packet)
-        self._update_counter(fid, packet.size)
-        return self._detect(fid)
-
-    def _fill_idle_bandwidth(self, now_ns: int) -> None:
-        """Convert the idle bandwidth since the last counted packet into
-        virtual traffic (Algorithm 1 lines 18-22)."""
-        if not self._started:
+        # Idle fill and link consumption (Algorithm 1 lines 18-22).  A gap
+        # with no idle volume (an oversubscribed one included) leaves the
+        # carryover as it is, so it is not folded in.
+        now = packet.time
+        size = packet.size
+        if self._started:
+            idle_scaled = (
+                self.config.rho * (now - self._last_time)
+                - self._last_size * NS_PER_S
+            )
+            if idle_scaled < 0:
+                stats.oversubscribed_gaps += 1
+            elif idle_scaled:
+                volume = self._carryover.integerize(idle_scaled)
+                if volume > 0:
+                    stats.virtual_bytes += volume
+                    self._apply_virtual(store, volume, self.config.virtual_unit)
+            self._last_size = size
+        else:
             self._started = True
-            self._last_time = now_ns
-            return
-        gap_scaled = self.config.rho * (now_ns - self._last_time)
-        idle_scaled = gap_scaled - self._last_size * NS_PER_S
-        if idle_scaled < 0:
-            # The stream oversubscribes the link (only possible with
-            # synthetic input); there is no idle bandwidth to fill.
-            self.stats.oversubscribed_gaps += 1
-            idle_scaled = 0
-        volume = self._carryover.integerize(idle_scaled)
-        if volume > 0:
-            self.stats.virtual_bytes += volume
-            self._apply_virtual(self._store, volume, self.config.virtual_unit)
-        self._last_time = now_ns
-        self._last_size = 0
+            self._last_size += size
+        self._last_time = now
+        if cut:
+            return False
 
-    def _consume_link(self, packet: Packet) -> None:
-        """Record that this packet's bytes occupy the wire, so the next
-        gap's idle volume subtracts them."""
-        if packet.time == self._last_time:
-            self._last_size += packet.size
-        else:
-            self._last_time = packet.time
-            self._last_size = packet.size
-        self._started = True
-
-    def _update_counter(self, fid: FlowId, size: int) -> None:
-        """Misra-Gries update with byte weights (Algorithm 1 lines 10-17)."""
-        store = self._store
+        # Misra-Gries update with byte weights (lines 10-17), then the
+        # counter-threshold check (lines 21-22).
         if fid in store:
-            store.increment(fid, size)
-        elif not store.is_full:
-            store.insert(fid, size)
+            value = store.increment(fid, size)
         else:
-            decrement = min(size, store.min_value())
-            store.decrement_all(decrement)
-            leftover = size - decrement
-            if leftover > 0:
-                store.insert(fid, leftover)
-
-    def _detect(self, fid: FlowId) -> bool:
-        """Counter-threshold check plus blacklist upkeep (lines 21-22)."""
-        store = self._store
-        if fid in store and store.get(fid) > self.config.beta_th:
-            self._blacklist.add(fid)
-            self.stats.detections += 1
-            # Keep the bounded-blacklist invariant |L| <= n by pruning
-            # entries whose counters have decayed away (Section 3.3).
-            stored = {stored_fid for stored_fid, _ in store.items()}
-            self.stats.blacklist_prunes += self._blacklist.prune(stored)
-            return True
-        return False
+            value = store.admit(size)
+            if value <= 0:
+                return False
+            store.insert(fid, value)
+        if value <= self.config.beta_th:
+            return False
+        blacklist.add(fid)
+        stats.detections += 1
+        # Keep the bounded-blacklist invariant |L| <= n by pruning entries
+        # whose counters have decayed away (Section 3.3).
+        stats.blacklist_prunes += blacklist.prune(store)
+        return True
 
     # -- introspection -----------------------------------------------------
 

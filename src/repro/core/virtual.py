@@ -147,15 +147,8 @@ def apply_virtual_unit(store: CounterStore, unit: int) -> None:
     10-17 applied to a fresh flow ID)."""
     if unit <= 0:
         return
-    if not store.is_full:
-        store.insert(_fresh_virtual_fid(), unit)
-        return
-    decrement = min(unit, store.min_value())
-    store.decrement_all(decrement)
-    leftover = unit - decrement
+    leftover = store.admit(unit)
     if leftover > 0:
-        # At least one counter hit zero (decrement == old minimum), so a
-        # slot is free for the unit's remainder.
         store.insert(_fresh_virtual_fid(), leftover)
 
 
@@ -209,7 +202,8 @@ def apply_virtual_traffic(
        between is one period and the remaining volume reduces modulo it.
        This bounds the work for arbitrarily long idle gaps.
     4. Everything else (fills, decrements that evict) is simulated
-       step-by-step.
+       step-by-step, one :meth:`~repro.core.counters.CounterStore.admit`
+       per unit.
     """
     if unit_size <= 0:
         raise ValueError(f"unit size must be positive, got {unit_size}")
@@ -238,7 +232,11 @@ def apply_virtual_traffic(
                 # and fall back to plain stepping.
                 seen = {}
                 track_cycles = False
-        if store.is_empty:
+        if volume <= unit_size:
+            # The last (or only) unit: one Misra-Gries step in any state
+            # (an empty store simply takes it into a free slot).
+            unit = volume
+        elif store.is_empty:
             volume %= cycle
             # Final partial cycle: fill up to n slots with full units...
             full_units = min(volume // unit_size, n)
@@ -250,22 +248,22 @@ def apply_virtual_traffic(
             if volume > 0:
                 apply_virtual_unit(store, min(volume, unit_size))
             return
-        if not store.is_full:
-            unit = min(unit_size, volume)
-            store.insert(_fresh_virtual_fid(), unit)
-            volume -= unit
-            continue
-        minimum = store.min_value()
-        if minimum > unit_size and volume > unit_size:
-            # Bulk-decrement run: k full units, each reducing every counter
-            # by unit_size without evicting.  Stop one step before the
-            # minimum would reach the unit size or the volume runs out.
-            k = min((minimum - 1) // unit_size, volume // unit_size)
-            # k * unit_size <= minimum - 1, so no counter reaches zero and
-            # the store stays full throughout the run.
-            store.decrement_all(k * unit_size)
-            volume -= k * unit_size
-            continue
-        unit = min(unit_size, volume)
-        apply_virtual_unit(store, unit)
+        else:
+            unit = unit_size
+            if store.is_full:
+                minimum = store.min_value()
+                if minimum > unit_size:
+                    # Bulk-decrement run: k full units, each reducing
+                    # every counter by unit_size without evicting.  Stop
+                    # one step before the minimum would reach the unit
+                    # size or the volume runs out.
+                    k = min((minimum - 1) // unit_size, volume // unit_size)
+                    # k * unit_size <= minimum - 1, so no counter reaches
+                    # zero and the store stays full throughout the run.
+                    store.decrement_all(k * unit_size)
+                    volume -= k * unit_size
+                    continue
         volume -= unit
+        leftover = store.admit(unit)
+        if leftover > 0:
+            store.insert(_fresh_virtual_fid(), leftover)

@@ -46,12 +46,8 @@ class MisraGries:
         store = self._store
         if item in store:
             store.increment(item, weight)
-        elif not store.is_full:
-            store.insert(item, weight)
         else:
-            decrement = min(weight, store.min_value())
-            store.decrement_all(decrement)
-            leftover = weight - decrement
+            leftover = store.admit(weight)
             if leftover > 0:
                 store.insert(item, leftover)
 

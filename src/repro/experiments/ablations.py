@@ -99,6 +99,13 @@ class _CountingStore(HeapCounterStore):
         self.operations += 1
         super().decrement_all(amount)
 
+    def admit(self, size):  # noqa: D102
+        # The fused step bypasses decrement_all; a full store decrements
+        # once per admitted flow, so count that decrement here.
+        if size > 0 and self.is_full:
+            self.operations += 1
+        return super().admit(size)
+
 
 def virtual_unit_size(
     params: ExperimentParams = ExperimentParams(),

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
@@ -222,7 +222,11 @@ class InProcessEngine:
         self._route = FlowRouter(self._hash)
         self._layout = ShardLayout.default(slots, shards)
         self._assignment: List[int] = list(self._layout.assignment)
-        self._queues: List[Deque[Packet]] = [deque() for _ in range(shards)]
+        # Queued items carry the slot the packet was routed to at ingest,
+        # so draining never hashes a flow a second time.
+        self._queues: List[Deque[Tuple[int, Packet]]] = [
+            deque() for _ in range(shards)
+        ]
         self._dropped = [0] * shards
         self._accepted = 0
         self._plan = fault_plan
@@ -373,7 +377,7 @@ class InProcessEngine:
                 else:
                     self._record_loss(index, packet, "queue-overflow", slot=slot)
                     continue
-            queue.append(packet)
+            queue.append((slot, packet))
             self._accepted += 1
             depth = len(queue)
             if depth > high_water[index]:
@@ -441,7 +445,7 @@ class InProcessEngine:
                 account.exact_bytes += packet.size
                 state._last_time = packet.time
                 queue = queues[index]
-                queue.append(packet)
+                queue.append((slot, packet))
                 accepted += 1
                 depth = len(queue)
                 if depth > high_water[index]:
@@ -459,8 +463,11 @@ class InProcessEngine:
                 self._enqueue(index, item)
 
     def _enqueue(self, index: int, packet: Packet) -> None:
+        """Queue a packet released by a rung buffer (deferred or
+        aggregated), routing it here since it bypassed :meth:`ingest`'s
+        routing."""
         queue = self._queues[index]
-        queue.append(packet)
+        queue.append((self._route(packet.fid), packet))
         self._accepted += 1
         depth = len(queue)
         if depth > self._queue_high_water[index]:
@@ -474,13 +481,12 @@ class InProcessEngine:
         if budget is None and self.overload_policy is not None:
             budget = self.overload_policy.drain_budget
         processed = 0
-        route = self._route
         detectors = self._slot_detectors
         for queue in self._queues:
             remaining = budget
             while queue and (remaining is None or remaining > 0):
-                packet = queue.popleft()
-                detectors[route(packet.fid)].observe(packet)
+                slot, packet = queue.popleft()
+                detectors[slot].observe(packet)
                 processed += 1
                 if remaining is not None:
                     remaining -= 1
@@ -519,11 +525,10 @@ class InProcessEngine:
 
     def _drain_shard(self, index: int) -> None:
         queue = self._queues[index]
-        route = self._route
         detectors = self._slot_detectors
         while queue:
-            packet = queue.popleft()
-            detectors[route(packet.fid)].observe(packet)
+            slot, packet = queue.popleft()
+            detectors[slot].observe(packet)
 
     def close(self, drain: bool = False) -> None:
         """Drain and release; the in-process engine holds no OS resources.

@@ -121,6 +121,19 @@ def test_heap_store_rebase_preserves_values():
     assert store.as_dict() == {"a": 50}
 
 
+def test_heap_store_rebase_with_tied_values_of_mixed_fid_types():
+    # Equal values must not fall back to comparing flow IDs, which may be
+    # of unorderable types (real string fids beside virtual tuple fids).
+    store = HeapCounterStore(3)
+    store.insert("a", 5)
+    store.insert(("__virtual__", 1), 5)
+    store.insert(7, 5)
+    store.rebase()
+    assert store.min_value() == 5
+    store.decrement_all(5)
+    assert store.is_empty
+
+
 def test_heap_store_auto_rebase_threshold():
     store = HeapCounterStore(2)
     # Start the floating ground just under the rebase threshold so the
@@ -180,3 +193,93 @@ def test_stores_are_equivalent(capacity, operations):
         assert len(reference) == len(optimized)
         if not reference.is_empty:
             assert reference.min_value() == optimized.min_value()
+
+
+# ------------------------------------------------------------------- admit
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+def test_admit_negative_size_rejected(store_cls):
+    store = store_cls(2)
+    with pytest.raises(CounterStoreError):
+        store.admit(-1)
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+def test_admit_free_slot_returns_size_unchanged(store_cls):
+    store = store_cls(3)
+    store.insert("a", 4)
+    assert store.admit(9) == 9
+    assert store.as_dict() == {"a": 4}
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+def test_admit_full_store_decrements_by_min(store_cls):
+    store = store_cls(2)
+    store.insert("a", 10)
+    store.insert("b", 3)
+    assert store.admit(2) == 0  # size < min: pure decrement
+    assert store.as_dict() == {"a": 8, "b": 1}
+    assert store.admit(4) == 3  # size > min: evicts b, 3 bytes left over
+    assert store.as_dict() == {"a": 7}
+    assert store.evictions == 1
+
+
+_SIZE_MODES = st.sampled_from(["zero", "below", "equal", "above"])
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=6),
+    values=st.lists(st.integers(min_value=1, max_value=500), max_size=6),
+    bumps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=50),
+        ),
+        max_size=8,
+    ),
+    modes=st.lists(_SIZE_MODES, min_size=1, max_size=4),
+    offset=st.integers(min_value=0, max_value=600),
+    near_rebase=st.booleans(),
+)
+def test_admit_matches_reference(
+    capacity, values, bumps, modes, offset, near_rebase
+):
+    """The fused heap ``admit`` equals the reference store's composed
+    one (from random states, including stale heap entries and a floating
+    ground just under the rebase threshold)."""
+    reference = ReferenceCounterStore(capacity)
+    optimized = HeapCounterStore(capacity)
+    if near_rebase:
+        # Logical values do not depend on the ground; the next admit that
+        # decrements by more than ``offset`` crosses the threshold.
+        optimized._ground = HeapCounterStore.REBASE_THRESHOLD - 1 - offset
+    for fid, value in enumerate(values[:capacity]):
+        reference.insert(fid, value)
+        optimized.insert(fid, value)
+    for fid, amount in bumps:
+        if fid in reference:
+            # Each increment leaves a stale heap entry behind.
+            reference.increment(fid, amount)
+            optimized.increment(fid, amount)
+    next_fid = capacity
+    for mode in modes:
+        minimum = reference.min_value() if not reference.is_empty else 1
+        size = {
+            "zero": 0,
+            "below": offset % minimum,
+            "equal": minimum,
+            "above": minimum + 1 + offset,
+        }[mode]
+        leftover = reference.admit(size)
+        assert optimized.admit(size) == leftover
+        assert optimized.as_dict() == reference.as_dict()
+        assert optimized.evictions == reference.evictions
+        if not reference.is_empty:
+            assert optimized.min_value() == reference.min_value()
+        if leftover > 0:
+            # A positive leftover always finds a free slot.
+            reference.insert(next_fid, leftover)
+            optimized.insert(next_fid, leftover)
+            next_fid += 1
+            assert optimized.as_dict() == reference.as_dict()

@@ -2,11 +2,37 @@
 mechanics, virtual-traffic accounting, stats, and the reference/optimized
 configuration switches."""
 
-from repro.core.config import EARDetConfig
+import dataclasses
+
+from repro.core.config import EARDetConfig, engineer
 from repro.core.counters import ReferenceCounterStore
 from repro.core.eardet import EARDet
 from repro.model.packet import Packet
 from repro.model.units import NS_PER_S
+from repro.traffic.attacks import FloodingAttack
+from repro.traffic.datasets import federico_like
+from repro.traffic.mix import build_attack_scenario
+
+
+def flooded_federico():
+    """A seeded paper-scale config and a federico_like(0.05) stream with
+    five flooders on a mostly idle link."""
+    dataset = federico_like(seed=7, scale=0.05)
+    config = engineer(
+        rho=dataset.rho,
+        gamma_l=dataset.gamma_l,
+        beta_l=dataset.beta_l,
+        gamma_h=dataset.gamma_h,
+        t_upincb_seconds=dataset.t_upincb_seconds,
+    )
+    scenario = build_attack_scenario(
+        dataset.stream,
+        FloodingAttack(rate=2 * dataset.gamma_h),
+        attack_flows=5,
+        rho=dataset.rho,
+        seed=7,
+    )
+    return config, scenario.stream
 
 
 def make_config(**overrides):
@@ -197,6 +223,26 @@ class TestModesAndLifecycle:
         assert optimized.counters == reference.counters
         assert optimized.detected == reference.detected
 
+    def test_reference_store_equivalence_on_attack_stream(self):
+        """Heap and reference stores agree packet for packet on a
+        paper-scale config over an idle link under flooding: virtual
+        traffic, evictions, detections and blacklist pruning all run."""
+        config, stream = flooded_federico()
+        optimized = EARDet(config)
+        reference = EARDet(config, store_factory=ReferenceCounterStore)
+        optimized.observe_stream(stream)
+        reference.observe_stream(stream)
+        stats = optimized.stats.snapshot()
+        assert stats["virtual_bytes"] > 0 and stats["detections"] > 0
+        assert optimized.store_evictions > 0
+        assert optimized.detected == reference.detected
+        assert stats == reference.stats.snapshot()
+        assert optimized.store_evictions == reference.store_evictions
+        # Virtual fids differ between the runs; the values must not.
+        assert sorted(optimized.counters.values()) == sorted(
+            reference.counters.values()
+        )
+
     def test_blacklisted_consumes_link_mode(self):
         config = make_config()
         monitor = EARDet(config, blacklisted_consumes_link=True)
@@ -209,6 +255,26 @@ class TestModesAndLifecycle:
         monitor.observe(Packet(time=t, size=5, fid="b")); t += 5
         monitor.observe(Packet(time=t + 10, size=1, fid="x"))
         assert monitor.stats.virtual_bytes == before + 10
+
+    def test_monitor_mode_link_accounting_ignores_blacklist(self):
+        """With blacklisted flows occupying the wire, every packet
+        consumes link bandwidth, so the idle volume (virtual bytes and
+        oversubscribed gaps) must equal that of a detector that never
+        blacklists anything."""
+        config, stream = flooded_federico()
+        monitor = EARDet(config, blacklisted_consumes_link=True)
+        never = EARDet(dataclasses.replace(config, beta_th=10**15))
+        monitor.observe_stream(stream)
+        never.observe_stream(stream)
+        assert monitor.stats.blacklisted_packets > 0
+        assert never.stats.detections == 0
+        assert monitor.stats.virtual_bytes == never.stats.virtual_bytes
+        assert (
+            monitor.stats.oversubscribed_gaps == never.stats.oversubscribed_gaps
+        )
+        assert monitor.carryover_numerator == never.carryover_numerator
+        # Blacklisted packets still skip the counters.
+        assert max(monitor.counters.values()) <= config.beta_th + config.alpha
 
     def test_reset_restores_initial_state(self, appendix_config):
         detector = EARDet(make_config())

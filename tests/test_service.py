@@ -128,6 +128,23 @@ class TestInProcessEngine:
         assert engine.dropped == 0
         assert engine.accepted == 10_000
 
+    def test_each_packet_is_routed_once(self):
+        engine = InProcessEngine(CONFIG, shards=2, queue_capacity=64)
+        route = engine._route
+        calls = []
+
+        def counting_route(fid):
+            calls.append(fid)
+            return route(fid)
+
+        engine._route = counting_route
+        packets = make_packets(2_000)
+        engine.ingest(packets)  # drains full queues along the way
+        engine.pump(budget=10)
+        engine.flush()
+        assert len(calls) == len(packets)
+        assert sum(h.packets for h in engine.health()) == len(packets)
+
     def test_drop_policy_sheds_and_accounts(self):
         # One flow -> one shard; a tiny queue with no draining overflows.
         packets = [
