@@ -20,17 +20,15 @@ BETA_TH = 6991
 
 
 def _mg_workload(store, operations):
+    """Algorithm 1's counter update, through the same ``admit`` step
+    ``EARDet._update`` runs (fused in the heap store)."""
     for fid, size in operations:
         if fid in store:
             store.increment(fid, size)
-        elif not store.is_full:
-            store.insert(fid, size)
-        else:
-            decrement = min(size, store.min_value())
-            store.decrement_all(decrement)
-            leftover = size - decrement
-            if leftover > 0:
-                store.insert(fid, leftover)
+            continue
+        leftover = store.admit(size)
+        if leftover > 0:
+            store.insert(fid, leftover)
 
 
 @pytest.fixture(scope="module")

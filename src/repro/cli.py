@@ -1575,7 +1575,11 @@ def run_tune(args: argparse.Namespace) -> int:
     if args.watch:
         return _tune_watch(args)
     from .control import RetunePlan, derive_config
-    from .core.config import EARDetConfig, InfeasibleConfigError
+    from .core.config import (
+        EARDetConfig,
+        InfeasibleConfigError,
+        config_as_dict,
+    )
     from .service import CheckpointError, read_checkpoint
     from .service.checkpoint import summarize_checkpoint
 
@@ -1690,7 +1694,7 @@ def run_tune(args: argparse.Namespace) -> int:
                         "proposed_epoch": epoch + 1,
                         "occupancy": occupancy,
                         "old_config": meta["config"],
-                        "new_config": _tune_config_dict(new_config),
+                        "new_config": config_as_dict(new_config),
                         "reason": plan.reason,
                     },
                     indent=2,
@@ -1753,7 +1757,7 @@ def run_tune(args: argparse.Namespace) -> int:
                     "from_epoch": report.from_epoch,
                     "to_epoch": report.to_epoch,
                     "pause_ns": report.pause_ns,
-                    "config": _tune_config_dict(new_config),
+                    "config": config_as_dict(new_config),
                 },
                 indent=2,
             )
@@ -1765,12 +1769,6 @@ def run_tune(args: argparse.Namespace) -> int:
             f"checkpoint rewritten at {args.checkpoint}"
         )
     return 0
-
-
-def _tune_config_dict(config) -> dict:
-    from .control import config_as_dict
-
-    return config_as_dict(config)
 
 
 def _forensics_lab(args: argparse.Namespace):

@@ -61,7 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..core.config import EARDetConfig
+from ..core.config import EARDetConfig, config_as_dict
 from ..core.eardet import EARDet
 from ..guard.invariants import InvariantChecker
 from ..service.backoff import DEFAULT_BACKOFF, BackoffPolicy
@@ -79,21 +79,6 @@ __all__ = [
 #: The protocol's fault-injectable phase boundaries, in order (must
 #: match ``repro.service.faults.TUNE_FAULT_PHASES``).
 RETUNE_PHASES = ("propose", "freeze", "apply", "verify", "commit")
-
-
-def config_as_dict(config: EARDetConfig) -> Dict[str, object]:
-    """The seven-field wire/checkpoint form of a config (the same shape
-    checkpoint metadata and the remote ``assign``/``reconfig`` ops use,
-    so ``EARDetConfig(**d)`` round-trips)."""
-    return {
-        "rho": config.rho,
-        "n": config.n,
-        "beta_th": config.beta_th,
-        "alpha": config.alpha,
-        "beta_l": config.beta_l,
-        "gamma_l": config.gamma_l,
-        "virtual_unit": config.virtual_unit,
-    }
 
 
 @dataclass(frozen=True)

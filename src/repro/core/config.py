@@ -195,6 +195,24 @@ class EARDetConfig:
         return "\n".join(lines)
 
 
+def config_as_dict(config: EARDetConfig) -> Dict[str, object]:
+    """The seven-field wire/checkpoint form of a config.
+
+    Checkpoint metadata, forensics bundles, the retune records and the
+    remote ``assign``/``reconfig`` ops all use this one shape (key order
+    included, so the encoded bytes are stable), and ``EARDetConfig(**d)``
+    round-trips."""
+    return {
+        "rho": config.rho,
+        "n": config.n,
+        "beta_th": config.beta_th,
+        "alpha": config.alpha,
+        "beta_l": config.beta_l,
+        "gamma_l": config.gamma_l,
+        "virtual_unit": config.virtual_unit,
+    }
+
+
 def engineer(
     rho: int,
     gamma_l: int,

@@ -33,6 +33,7 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
+from ..core.config import config_as_dict
 from ..model.packet import Packet
 from ..service.checkpoint import write_checkpoint
 
@@ -201,15 +202,7 @@ class CaptureLayer:
                 self._baseline_index
             )
         else:  # pragma: no cover - every in-tree service has the method
-            baseline_config = {
-                "rho": service.config.rho,
-                "n": service.config.n,
-                "beta_th": service.config.beta_th,
-                "alpha": service.config.alpha,
-                "beta_l": service.config.beta_l,
-                "gamma_l": service.config.gamma_l,
-                "virtual_unit": service.config.virtual_unit,
-            }
+            baseline_config = config_as_dict(service.config)
             transitions = []
         meta = {
             "format": BUNDLE_FORMAT,

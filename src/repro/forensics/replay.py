@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.config import EARDetConfig
+from ..core.config import EARDetConfig, config_as_dict
 from ..model.packet import Packet
 from .capture import (
     BUNDLE_FORMAT,
@@ -312,15 +312,7 @@ def replay_bundle(
         # The transition re-derived iff every epoch change re-applied
         # cleanly on the replayed state and the engine ended up under
         # exactly the recorded new-epoch config.
-        final_config = {
-            "rho": engine.config.rho,
-            "n": engine.config.n,
-            "beta_th": engine.config.beta_th,
-            "alpha": engine.config.alpha,
-            "beta_l": engine.config.beta_l,
-            "gamma_l": engine.config.gamma_l,
-            "virtual_unit": engine.config.virtual_unit,
-        }
+        final_config = config_as_dict(engine.config)
         observed = (
             {"error": transition_error}
             if transition_error is not None
@@ -362,9 +354,9 @@ def _ingest_stepped(engine, batch, pump, base_index, steps) -> None:
     """Feed a batch one packet at a time, recording each packet's slot
     detector delta (counter values, new detections)."""
     for offset, packet in enumerate(batch):
-        slot = engine._route(packet.fid)
-        shard = engine._assignment[slot]
-        detector = engine._slot_detectors[slot]
+        slot = engine.slot_of(packet.fid)
+        shard = engine.shard_of(packet.fid)
+        detector = engine.slot_host.detectors[slot]
         before_counters = _counter_view(detector)
         before_sink = dict(detector.sink.as_dict())
         engine.ingest([packet])

@@ -1,9 +1,11 @@
 """Streaming detection service: sharded ingestion with exact checkpoints.
 
 This package turns the EARDet library into a deployable runtime
-(``eardet serve``): pull-based packet sources, a sharded engine with
-bounded queues and backpressure (in-process for determinism,
-multiprocess for throughput), an exact binary checkpoint/restore layer,
+(``eardet serve``): pull-based packet sources, one sharded engine core
+— a shared routing side (:class:`ShardedEngine`) and a slot host
+(:class:`SlotHost`) — over three transports with bounded queues and
+backpressure (in-process for determinism, multiprocess for throughput,
+remote TCP across hosts), an exact binary checkpoint/restore layer,
 the service lifecycle gluing them together, and a fault-tolerance layer
 — deterministic fault injection (:mod:`repro.service.faults`),
 supervised restart with checkpoint recovery
@@ -48,7 +50,7 @@ from .checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from .engine import InProcessEngine
+from .engine import InProcessEngine, ShardedEngine, SlotHost
 from .errors import (
     FrameCorruptError,
     HandshakeError,
@@ -175,12 +177,14 @@ __all__ = [
     "ServiceError",
     "ServiceReport",
     "ShardConnection",
+    "ShardedEngine",
     "ShardCrashError",
     "ShardFault",
     "ShardHealth",
     "ShardLayout",
     "ShardOverload",
     "ShardServer",
+    "SlotHost",
     "SlotMove",
     "SourceError",
     "SourceFault",

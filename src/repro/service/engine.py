@@ -1,6 +1,7 @@
-"""In-process sharded detection engine with bounded queues.
+"""Sharded detection engines: the shared routing side, the slot host, and
+the in-process transport.
 
-The engine consistently hashes every flow onto one of ``slots`` EARDet
+Every engine consistently hashes each flow onto one of ``slots`` EARDet
 workers — the same construction (and therefore the same guarantee
 argument) as :class:`~repro.core.parallel.ParallelEARDet`: each slot sees
 a sub-stream of the link whose volume over any window is still bounded by
@@ -22,7 +23,31 @@ slot's detector can move between shards through the snapshot/restore
 path, and because each slot always sees its full hash sub-stream in
 arrival order, detections are bit-identical under any layout history.
 
-What the engine adds over ``ParallelEARDet`` is the *runtime* layer:
+One shard core, three transports
+--------------------------------
+
+The ensemble argument does not depend on how a packet reaches its slot,
+so the engines split along one line:
+
+- :class:`ShardedEngine` is the **routing side** every transport
+  shares: constructor validation, the memoized flow→slot router, the
+  layout and its assignment, per-shard loss accounting (the exactness
+  envelope), the watcher tap and overload ladders, health, detections,
+  the one engine snapshot schema, restore validation, and the grouping,
+  commit and rollback steps of live migration.
+- :class:`SlotHost` is the **slot side**: one shard's ``{slot: EARDet}``
+  and the slot commands — observe, snapshot, extract, install,
+  reconfigure — that every transport runs against it.
+- A transport carries routed packets and commands from one to the other:
+  :class:`InProcessEngine` (bounded deques drained on the calling
+  thread, all slots in one host), :class:`~repro.service.workers.
+  MultiprocessEngine` (one worker process per shard, in-band queue
+  barriers) and :class:`~repro.service.remote.RemoteEngine` (one TCP
+  :class:`~repro.service.net.ShardServer` per shard, exactly-once
+  frames).
+
+What :class:`InProcessEngine` adds over ``ParallelEARDet`` is the
+*runtime* layer:
 
 - **bounded per-shard queues** — ingestion enqueues, workers drain;
   memory is capped at ``shards * queue_capacity`` packets regardless of
@@ -33,29 +58,29 @@ What the engine adds over ``ParallelEARDet`` is the *runtime* layer:
   load with exact per-shard drop accounting (a lossy mode for
   monitor-only deployments — dropped packets void the exactness
   guarantee and are reported, never silent);
-- **exact snapshots at packet boundaries** — :meth:`snapshot` drains all
-  queues first, so the captured state corresponds to exactly the packets
-  ingested so far (see :mod:`repro.service.checkpoint`);
-- **live migration primitives** — :meth:`prepare_migration`,
-  :meth:`extract_slots`, :meth:`install_slots`, :meth:`commit_layout`
-  and :meth:`abort_migration`, driven by
+- **exact snapshots at packet boundaries** — :meth:`~InProcessEngine.
+  snapshot` drains all queues first, so the captured state corresponds
+  to exactly the packets ingested so far (see
+  :mod:`repro.service.checkpoint`);
+- **live migration primitives** — :meth:`~ShardedEngine.
+  prepare_migration`, :meth:`~ShardedEngine.extract_slots`,
+  :meth:`~ShardedEngine.install_slots`, :meth:`~ShardedEngine.
+  commit_layout` and :meth:`~ShardedEngine.abort_migration`, driven by
   :func:`repro.service.reshard.execute_migration`;
 - **per-shard health** for live reporting.
 
-This engine runs everything on the calling thread, which makes it fully
-deterministic — the reference implementation the multiprocessing engine
-(:mod:`repro.service.workers`) and the multi-host TCP engine
-(:mod:`repro.service.remote`) are both tested against: all three share
-this interface and snapshot schema, and the differential chaos gates
-assert their detections are bit-identical wherever the exactness
-envelope says EXACT.
+It runs everything on the calling thread, which makes it fully
+deterministic — the reference the other two transports are tested
+against: all three share the routing side and the snapshot schema, and
+the differential chaos gates assert their detections are bit-identical
+wherever the exactness envelope says EXACT.
 """
 
 from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
@@ -63,7 +88,7 @@ from ..core.counters import CounterStore, HeapCounterStore
 from ..core.eardet import EARDet, reconfigure_state
 from ..detectors.hashing import StageHash
 from ..model.packet import FlowId, Packet
-from .errors import ShardCrashError
+from .errors import ShardCrashError, WorkerError
 from .health import DeadLetterSink, ExactnessEnvelope, ShardHealth
 from .overload import DegradationLevel, OverloadPolicy, ShardOverload
 from .reshard import MigrationPlan, ShardLayout
@@ -74,23 +99,40 @@ DEFAULT_QUEUE_CAPACITY = 4096
 #: Queue-overflow policies.
 OVERFLOW_POLICIES = ("block", "drop")
 
-#: Engine snapshot schema version (shared with the multiprocess engine).
+#: Engine snapshot schema version (shared by every transport).
 #: Stays at 1 across the slot refactor: the ``shards`` list is now
 #: slot-indexed and ``slots``/``layout`` ride as optional keys, which a
 #: default deployment (slots == shards, identity layout) writes
 #: bit-compatibly with the pre-reshard schema.
 ENGINE_SNAPSHOT_FORMAT = 1
 
+#: Per-shard accounting kept on the routing side, as ``(snapshot key,
+#: value for a fresh shard)``; each lives in ``self._<key>``.  Snapshots
+#: written before a key existed restore it as fresh.
+_SHARD_ACCOUNTING = (
+    ("dropped", 0),
+    ("first_loss", None),
+    ("loss_reason", ""),
+    ("queue_high_water", 0),
+    ("last_packet_ts", None),
+    # Arrival indices: packets ever routed to the shard, processed or
+    # not.  Stored explicitly because under an AGGREGATED ladder rung
+    # shard packet counts no longer equal routed - dropped.
+    ("routed", 0),
+)
+
+SlotState = Dict[str, object]
+
 
 class FlowRouter:
     """Memoized flow-to-slot routing.
 
     A splitmix64 round in pure Python costs ~1.6us; a dict hit ~50ns.
-    Real traffic repeats flow IDs heavily, so both engines route through
-    this cache — on the multiprocess engine the routing loop is the
-    producer's main per-packet cost, and this is what lets shard workers
-    outrun the single routing thread.  The cache is cleared when it
-    reaches ``limit`` distinct flows to keep memory bounded under
+    Real traffic repeats flow IDs heavily, so every transport routes
+    through this cache — on the multiprocess engine the routing loop is
+    the producer's main per-packet cost, and this is what lets shard
+    workers outrun the single routing thread.  The cache is cleared when
+    it reaches ``limit`` distinct flows to keep memory bounded under
     adversarial flow churn (routing stays correct either way: the hash is
     pure).  The cached value is the *slot*, which never changes for a
     flow — resharding swaps the slot→shard assignment, not this map.
@@ -112,7 +154,708 @@ class FlowRouter:
         return index
 
 
-class InProcessEngine:
+class SlotHost:
+    """One shard's slot detectors, ``{slot: EARDet}``, and the slot
+    commands every transport runs against them.
+
+    The in-process engine hosts all its slots in one host; each
+    multiprocess worker and each TCP shard server hosts its shard's
+    slots in one.  Transports only map the commands onto their wire and
+    their failures onto their own exit codes or replies.
+
+    ``states`` maps slot → restored state for the initial slots;
+    ``router`` (the shard's own flow→slot router, same seed and slot
+    space as the engine's) is needed only by :meth:`observe` on a host
+    with more than one slot.  ``invariant_every`` arms an
+    :class:`~repro.guard.invariants.InvariantChecker` on every detector
+    the host builds.
+    """
+
+    def __init__(
+        self,
+        config: EARDetConfig,
+        slot_ids: Iterable[int],
+        states: Optional[Dict[int, SlotState]] = None,
+        router: Optional[FlowRouter] = None,
+        store_factory: Callable[[int], CounterStore] = HeapCounterStore,
+        invariant_every: Optional[int] = None,
+    ):
+        self.config = config
+        self.router = router
+        self._store_factory = store_factory
+        self._invariant_every = invariant_every
+        states = states or {}
+        self.detectors: Dict[int, EARDet] = {
+            int(slot): self._build(config, states.get(slot))
+            for slot in slot_ids
+        }
+        self.solo: Optional[EARDet] = None
+        self._refresh_solo()
+
+    def _build(
+        self, config: EARDetConfig, state: Optional[SlotState] = None
+    ) -> EARDet:
+        detector = EARDet(config, store_factory=self._store_factory)
+        if self._invariant_every is not None:
+            from ..guard import InvariantChecker
+
+            detector.attach_checker(
+                InvariantChecker(int(self._invariant_every))
+            )
+        if state is not None:
+            detector.restore(state)
+        return detector
+
+    def _refresh_solo(self) -> None:
+        # Hosting exactly one slot — the default layout — lets
+        # :meth:`observe` skip per-packet slot dispatch entirely.
+        self.solo = (
+            next(iter(self.detectors.values()))
+            if len(self.detectors) == 1
+            else None
+        )
+
+    def packets(self) -> int:
+        """Packets the hosted detectors have processed."""
+        return sum(d.stats.packets for d in self.detectors.values())
+
+    def observe(self, tuples: Iterable[Tuple[int, int, FlowId]]) -> None:
+        """Apply a chunk of ``(time, size, fid)`` wire tuples in order,
+        rebuilding each :class:`Packet` on the host's own core."""
+        solo = self.solo
+        if solo is not None:
+            observe = solo.observe
+            for time_ns, size, fid in tuples:
+                observe(Packet(time_ns, size, fid))
+            return
+        detectors = self.detectors
+        router = self.router
+        for time_ns, size, fid in tuples:
+            detectors[router(fid)].observe(Packet(time_ns, size, fid))
+
+    def snapshot(self) -> Dict[int, SlotState]:
+        """Every hosted slot's exact state."""
+        return {
+            slot: detector.snapshot()
+            for slot, detector in self.detectors.items()
+        }
+
+    def extract(self, slot_ids: Iterable[int]) -> Dict[int, SlotState]:
+        """Snapshot-and-detach the named slots (a detached slot observes
+        nothing until installed somewhere).  Slots this host does not
+        hold are skipped: a rollback probes migration targets that may
+        hold only some of them, or none."""
+        taken = {}
+        for slot in slot_ids:
+            detector = self.detectors.pop(int(slot), None)
+            if detector is not None:
+                taken[int(slot)] = detector.snapshot()
+        self._refresh_solo()
+        return taken
+
+    def install(self, states: Dict[int, SlotState]) -> None:
+        """Host each slot from its (decode-verified) state, replacing any
+        copy already hosted."""
+        for slot, state in states.items():
+            self.detectors[int(slot)] = self._build(self.config, state)
+        self._refresh_solo()
+
+    def reconfigure(self, config: EARDetConfig) -> None:
+        """Rebuild every hosted slot under ``config`` from its adapted
+        snapshot (:func:`repro.core.eardet.reconfigure_state`).
+
+        Build-all-then-swap: nothing is replaced until every slot has
+        adapted, so a typed failure (e.g. live occupancy above the new
+        ``n``) propagates and leaves the host exactly as it was."""
+        rebuilt = {
+            slot: self._build(
+                config, reconfigure_state(detector.snapshot(), config)
+            )
+            for slot, detector in self.detectors.items()
+        }
+        self.detectors = rebuilt
+        self.config = config
+        self._refresh_solo()
+
+
+class ShardedEngine:
+    """The routing side of a sharded EARDet, shared by every transport.
+
+    Subclasses supply the transport — :meth:`ingest`, :meth:`flush`,
+    :meth:`queue_depths`, :meth:`snapshot`, :meth:`close`,
+    :meth:`terminate` and the hooks below; everything that decides what
+    a routed, lost or migrated packet means for exactness lives here
+    once.
+
+    ``backlog_capacity`` is the bound :meth:`queue_depths` is reported
+    against in :meth:`health` (packets, chunks or frames, depending on
+    the transport).
+    """
+
+    def __init__(
+        self,
+        config: EARDetConfig,
+        shards: int,
+        seed: int,
+        slots: Optional[int],
+        fault_plan,
+        dead_letter: Optional[DeadLetterSink],
+        invariant_every: Optional[int],
+        overload: Optional[OverloadPolicy],
+        watcher,
+        backlog_capacity: int,
+    ):
+        if shards < 1:
+            raise ValueError(f"need at least 1 shard, got {shards}")
+        if slots is None:
+            slots = shards
+        if slots < shards:
+            raise ValueError(
+                f"need at least as many slots as shards, got {slots} slots "
+                f"for {shards} shards"
+            )
+        if watcher is not None and watcher.shard_count != slots:
+            raise ValueError(
+                f"watcher stage has {watcher.shard_count} watchers, engine "
+                f"has {slots} slots (the stage is slot-granular)"
+            )
+        self.config = config
+        self.invariant_every = invariant_every
+        self.overload_policy = overload
+        # The watcher stage lives on the routing path (slot-granular): it
+        # needs no shard protocol, checkpoints synchronously with the loss
+        # accounting, keeps observing while a shard is full or being
+        # restarted, and never physically moves during a migration.
+        self.watcher = watcher
+        self._plan = fault_plan
+        self._dead_letter = dead_letter
+        self._backlog_capacity = backlog_capacity
+        self._hash = StageHash(seed=seed, buckets=slots)
+        self._route = FlowRouter(self._hash)
+        self._layout = ShardLayout.default(slots, shards)
+        self._assignment: List[int] = list(self._layout.assignment)
+        #: Shards with provisioned runtime resources (never below the
+        #: layout's shard count; a merged-away shard stays as a spare).
+        self._shards = shards
+        self._accepted = 0
+        for key, fresh in _SHARD_ACCOUNTING:
+            setattr(self, "_" + key, [fresh] * shards)
+        # Ladder state lives on the routing side: admission happens
+        # where packets are routed, so rung buffers hold whatever the
+        # transport queues (Packets in-process, wire tuples otherwise).
+        self._overload: Optional[List[ShardOverload]] = None
+        if overload is not None:
+            self._overload = [self._new_ladder() for _ in range(shards)]
+
+    # -- the transport -----------------------------------------------------
+
+    def ingest(self, batch: List[Packet]) -> None:
+        """Route a batch of packets towards their shards."""
+        raise NotImplementedError
+
+    def flush(self) -> None:
+        """Push everything routed so far towards its slot host."""
+        raise NotImplementedError
+
+    def snapshot(self) -> Dict[str, object]:
+        """Exact engine state at the current packet boundary."""
+        raise NotImplementedError
+
+    def close(self, drain: bool = False) -> Optional[Dict[str, object]]:
+        """Graceful drain and release (``drain``: requested, not EOF)."""
+        raise NotImplementedError
+
+    def terminate(self) -> None:
+        """Abandon in-flight work without draining (crash teardown)."""
+        raise NotImplementedError
+
+    # -- transport hooks ---------------------------------------------------
+
+    def _new_ladder(self) -> ShardOverload:
+        """A fresh per-shard degradation ladder for this transport."""
+        raise NotImplementedError
+
+    def _start(self) -> None:
+        """Bring up slot hosts that a transport starts lazily."""
+
+    def check_workers(self) -> None:
+        """Raise a structured error for a slot host that has died."""
+
+    def _freeze(self) -> None:
+        """Migration freeze point: everything routed so far must reach
+        its slot before the moving slots are extracted."""
+        self._start()
+        self.check_workers()
+        self.flush()
+
+    def _extract_from(
+        self, by_shard: Dict[int, List[int]]
+    ) -> Dict[int, SlotState]:
+        """Snapshot-and-detach ``{shard: [slots]}``; each shard returns
+        only the slots it holds."""
+        raise NotImplementedError
+
+    def _install_on(self, by_shard: Dict[int, Dict[int, SlotState]]) -> None:
+        """Host ``{shard: {slot: state}}``."""
+        raise NotImplementedError
+
+    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
+        """Rebuild every slot host under ``config``; returns the last
+        error line of each shard that refused."""
+        raise NotImplementedError
+
+    def _check_growth(self, shards: int) -> None:
+        """Raise :class:`~repro.service.errors.MigrationError` when the
+        transport cannot provision ``shards`` shards."""
+
+    def _grow(self, first_new: int) -> None:
+        """Provision transport resources for shards ``first_new`` up to
+        ``self._shards - 1``."""
+        raise NotImplementedError
+
+    def _adopt(
+        self, layout: ShardLayout, slot_states: List[SlotState]
+    ) -> None:
+        """Take over a restored layout's slot states and size the
+        transport's per-shard resources for ``layout.shards`` shards."""
+        raise NotImplementedError
+
+    def _slot_views(self) -> List[Tuple[int, ReportSink, int]]:
+        """Slot-indexed ``(packets, report sink, blacklist size)``.
+
+        This default reads a snapshot barrier — the view of a transport
+        whose detectors live in other processes or on other hosts."""
+        views = []
+        for state in self.snapshot()["shards"]:
+            sink = ReportSink()
+            sink.restore(state["sink"])
+            views.append(
+                (state["stats"]["packets"], sink, len(state["blacklist"]))
+            )
+        return views
+
+    # -- introspection -----------------------------------------------------
+
+    @property
+    def shard_count(self) -> int:
+        return self._layout.shards
+
+    @property
+    def slot_count(self) -> int:
+        return self._layout.slots
+
+    @property
+    def layout(self) -> ShardLayout:
+        """The current (versioned) slot→shard assignment."""
+        return self._layout
+
+    @property
+    def seed(self) -> int:
+        return self._hash.seed
+
+    @property
+    def accepted(self) -> int:
+        """Packets that entered a shard queue or staging buffer.
+        Injected drops, overflow and shed packets never do."""
+        return self._accepted
+
+    @property
+    def dropped(self) -> int:
+        """Packets accounted as lost (overflow, injected drops, overload
+        shedding, partition loss)."""
+        return sum(self._dropped)
+
+    @property
+    def routed(self) -> List[int]:
+        """Per-shard arrival counts (the coordinator's load signal)."""
+        return list(self._routed)
+
+    @property
+    def queue_high_water(self) -> List[int]:
+        """Highest queue depth each shard has reached."""
+        return list(self._queue_high_water)
+
+    @property
+    def last_packet_ts(self) -> List[Optional[int]]:
+        """Stream timestamp of the last packet routed to each shard."""
+        return list(self._last_packet_ts)
+
+    def slot_of(self, fid: FlowId) -> int:
+        """Which slot a flow hashes to (layout-independent)."""
+        return self._route(fid)
+
+    def shard_of(self, fid: FlowId) -> int:
+        """Which shard currently hosts a flow's slot."""
+        return self._assignment[self._route(fid)]
+
+    def queue_depths(self) -> List[int]:
+        """Current backlog per shard (cheap; no drain, no barrier)."""
+        raise NotImplementedError
+
+    # -- loss accounting ---------------------------------------------------
+
+    def _record_loss(
+        self,
+        index: int,
+        packet: Packet,
+        reason: str,
+        slot: Optional[int] = None,
+        arrival: Optional[int] = None,
+    ) -> None:
+        """Account one lost packet to shard ``index``'s envelope and
+        dead-letter it.  ``arrival`` is the packet's 1-based shard-local
+        arrival index when the loss surfaces after later packets were
+        routed (a partition found at ship time); it defaults to the
+        routed count, which is the index at routing time."""
+        self._dropped[index] += 1
+        if self._first_loss[index] is None:
+            self._first_loss[index] = packet.time
+            self._loss_reason[index] = reason
+        if self._dead_letter is not None:
+            self._dead_letter.record(
+                packet, index, reason, slot=slot,
+                index=self._routed[index] if arrival is None else arrival,
+            )
+
+    # -- results -----------------------------------------------------------
+
+    def detections(self) -> Dict[FlowId, int]:
+        """Union of per-slot first-detection reports (flows are disjoint
+        across slots, so the union is conflict-free)."""
+        sink = ReportSink()
+        for _packets, slot_sink, _blacklisted in self._slot_views():
+            sink.merge(slot_sink)
+        return sink.as_dict()
+
+    def health(self) -> List[ShardHealth]:
+        """A point-in-time per-shard health sample: slot state
+        aggregated onto the hosting shard, backlog from
+        :meth:`queue_depths`."""
+        views = self._slot_views()
+        depths = self.queue_depths()
+        states = self._overload
+        layout = self._layout
+        watcher = self.watcher
+        samples = []
+        for index in range(layout.shards):
+            slots = layout.slots_of(index)
+            hosted = [views[slot] for slot in slots]
+            samples.append(
+                ShardHealth(
+                    shard=index,
+                    packets=sum(packets for packets, _, _ in hosted),
+                    queue_depth=depths[index],
+                    queue_capacity=self._backlog_capacity,
+                    detections=sum(len(sink) for _, sink, _ in hosted),
+                    blacklist_size=sum(size for _, _, size in hosted),
+                    dropped=self._dropped[index],
+                    queue_high_water=self._queue_high_water[index],
+                    last_packet_ts_ns=self._last_packet_ts[index],
+                    degradation_level=(
+                        states[index].level.label
+                        if states is not None
+                        else "exact"
+                    ),
+                    watcher_occupancy=(
+                        sum(watcher.occupancy(slot) for slot in slots)
+                        if watcher is not None
+                        else 0
+                    ),
+                    watcher_verdicts=(
+                        sum(
+                            len(watcher.watcher(slot).detected)
+                            for slot in slots
+                        )
+                        if watcher is not None
+                        else 0
+                    ),
+                    slot_count=len(slots),
+                )
+            )
+        return samples
+
+    def overload_report(self) -> Optional[Dict[str, object]]:
+        """Service-level overload summary, or ``None`` when no policy is
+        armed.  Includes the merged degradation account (whose integer
+        identity ``exact + deferred + aggregated + shed == offered``
+        holds by construction) and the computed ambiguity-widening
+        bound: aggregates are re-stamped by at most ``max_widening_ns``,
+        so over any window the measured traffic of a flow can shift by
+        at most ``rho * max_widening_ns`` bytes (``widening_bytes``)."""
+        if self._overload is None:
+            return None
+        from .overload import build_overload_report
+
+        return build_overload_report(self._overload, self.config.rho)
+
+    def envelope(self) -> List[ExactnessEnvelope]:
+        """Per-shard exactness: a shard that lost even one packet no
+        longer carries the no-FN/no-FP guarantee past its first loss."""
+        return [
+            ExactnessEnvelope(
+                shard=index,
+                exact=self._dropped[index] == 0,
+                lost_packets=self._dropped[index],
+                first_loss_time_ns=self._first_loss[index],
+                reason=self._loss_reason[index],
+            )
+            for index in range(self._layout.shards)
+        ]
+
+    # -- hot reconfiguration -----------------------------------------------
+
+    def apply_config(self, config: EARDetConfig) -> None:
+        """Swap every slot detector onto ``config`` at the current packet
+        boundary (the control plane's apply step).
+
+        Each slot host adapts build-all-then-swap (see
+        :meth:`SlotHost.reconfigure`), so a host that refuses keeps its
+        old detectors serving.  When some shards refuse this raises
+        :class:`~repro.core.eardet.ReconfigurationError` and may leave a
+        mixed fleet; rollback is ``apply_config(old_config)``, which
+        always succeeds because adapting back never shrinks below
+        occupancy.
+        """
+        failures = self._reconfigure(config)
+        if failures:
+            from ..core.eardet import ReconfigurationError
+
+            detail = "; ".join(
+                f"shard {index}: {error}"
+                for index, error in sorted(failures.items())
+            )
+            raise ReconfigurationError(
+                f"{len(failures)}/{self._shards} shard hosts refused the "
+                f"new configuration ({detail}); fleet may be mixed — "
+                "roll back by re-applying the previous config"
+            )
+        self.config = config
+
+    # -- live migration ----------------------------------------------------
+
+    def prepare_migration(self, plan: MigrationPlan) -> None:
+        """Freeze phase: release the overload ladders' rung buffers
+        (deferred/aggregated packets must cross the cut in per-flow
+        arrival order), bring everything routed so far to its slot, and
+        provision any new shards the plan targets."""
+        plan.validate(self._layout)
+        self._freeze()
+        self._ensure_shards(plan.target_shards)
+
+    def extract_slots(self, slot_ids: List[int]) -> Dict[int, SlotState]:
+        """Extract phase: snapshot-and-detach the moving slots from the
+        shards currently hosting them."""
+        by_shard: Dict[int, List[int]] = {}
+        for slot in slot_ids:
+            by_shard.setdefault(self._assignment[slot], []).append(slot)
+        if not by_shard:
+            return {}
+        return self._extract_from(by_shard)
+
+    def install_slots(
+        self,
+        slot_states: Dict[int, SlotState],
+        assignment: Dict[int, int],
+    ) -> None:
+        """Install phase: hand each target shard the decode-verified
+        states of the slots ``assignment`` places on it."""
+        by_shard: Dict[int, Dict[int, SlotState]] = {}
+        for slot, state in slot_states.items():
+            shard = assignment[int(slot)]
+            if shard >= self._shards:
+                raise ValueError(
+                    f"slot {slot} targets shard {shard}, which was never "
+                    f"provisioned (prepare_migration not run?)"
+                )
+            by_shard.setdefault(shard, {})[int(slot)] = state
+        if by_shard:
+            self._install_on(by_shard)
+
+    def commit_layout(self, layout: ShardLayout) -> None:
+        """Cutover phase: atomically swap the slot→shard assignment.
+        Routing lives here, so the swap is local to the engine."""
+        if layout.slots != self._layout.slots:
+            raise ValueError(
+                f"layout has {layout.slots} slots, engine has "
+                f"{self._layout.slots}"
+            )
+        if layout.shards > self._shards:
+            raise ValueError(
+                f"layout spans {layout.shards} shards but only "
+                f"{self._shards} are provisioned"
+            )
+        self._layout = layout
+        self._assignment = list(layout.assignment)
+
+    def abort_migration(
+        self,
+        plan: MigrationPlan,
+        extracted: Dict[int, SlotState],
+    ) -> None:
+        """Rollback: extract-and-discard any partially installed copies
+        from the targets (each gives up only the slots it holds), then
+        reinstall the extracted states on their sources.  Plan slots
+        that were never extracted are still live and stay untouched.
+        The assignment was never swapped (commit is the last step), so
+        routing is already correct once the states are back."""
+        targets: Dict[int, List[int]] = {}
+        for move in plan.moves:
+            if move.target < self._shards:
+                targets.setdefault(move.target, []).append(move.slot)
+        if targets:
+            self._extract_from(targets)  # discard partial installs
+        if extracted:
+            self.install_slots(extracted, plan.assignment_before())
+
+    def _ensure_shards(self, shards: int) -> None:
+        """Provision runtime resources and accounting for shards up to
+        index ``shards - 1``.  Never shrinks — a merged-away shard stays
+        as an idle hot spare."""
+        if shards <= self._shards:
+            return
+        self._check_growth(shards)
+        grow = shards - self._shards
+        for key, fresh in _SHARD_ACCOUNTING:
+            getattr(self, "_" + key).extend([fresh] * grow)
+        if self._overload is not None:
+            self._overload.extend(self._new_ladder() for _ in range(grow))
+        first_new, self._shards = self._shards, shards
+        self._grow(first_new)
+
+    # -- checkpointing -----------------------------------------------------
+
+    def _assemble(
+        self, replies: Dict[int, Dict[int, SlotState]]
+    ) -> Dict[str, object]:
+        """The engine snapshot, from each shard's ``{slot: state}``.
+
+        Plain Python data ready for
+        :func:`repro.service.checkpoint.write_checkpoint`; the one schema
+        every transport writes and :meth:`restore` reads."""
+        layout = self._layout
+        slot_states: List = [None] * layout.slots
+        for mapping in replies.values():
+            for slot, slot_state in mapping.items():
+                slot_states[int(slot)] = slot_state
+        missing = [
+            slot for slot, value in enumerate(slot_states) if value is None
+        ]
+        if missing:
+            raise WorkerError(
+                f"snapshot barrier returned no state for slots {missing}"
+            )
+        return {
+            "format": ENGINE_SNAPSHOT_FORMAT,
+            "seed": self._hash.seed,
+            "shard_count": layout.shards,
+            "accepted": self._accepted,
+            "dropped": list(self._dropped),
+            # Optional keys (absent in pre-fault-tolerance checkpoints;
+            # readers default them) — keeps the format at version 1.
+            "first_loss": list(self._first_loss),
+            "loss_reason": list(self._loss_reason),
+            "queue_high_water": list(self._queue_high_water),
+            "last_packet_ts": list(self._last_packet_ts),
+            "routed": list(self._routed),
+            "overload": (
+                [state.snapshot() for state in self._overload]
+                if self._overload is not None
+                else None
+            ),
+            # Optional stage-2 state (absent in pre-pipeline checkpoints
+            # and watcher-off runs; readers default to a fresh stage).
+            "watcher": (
+                self.watcher.snapshot() if self.watcher is not None else None
+            ),
+            # Optional reshard keys: a default deployment (identity
+            # layout, epoch 0) reads back identically without them.
+            "slots": layout.slots,
+            "layout": layout.as_dict(),
+            "layout_epoch": layout.epoch,
+            # Slot-indexed detector states.  Pre-reshard snapshots carry
+            # one entry per shard, which is the same thing under the
+            # identity layout.
+            "shards": slot_states,
+        }
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Restore an engine snapshot written by any transport (the
+        schema is shared).
+
+        The snapshot's *layout* (slot→shard assignment, shard count,
+        epoch) is adopted: a checkpoint taken after three migrations
+        restores onto an engine constructed with the original shard
+        count and replays to bit-identical detections, because
+        detections only depend on slots.  Seed and slot count remain
+        strict — they define the hash sub-streams themselves.
+        """
+        fmt = state.get("format")
+        if fmt != ENGINE_SNAPSHOT_FORMAT:
+            raise ValueError(f"unsupported engine snapshot format {fmt!r}")
+        if state["seed"] != self._hash.seed:
+            raise ValueError(
+                f"snapshot hash seed {state['seed']} != engine seed "
+                f"{self._hash.seed}; flows would route to different slots"
+            )
+        slot_states = list(state["shards"])
+        slots = int(state.get("slots") or len(slot_states))
+        if slots != self._layout.slots:
+            raise ValueError(
+                f"snapshot has {slots} slots, engine has "
+                f"{self._layout.slots}; flows would route to different "
+                "sub-streams"
+            )
+        if len(slot_states) != slots:
+            raise ValueError(
+                f"snapshot carries {len(slot_states)} slot states for "
+                f"{slots} slots"
+            )
+        layout_state = state.get("layout")
+        if layout_state is not None:
+            layout = ShardLayout.from_dict(layout_state)
+        else:
+            layout = ShardLayout.default(slots, int(state["shard_count"]))
+        self._adopt(layout, slot_states)
+        self._layout = layout
+        self._assignment = list(layout.assignment)
+        shards = self._shards = layout.shards
+        if self._overload is not None and len(self._overload) < shards:
+            self._overload.extend(
+                self._new_ladder() for _ in range(shards - len(self._overload))
+            )
+        for key, fresh in _SHARD_ACCOUNTING:
+            values = list(state.get(key) or ())
+            setattr(self, "_" + key, values + [fresh] * (shards - len(values)))
+        if state.get("routed") is None:
+            # Older checkpoints carry no arrival indices.  A checkpoint
+            # is taken drained, so each shard's arrivals = packets
+            # processed + packets dropped — valid because pre-overload
+            # checkpoints never aggregated, and pre-reshard checkpoints
+            # host exactly one slot per shard.
+            self._routed = [
+                slot_state["stats"]["packets"] + dropped
+                for slot_state, dropped in zip(slot_states, self._dropped)
+            ]
+        self._accepted = state["accepted"]
+        overload_state = state.get("overload")
+        if overload_state is not None and self._overload is not None:
+            for shard_overload, shard_state in zip(
+                self._overload, overload_state
+            ):
+                shard_overload.restore(shard_state)
+        watcher_state = state.get("watcher")
+        if watcher_state is not None and self.watcher is not None:
+            self.watcher.restore(watcher_state)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(shards={self._layout.shards}, "
+            f"slots={self._layout.slots}, epoch={self._layout.epoch}, "
+            f"accepted={self._accepted}, dropped={self.dropped})"
+        )
+
+
+class InProcessEngine(ShardedEngine):
     """Sharded EARDet with bounded ingestion queues, single-threaded.
 
     Parameters
@@ -190,15 +933,6 @@ class InProcessEngine:
         watcher=None,
         slots: Optional[int] = None,
     ):
-        if shards < 1:
-            raise ValueError(f"need at least 1 shard, got {shards}")
-        if slots is None:
-            slots = shards
-        if slots < shards:
-            raise ValueError(
-                f"need at least as many slots as shards, got {slots} slots "
-                f"for {shards} shards"
-            )
         if queue_capacity < 1:
             raise ValueError(
                 f"queue capacity must be positive, got {queue_capacity}"
@@ -207,119 +941,46 @@ class InProcessEngine:
             raise ValueError(
                 f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
             )
-        self.config = config
+        super().__init__(
+            config, shards, seed, slots, fault_plan, dead_letter,
+            invariant_every, overload, watcher,
+            backlog_capacity=queue_capacity,
+        )
         self.queue_capacity = queue_capacity
         self.overflow = overflow
-        self._store_factory = store_factory
-        self._slot_detectors: List[EARDet] = [
-            EARDet(config, store_factory=store_factory) for _ in range(slots)
-        ]
-        self.invariant_every = invariant_every
-        if invariant_every is not None:
-            for detector in self._slot_detectors:
-                self._attach_checker(detector)
-        self._hash = StageHash(seed=seed, buckets=slots)
-        self._route = FlowRouter(self._hash)
-        self._layout = ShardLayout.default(slots, shards)
-        self._assignment: List[int] = list(self._layout.assignment)
+        #: Every slot's detector, in one host.
+        self.slot_host = SlotHost(
+            config,
+            range(self._layout.slots),
+            store_factory=store_factory,
+            invariant_every=invariant_every,
+        )
         # Queued items carry the slot the packet was routed to at ingest,
         # so draining never hashes a flow a second time.
         self._queues: List[Deque[Tuple[int, Packet]]] = [
             deque() for _ in range(shards)
         ]
-        self._dropped = [0] * shards
-        self._accepted = 0
-        self._plan = fault_plan
-        self._dead_letter = dead_letter
-        # Loss accounting for the exactness envelope: per-shard arrival
-        # index (packets ever routed to the shard, processed or not),
-        # first-loss timestamp, and loss mechanism.
-        self._routed = [0] * shards
-        self._first_loss: List[Optional[int]] = [None] * shards
-        self._loss_reason = [""] * shards
-        # Operational telemetry: per-shard queue high-water mark and the
-        # stream timestamp of the last packet routed to each shard.
-        self._queue_high_water = [0] * shards
-        self._last_packet_ts: List[Optional[int]] = [None] * shards
-        self.overload_policy = overload
-        self._overload: Optional[List[ShardOverload[Packet]]] = None
-        if overload is not None:
-            self._overload = [
-                ShardOverload(overload, Packet) for _ in range(shards)
-            ]
-        if watcher is not None and watcher.shard_count != slots:
-            raise ValueError(
-                f"watcher stage has {watcher.shard_count} watchers, engine "
-                f"has {slots} slots (the stage is slot-granular)"
-            )
-        self.watcher = watcher
 
-    def _attach_checker(self, detector: EARDet) -> None:
-        from ..guard import InvariantChecker
-
-        detector.attach_checker(InvariantChecker(self.invariant_every))
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return self._layout.shards
-
-    @property
-    def slot_count(self) -> int:
-        return self._layout.slots
-
-    @property
-    def layout(self) -> ShardLayout:
-        """The current (versioned) slot→shard assignment."""
-        return self._layout
-
-    @property
-    def seed(self) -> int:
-        return self._hash.seed
-
-    @property
-    def accepted(self) -> int:
-        """Packets accepted into queues (processed or still pending)."""
-        return self._accepted
-
-    @property
-    def dropped(self) -> int:
-        """Total packets shed by the ``drop`` overflow policy."""
-        return sum(self._dropped)
-
-    @property
-    def routed(self) -> List[int]:
-        """Per-shard arrival counts (the coordinator's load signal)."""
-        return list(self._routed)
-
-    def slot_of(self, fid: FlowId) -> int:
-        """Which slot a flow hashes to (layout-independent)."""
-        return self._route(fid)
-
-    def shard_of(self, fid: FlowId) -> int:
-        """Which shard currently hosts a flow's slot."""
-        return self._assignment[self._route(fid)]
+    def _new_ladder(self) -> ShardOverload:
+        return ShardOverload(self.overload_policy, Packet)
 
     def queue_depths(self) -> List[int]:
         """Current pending-packet count per shard (cheap; no drain)."""
         return [len(queue) for queue in self._queues]
 
-    @property
-    def queue_high_water(self) -> List[int]:
-        """Highest queue depth each shard has reached."""
-        return list(self._queue_high_water)
-
-    @property
-    def last_packet_ts(self) -> List[Optional[int]]:
-        """Stream timestamp of the last packet routed to each shard."""
-        return list(self._last_packet_ts)
-
     def detector_groups(self) -> List[List[EARDet]]:
         """Per-shard lists of hosted slot detectors (telemetry sync)."""
+        detectors = self.slot_host.detectors
         return [
-            [self._slot_detectors[slot] for slot in self._layout.slots_of(s)]
+            [detectors[slot] for slot in self._layout.slots_of(s)]
             for s in range(self._layout.shards)
+        ]
+
+    def _slot_views(self) -> List[Tuple[int, ReportSink, int]]:
+        detectors = self.slot_host.detectors
+        return [
+            (d.stats.packets, d.sink, len(d.blacklist))
+            for d in (detectors[slot] for slot in range(self._layout.slots))
         ]
 
     # -- ingestion ---------------------------------------------------------
@@ -481,7 +1142,7 @@ class InProcessEngine:
         if budget is None and self.overload_policy is not None:
             budget = self.overload_policy.drain_budget
         processed = 0
-        detectors = self._slot_detectors
+        detectors = self.slot_host.detectors
         for queue in self._queues:
             remaining = budget
             while queue and (remaining is None or remaining > 0):
@@ -491,24 +1152,6 @@ class InProcessEngine:
                 if remaining is not None:
                     remaining -= 1
         return processed
-
-    def _record_loss(
-        self,
-        index: int,
-        packet: Packet,
-        reason: str,
-        slot: Optional[int] = None,
-    ) -> None:
-        self._dropped[index] += 1
-        if self._first_loss[index] is None:
-            self._first_loss[index] = packet.time
-            self._loss_reason[index] = reason
-        if self._dead_letter is not None:
-            # The consistent dead-letter tuple: shard, slot, 1-based
-            # shard-local arrival index (== routed count at loss time).
-            self._dead_letter.record(
-                packet, index, reason, slot=slot, index=self._routed[index]
-            )
 
     def flush(self) -> None:
         """Process every pending packet (the graceful-drain step).
@@ -525,15 +1168,15 @@ class InProcessEngine:
 
     def _drain_shard(self, index: int) -> None:
         queue = self._queues[index]
-        detectors = self._slot_detectors
+        detectors = self.slot_host.detectors
         while queue:
             slot, packet = queue.popleft()
             detectors[slot].observe(packet)
 
     def close(self, drain: bool = False) -> None:
         """Drain and release; the in-process engine holds no OS resources.
-        ``drain`` exists for interface parity with the multiprocess
-        engine (there it selects the drain exit code); the drain work —
+        ``drain`` exists for interface parity with the other transports
+        (there it selects the drain exit code); the drain work —
         flushing rung buffers and queues — happens either way."""
         self.flush()
 
@@ -544,220 +1187,58 @@ class InProcessEngine:
         for queue in self._queues:
             queue.clear()
 
-    # -- hot reconfiguration -----------------------------------------------
+    # -- transport hooks ---------------------------------------------------
 
-    def apply_config(self, config: EARDetConfig) -> None:
-        """Swap every slot detector onto ``config`` at the current packet
-        boundary (the control plane's apply step).
-
-        Queues are flushed first, so the swap lands at an exact stream
-        boundary; each slot's state is snapshotted, adapted via
-        :func:`repro.core.eardet.reconfigure_state`, and restored into a
-        detector built with the new configuration.  Build-all-then-swap:
-        nothing is replaced until every slot has adapted successfully,
-        so a typed failure (e.g. live occupancy above the new ``n``)
-        leaves the engine exactly as it was.  Rollback is simply
-        ``apply_config(old_config)``.
-        """
+    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
+        # Queues are flushed first so the swap lands at an exact stream
+        # boundary; the one host's failure propagates as raised.
         self.flush()
-        rebuilt: List[EARDet] = []
-        for detector in self._slot_detectors:
-            state = reconfigure_state(detector.snapshot(), config)
-            replacement = EARDet(config, store_factory=self._store_factory)
-            replacement.restore(state)
-            if self.invariant_every is not None:
-                self._attach_checker(replacement)
-            rebuilt.append(replacement)
-        self._slot_detectors = rebuilt
-        self.config = config
+        self.slot_host.reconfigure(config)
+        return {}
 
-    # -- live migration ----------------------------------------------------
+    def _extract_from(
+        self, by_shard: Dict[int, List[int]]
+    ) -> Dict[int, SlotState]:
+        # One address space hosts every slot, and a shard holds exactly
+        # the slots the live assignment gives it — so the rollback's
+        # probe of migration targets (which host nothing before cutover)
+        # takes nothing, and a reinstall simply overwrites.
+        return self.slot_host.extract(
+            slot
+            for index, slots in by_shard.items()
+            for slot in slots
+            if self._assignment[slot] == index
+        )
 
-    def prepare_migration(self, plan: MigrationPlan) -> None:
-        """Freeze phase: release the overload ladders' rung buffers
-        (deferred/aggregated packets must cross the cut in per-flow
-        arrival order), drain every pending packet so the moving slots'
-        state is at the stream boundary, and provision any new shards
-        the plan targets."""
-        plan.validate(self._layout)
-        self.flush()
-        self._ensure_shards(plan.target_shards)
-
-    def extract_slots(self, slot_ids: List[int]) -> Dict[int, Dict[str, object]]:
-        """Extract phase: snapshot the moving slots' detectors and
-        detach them from the engine (an extracted slot must not observe
-        a packet until it is installed somewhere)."""
-        extracted: Dict[int, Dict[str, object]] = {}
-        for slot in slot_ids:
-            detector = self._slot_detectors[slot]
-            if detector is None:
-                continue
-            extracted[slot] = detector.snapshot()
-            self._slot_detectors[slot] = None  # type: ignore[call-overload]
-        return extracted
-
-    def install_slots(
-        self,
-        slot_states: Dict[int, Dict[str, object]],
-        assignment: Dict[int, int],
-    ) -> None:
-        """Install phase: rebuild each extracted slot's detector from
-        its (decode-verified) state.  ``assignment`` names the hosting
-        shard per slot — in this single-address-space engine the
-        detector list is slot-indexed, so hosting only needs the target
-        shard's runtime arrays to exist."""
-        for slot, shard in assignment.items():
-            if shard >= self._layout.shards and shard >= len(self._queues):
-                raise ValueError(
-                    f"slot {slot} targets shard {shard}, which was never "
-                    f"provisioned (prepare_migration not run?)"
-                )
-        for slot, state in slot_states.items():
-            detector = EARDet(self.config, store_factory=self._store_factory)
-            detector.restore(state)
-            if self.invariant_every is not None:
-                self._attach_checker(detector)
-            self._slot_detectors[slot] = detector
+    def _install_on(self, by_shard: Dict[int, Dict[int, SlotState]]) -> None:
+        for states in by_shard.values():
+            self.slot_host.install(states)
 
     def commit_layout(self, layout: ShardLayout) -> None:
-        """Cutover phase: atomically swap the slot→shard assignment.
-        Refuses to commit while any moved slot is still detached."""
-        if layout.slots != self._layout.slots:
-            raise ValueError(
-                f"layout has {layout.slots} slots, engine has "
-                f"{self._layout.slots}"
-            )
+        """Cutover phase (see :meth:`ShardedEngine.commit_layout`);
+        refuses while any moved slot is still detached."""
         missing = [
             slot
-            for slot, detector in enumerate(self._slot_detectors)
-            if detector is None
+            for slot in range(self._layout.slots)
+            if slot not in self.slot_host.detectors
         ]
         if missing:
             raise ValueError(
                 f"cannot commit layout: slots {missing} are extracted but "
                 "not installed"
             )
-        self._ensure_shards(layout.shards)
-        self._layout = layout
-        self._assignment = list(layout.assignment)
+        super().commit_layout(layout)
 
-    def abort_migration(
-        self,
-        plan: MigrationPlan,
-        extracted: Dict[int, Dict[str, object]],
+    def _grow(self, first_new: int) -> None:
+        self._queues.extend(deque() for _ in range(self._shards - first_new))
+
+    def _adopt(
+        self, layout: ShardLayout, slot_states: List[SlotState]
     ) -> None:
-        """Rollback: reinstall the extracted states under the
-        pre-migration assignment.  The detector list is slot-indexed and
-        installs overwrite, so a partially installed copy is simply
-        rebuilt from the same extracted state; plan slots that were
-        never extracted are still live and must not be touched.  The
-        layout was never swapped (commit is the last step), so routing
-        is already correct once the state is back."""
-        if extracted:
-            self.install_slots(extracted, plan.assignment_before())
-
-    def _ensure_shards(self, shards: int) -> None:
-        """Grow the per-shard runtime arrays (queues, ladders, loss
-        accounting) to host ``shards`` shards.  Never shrinks — a merged-
-        away shard stays as an idle hot spare."""
-        current = len(self._queues)
-        if shards <= current:
-            return
-        grow = shards - current
-        self._queues.extend(deque() for _ in range(grow))
-        self._dropped.extend([0] * grow)
-        self._routed.extend([0] * grow)
-        self._first_loss.extend([None] * grow)
-        self._loss_reason.extend([""] * grow)
-        self._queue_high_water.extend([0] * grow)
-        self._last_packet_ts.extend([None] * grow)
-        if self._overload is not None:
-            self._overload.extend(
-                ShardOverload(self.overload_policy, Packet)
-                for _ in range(grow)
-            )
-
-    # -- results -----------------------------------------------------------
-
-    def detections(self) -> Dict[FlowId, int]:
-        """Union of per-slot first-detection reports (flows are disjoint
-        across slots, so the union is conflict-free)."""
-        sink = ReportSink()
-        for detector in self._slot_detectors:
-            sink.merge(detector.sink)
-        return sink.as_dict()
-
-    def health(self) -> List[ShardHealth]:
-        """A point-in-time per-shard health sample (slot state
-        aggregated onto the hosting shard)."""
-        states = self._overload
-        layout = self._layout
-        watcher = self.watcher
-        samples = []
-        for index in range(layout.shards):
-            slots = layout.slots_of(index)
-            detectors = [self._slot_detectors[slot] for slot in slots]
-            samples.append(
-                ShardHealth(
-                    shard=index,
-                    packets=sum(d.stats.packets for d in detectors),
-                    queue_depth=len(self._queues[index]),
-                    queue_capacity=self.queue_capacity,
-                    detections=sum(len(d.sink) for d in detectors),
-                    blacklist_size=sum(len(d.blacklist) for d in detectors),
-                    dropped=self._dropped[index],
-                    queue_high_water=self._queue_high_water[index],
-                    last_packet_ts_ns=self._last_packet_ts[index],
-                    degradation_level=(
-                        states[index].level.label
-                        if states is not None
-                        else "exact"
-                    ),
-                    watcher_occupancy=(
-                        sum(watcher.occupancy(slot) for slot in slots)
-                        if watcher is not None
-                        else 0
-                    ),
-                    watcher_verdicts=(
-                        sum(
-                            len(watcher.watcher(slot).detected)
-                            for slot in slots
-                        )
-                        if watcher is not None
-                        else 0
-                    ),
-                    slot_count=len(slots),
-                )
-            )
-        return samples
-
-    def overload_report(self) -> Optional[Dict[str, object]]:
-        """Service-level overload summary, or ``None`` when no policy is
-        armed.  Includes the merged degradation account (whose integer
-        identity ``exact + deferred + aggregated + shed == offered``
-        holds by construction) and the computed ambiguity-widening
-        bound: aggregates are re-stamped by at most ``max_widening_ns``,
-        so over any window the measured traffic of a flow can shift by
-        at most ``rho * max_widening_ns`` bytes (``widening_bytes``)."""
-        if self._overload is None:
-            return None
-        from .overload import build_overload_report
-
-        return build_overload_report(self._overload, self.config.rho)
-
-    def envelope(self) -> List[ExactnessEnvelope]:
-        """Per-shard exactness: a shard that lost even one packet no
-        longer carries the no-FN/no-FP guarantee past its first loss."""
-        return [
-            ExactnessEnvelope(
-                shard=index,
-                exact=self._dropped[index] == 0,
-                lost_packets=self._dropped[index],
-                first_loss_time_ns=self._first_loss[index],
-                reason=self._loss_reason[index],
-            )
-            for index in range(self._layout.shards)
-        ]
+        self._queues = [deque() for _ in range(layout.shards)]
+        detectors = self.slot_host.detectors
+        for slot, slot_state in enumerate(slot_states):
+            detectors[slot].restore(slot_state)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -765,135 +1246,6 @@ class InProcessEngine:
         """Exact engine state at the current packet boundary.
 
         Drains all queues first so the captured slot states correspond to
-        exactly the packets accepted so far; the result is plain Python
-        data ready for :func:`repro.service.checkpoint.write_checkpoint`.
-        """
+        exactly the packets accepted so far."""
         self.flush()
-        layout = self._layout
-        return {
-            "format": ENGINE_SNAPSHOT_FORMAT,
-            "seed": self._hash.seed,
-            "shard_count": layout.shards,
-            "accepted": self._accepted,
-            "dropped": list(self._dropped),
-            # Optional keys (absent in pre-fault-tolerance checkpoints;
-            # readers default them) — keeps the format at version 1.
-            "first_loss": list(self._first_loss),
-            "loss_reason": list(self._loss_reason),
-            "queue_high_water": list(self._queue_high_water),
-            "last_packet_ts": list(self._last_packet_ts),
-            # Arrival indices, stored explicitly because under an
-            # AGGREGATED ladder rung shard packet counts no longer equal
-            # routed - dropped (aggregates merge many arrivals into one).
-            "routed": list(self._routed),
-            "overload": (
-                [state.snapshot() for state in self._overload]
-                if self._overload is not None
-                else None
-            ),
-            # Optional stage-2 state (absent in pre-pipeline checkpoints
-            # and watcher-off runs; readers default to a fresh stage).
-            "watcher": (
-                self.watcher.snapshot() if self.watcher is not None else None
-            ),
-            # Optional reshard keys: a default deployment (identity
-            # layout, epoch 0) reads back identically without them.
-            "slots": layout.slots,
-            "layout": layout.as_dict(),
-            "layout_epoch": layout.epoch,
-            # Slot-indexed detector states.  Pre-reshard snapshots carry
-            # one entry per shard, which is the same thing under the
-            # identity layout.
-            "shards": [
-                detector.snapshot() for detector in self._slot_detectors
-            ],
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Restore an engine snapshot (from this or the multiprocess
-        engine — the schema is shared).
-
-        The snapshot's *layout* (slot→shard assignment, shard count,
-        epoch) is adopted: a checkpoint taken after three migrations
-        restores onto an engine constructed with the original shard
-        count and replays to bit-identical detections, because
-        detections only depend on slots.  Seed and slot count remain
-        strict — they define the hash sub-streams themselves.
-        """
-        fmt = state.get("format")
-        if fmt != ENGINE_SNAPSHOT_FORMAT:
-            raise ValueError(f"unsupported engine snapshot format {fmt!r}")
-        if state["seed"] != self._hash.seed:
-            raise ValueError(
-                f"snapshot hash seed {state['seed']} != engine seed "
-                f"{self._hash.seed}; flows would route to different slots"
-            )
-        slot_states = state["shards"]
-        slots = int(state.get("slots") or len(slot_states))
-        if slots != self._layout.slots:
-            raise ValueError(
-                f"snapshot has {slots} slots, engine has "
-                f"{self._layout.slots}; flows would route to different "
-                "sub-streams"
-            )
-        if len(slot_states) != slots:
-            raise ValueError(
-                f"snapshot carries {len(slot_states)} slot states for "
-                f"{slots} slots"
-            )
-        layout_state = state.get("layout")
-        if layout_state is not None:
-            layout = ShardLayout.from_dict(layout_state)
-        else:
-            layout = ShardLayout.default(slots, int(state["shard_count"]))
-        for queue in self._queues:
-            queue.clear()
-        self._ensure_shards(layout.shards)
-        self._layout = layout
-        self._assignment = list(layout.assignment)
-        for detector, slot_state in zip(self._slot_detectors, slot_states):
-            detector.restore(slot_state)
-        shards = layout.shards
-
-        def _per_shard(key, default):
-            values = state.get(key)
-            if not values:
-                return [default] * shards
-            values = list(values)
-            return values + [default] * (shards - len(values))
-
-        self._dropped = _per_shard("dropped", 0)
-        self._accepted = state["accepted"]
-        self._first_loss = _per_shard("first_loss", None)
-        self._loss_reason = _per_shard("loss_reason", "")
-        self._queue_high_water = _per_shard("queue_high_water", 0)
-        self._last_packet_ts = _per_shard("last_packet_ts", None)
-        # Arrival indices resume exactly: newer checkpoints store them;
-        # older ones are recomputed (a checkpoint is taken drained, so
-        # each shard's arrivals = packets processed + packets dropped —
-        # valid because pre-overload checkpoints never aggregated, and
-        # pre-reshard checkpoints host exactly one slot per shard).
-        routed = state.get("routed")
-        if routed is not None:
-            self._routed = list(routed) + [0] * (shards - len(routed))
-        else:
-            self._routed = [
-                slot_state["stats"]["packets"] + dropped
-                for slot_state, dropped in zip(slot_states, self._dropped)
-            ]
-        overload_state = state.get("overload")
-        if overload_state is not None and self._overload is not None:
-            for shard_overload, shard_state in zip(
-                self._overload, overload_state
-            ):
-                shard_overload.restore(shard_state)
-        watcher_state = state.get("watcher")
-        if watcher_state is not None and self.watcher is not None:
-            self.watcher.restore(watcher_state)
-
-    def __repr__(self) -> str:
-        return (
-            f"InProcessEngine(shards={self._layout.shards}, "
-            f"slots={self._layout.slots}, epoch={self._layout.epoch}, "
-            f"accepted={self._accepted}, dropped={self.dropped})"
-        )
+        return self._assemble({0: self.slot_host.snapshot()})

@@ -13,7 +13,7 @@ Hierarchy::
     ServiceError
     ├── RecoverableServiceError        (supervisor may restart)
     │   ├── ShardCrashError            (a shard worker died)
-    │   │   └── WorkerError            (repro.service.workers; pre-existing)
+    │   │   └── WorkerError            (a shard host's in-band error reply)
     │   ├── QueueStallError            (heartbeat went stale)
     │   ├── OverloadError              (shard queue full past the put timeout)
     │   ├── MigrationError             (a reshard migration failed; rolled back)
@@ -67,6 +67,7 @@ __all__ = [
     "SourceError",
     "TransientSourceError",
     "TransportError",
+    "WorkerError",
 ]
 
 
@@ -94,6 +95,15 @@ class ShardCrashError(RecoverableServiceError, RuntimeError):
         super().__init__(message)
         self.shard = shard
         self.exit_code = exit_code
+
+
+class WorkerError(ShardCrashError):
+    """A shard host crashed or refused a command; carries its traceback.
+
+    What the in-band ``error`` replies of a multiprocess worker or a TCP
+    shard server surface as.  It *is* a :class:`ShardCrashError`, so
+    the supervisor treats both identically.
+    """
 
 
 class QueueStallError(RecoverableServiceError):

@@ -39,14 +39,16 @@ Exactly-once batch delivery rests on three rules:
    sync round discovers the server is behind).  Replayed duplicates are
    discarded by rule 2, so a retransmit is always safe.
 
-The server (:class:`ShardServer`) mirrors the multiprocess worker's
-in-band protocol one-to-one: ``assign`` (configuration + initial slot
-states), ``packets`` batches, ``snapshot`` / ``extract`` / ``install``
-migration barriers, ``stop`` (optionally draining), plus ``ping``
-liveness and a ``scrape`` of server-side counters.  Because TCP delivers
-in order within a connection and the sequence rules span reconnects,
-every barrier keeps the exact-stream-prefix property the in-tree
-engines' snapshots have.
+The server (:class:`ShardServer`) is a TCP shell around the same
+:class:`~repro.service.engine.SlotHost` a multiprocess worker runs:
+``assign`` builds the host (configuration, hash seed and slot space,
+hosted slots, restored states), ``BATCH`` frames feed it, and the
+``snapshot`` / ``extract`` / ``install`` / ``reconfig`` / ``stop`` ops
+are the host's slot commands; the server itself adds ``ping`` liveness,
+a ``scrape`` of its counters, the sequence discipline, and its exit
+codes.  Because TCP delivers in order within a connection and the
+sequence rules span reconnects, every barrier keeps the
+exact-stream-prefix property the in-tree engines' snapshots have.
 
 Deterministic network chaos: a :class:`~repro.service.faults.FaultPlan`
 ``net:`` clause fires at an exact frame send index on one connection —
@@ -64,16 +66,14 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
-from ..core.eardet import EARDet, reconfigure_state
 from ..detectors.hashing import StageHash
-from ..model.packet import Packet
 from .backoff import BackoffPolicy
 from .checkpoint import CheckpointError, dumps, loads
-from .engine import FlowRouter
+from .engine import FlowRouter, SlotHost
 from .errors import FrameCorruptError, HandshakeError, TransportError
 from .workers import DRAIN_EXIT_CODE, INVARIANT_EXIT_CODE
 
@@ -714,7 +714,8 @@ class ShardConnection:
 
 
 class ShardServer:
-    """One remote shard: EARDet detectors behind a TCP listener.
+    """One remote shard: a :class:`~repro.service.engine.SlotHost`
+    behind a TCP listener.
 
     Unconfigured at start — the coordinator's ``assign`` control frame
     delivers the detector configuration, the hash seed/slot space, the
@@ -739,14 +740,10 @@ class ShardServer:
         self._thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
         self.exit_code: Optional[int] = None
-        # Detection state (populated by "assign").
-        self._config: Optional[EARDetConfig] = None
+        # Detection state (built by "assign").
+        self._host: Optional[SlotHost] = None
         self._seed = 0
         self._slots = 0
-        self._invariant_every: Optional[int] = None
-        self._detectors: Dict[int, EARDet] = {}
-        self._router: Optional[Callable] = None
-        self._solo: Optional[EARDet] = None
         # Exactly-once state (spans connections within one coordinator
         # session; a new session id in HELLO resets it — see
         # :func:`next_session_id`).
@@ -922,20 +919,10 @@ class ShardServer:
     # -- frame application -------------------------------------------------
 
     def _apply_batch(self, tuples) -> None:
-        if self._config is None:
+        if self._host is None:
             raise FrameCorruptError("BATCH before assign")
         try:
-            if self._solo is not None:
-                observe = self._solo.observe
-                for time_ns, size, fid in tuples:
-                    observe(Packet(time_ns, size, fid))
-            else:
-                detectors = self._detectors
-                router = self._router
-                for time_ns, size, fid in tuples:
-                    detectors[router(fid)].observe(Packet(time_ns, size, fid))
-        except _InvariantSignal:  # pragma: no cover - re-raise shape
-            raise
+            self._host.observe(tuples)
         except Exception as error:
             if _is_invariant(error):
                 raise _InvariantSignal(error) from error
@@ -950,10 +937,11 @@ class ShardServer:
         if not isinstance(payload, dict) or "op" not in payload:
             raise FrameCorruptError(f"malformed control frame {payload!r}")
         op = payload["op"]
+        host = self._host
         try:
             if op == "assign":
                 return self._op_assign(payload), None
-            if self._config is None and op not in ("ping", "scrape", "stop"):
+            if host is None and op not in ("ping", "scrape", "stop"):
                 raise FrameCorruptError(f"control {op!r} before assign")
             if op == "ping":
                 return {
@@ -964,47 +952,27 @@ class ShardServer:
             if op == "scrape":
                 return {"op": "metrics", "metrics": self.scrape()}, None
             if op == "snapshot":
-                return {
-                    "op": "snapshot",
-                    "states": {
-                        slot: det.snapshot()
-                        for slot, det in self._detectors.items()
-                    },
-                }, None
+                return {"op": "snapshot", "states": host.snapshot()}, None
             if op == "extract":
-                taken = {}
-                for slot in payload["slots"]:
-                    detector = self._detectors.pop(int(slot), None)
-                    if detector is not None:
-                        taken[int(slot)] = detector.snapshot()
-                self._refresh_solo()
-                return {"op": "extracted", "states": taken}, None
+                return {
+                    "op": "extracted",
+                    "states": host.extract(payload["slots"]),
+                }, None
             if op == "install":
-                for slot, state in payload["states"].items():
-                    self._detectors[int(slot)] = self._build(state)
-                self._refresh_solo()
+                host.install(payload["states"])
                 return {
                     "op": "installed",
-                    "slots": sorted(self._detectors),
+                    "slots": sorted(host.detectors),
                 }, None
             if op == "reconfig":
-                # Hot reconfiguration: rebuild every hosted slot under
-                # the new config at this exact sequence point (the frame
-                # discipline is the batch barrier).  Build-all-then-swap;
-                # a refusal leaves the old detectors serving and reports
-                # the failure in-band — the server stays up.
-                new_config = _decode_config(payload["config"])
-                old_config = self._config
-                self._config = new_config
+                # Hot reconfiguration at this exact sequence point (the
+                # frame discipline is the batch barrier).  A refusal
+                # leaves the old detectors serving and reports the
+                # failure in-band — the server stays up.
+                config = _decode_config(payload["config"])
                 try:
-                    rebuilt = {
-                        slot: self._build(
-                            reconfigure_state(det.snapshot(), new_config)
-                        )
-                        for slot, det in self._detectors.items()
-                    }
+                    host.reconfigure(config)
                 except Exception as error:
-                    self._config = old_config
                     if _is_invariant(error):
                         raise _InvariantSignal(error) from error
                     import traceback
@@ -1015,20 +983,15 @@ class ShardServer:
                         "error": traceback.format_exc(),
                         "message": str(error),
                     }, None
-                self._detectors = rebuilt
-                self._refresh_solo()
                 return {
                     "op": "reconfigured",
                     "ok": True,
-                    "slots": sorted(rebuilt),
+                    "slots": sorted(host.detectors),
                 }, None
             if op == "stop":
                 reply = {
                     "op": "done",
-                    "states": {
-                        slot: det.snapshot()
-                        for slot, det in self._detectors.items()
-                    },
+                    "states": host.snapshot() if host is not None else {},
                 }
                 code = (
                     DRAIN_EXIT_CODE if payload.get("drain") else 0
@@ -1051,7 +1014,7 @@ class ShardServer:
         config = _decode_config(payload["config"])
         seed = int(payload["seed"])
         slots = int(payload["slots"])
-        if self._config is not None and (seed, slots) != (
+        if self._host is not None and (seed, slots) != (
             self._seed, self._slots
         ):
             # A coordinator whose hash deployment (seed / slot space)
@@ -1066,38 +1029,21 @@ class ShardServer:
         # (Re)build wholesale: within a session the sequence discipline
         # guarantees this runs once; across sessions the coordinator's
         # restored view *replaces* whatever this server hosted.
-        self._config = config
         self._seed = seed
         self._slots = slots
-        self._invariant_every = payload.get("invariant_every")
-        self._router = FlowRouter(StageHash(seed=seed, buckets=slots))
-        states = payload.get("states") or {}
-        self._detectors = {
-            int(slot): self._build(states.get(slot)) for slot in
-            payload["slot_ids"]
-        }
-        self._refresh_solo()
-        return {"op": "assigned", "slots": sorted(self._detectors)}
-
-    def _build(self, state=None) -> EARDet:
-        detector = EARDet(self._config)
-        if self._invariant_every is not None:
-            from ..guard import InvariantChecker
-
-            detector.attach_checker(
-                InvariantChecker(int(self._invariant_every))
-            )
-        if state is not None:
-            detector.restore(state)
-        return detector
-
-    def _refresh_solo(self) -> None:
-        self._solo = (
-            next(iter(self._detectors.values()))
-            if len(self._detectors) == 1 else None
+        self._host = SlotHost(
+            config,
+            payload["slot_ids"],
+            payload.get("states") or {},
+            router=FlowRouter(StageHash(seed=seed, buckets=slots)),
+            invariant_every=payload.get("invariant_every"),
         )
+        return {"op": "assigned", "slots": sorted(self._host.detectors)}
 
     # -- introspection -----------------------------------------------------
+
+    def _hosted(self) -> List:
+        return list(self._host.detectors.values()) if self._host else []
 
     def scrape(self) -> Dict[str, int]:
         """Server-side exact counters (the telemetry scrape)."""
@@ -1109,20 +1055,15 @@ class ShardServer:
             "packets_processed": self.packets_processed,
             "connections_accepted": self.connections_accepted,
             "applied_seq": self._applied_seq,
-            "detections": sum(
-                len(det.snapshot()["sink"])
-                for det in self._detectors.values()
-            ),
+            "detections": sum(len(det.sink) for det in self._hosted()),
         }
 
     def detections(self) -> Dict:
         """Merged detections of the hosted slots (local introspection —
         the coordinator gets these via snapshot frames)."""
         sink = ReportSink()
-        for detector in self._detectors.values():
-            slot_sink = ReportSink()
-            slot_sink.restore(detector.snapshot()["sink"])
-            sink.merge(slot_sink)
+        for detector in self._hosted():
+            sink.merge(detector.sink)
         return sink.as_dict()
 
 

@@ -1,14 +1,16 @@
 """Multi-host sharded engine: one TCP shard server per shard.
 
-:class:`RemoteEngine` is the third engine behind the common interface
-(:class:`~repro.service.engine.InProcessEngine` is the reference,
-:class:`~repro.service.workers.MultiprocessEngine` the one-host
-throughput deployment): the parent routes packets exactly as the
-multiprocess parent does — memoized flow→slot hashing, slot→shard
-assignment, wire-tuple staging buffers, parent-side watcher and loss
-accounting — but ships chunks as exactly-once ``BATCH`` frames over
-:mod:`repro.service.net` to shard servers that may live on other hosts
-(``eardet worker --listen``).
+:class:`RemoteEngine` is the third transport behind
+:class:`~repro.service.engine.ShardedEngine` (:class:`~repro.service.
+engine.InProcessEngine` is the reference, :class:`~repro.service.
+workers.MultiprocessEngine` the one-host throughput deployment): the
+shared routing side — memoized flow→slot hashing, slot→shard assignment,
+watcher tap, loss accounting — stages wire tuples exactly as the
+multiprocess parent does, but ships chunks as exactly-once ``BATCH``
+frames over :mod:`repro.service.net` to
+:class:`~repro.service.net.ShardServer` processes that may live on other
+hosts (``eardet worker --listen``), each hosting its slots in the same
+:class:`~repro.service.engine.SlotHost` the other transports use.
 
 Determinism is inherited: slots are independent and each processes its
 hash sub-stream in arrival order no matter which host serves it, so
@@ -34,9 +36,10 @@ envelope the service has had since PR 2:
   ring are *not* loss — they replay on reconnect.
 
 Everything else — snapshots via control barriers at exact stream
-prefixes, the two-phase migration primitives, graceful drain — works
-like the multiprocess engine, so live resharding across hosts and the
-interchangeable checkpoint schema come for free.
+prefixes, the two-phase migration primitives, graceful drain — is the
+shared routing side driving control frames instead of queue markers, so
+live resharding across hosts and the interchangeable checkpoint schema
+come for free.
 """
 
 from __future__ import annotations
@@ -44,14 +47,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.blacklist import ReportSink
-from ..core.config import EARDetConfig
-from ..detectors.hashing import StageHash
-from ..model.packet import FlowId, Packet
+from ..core.config import EARDetConfig, config_as_dict
+from ..model.packet import Packet
 from .backoff import BackoffPolicy
-from .engine import ENGINE_SNAPSHOT_FORMAT, FlowRouter
-from .errors import MigrationError, TransportError
-from .health import DeadLetterSink, ExactnessEnvelope, ShardHealth
+from .engine import ShardedEngine
+from .errors import MigrationError, TransportError, WorkerError
+from .health import DeadLetterSink
 from .net import (
     FT_BATCH,
     FT_CONTROL,
@@ -59,11 +60,11 @@ from .net import (
     next_session_id,
     parse_endpoint,
 )
-from .reshard import MigrationPlan, ShardLayout
+from .reshard import ShardLayout
 from .workers import (
     DEFAULT_CHUNK_SIZE,
-    WorkerError,
     _invariant_from_payload,
+    _reconfigure_staged,
 )
 
 #: Default bound on how long an endpoint outage is masked exactly before
@@ -88,11 +89,12 @@ def _as_endpoint(value: Endpoint) -> Tuple[str, int]:
     return str(host), int(port)
 
 
-class RemoteEngine:
-    """Sharded EARDet across TCP shard servers, same interface and
-    snapshot schema as the in-tree engines — including the live
-    migration primitives (slots move between hosts through exactly-once
-    extract/install control barriers).
+class RemoteEngine(ShardedEngine):
+    """Sharded EARDet across TCP shard servers: the shared routing side
+    of :class:`~repro.service.engine.ShardedEngine` with one connection
+    per shard — including the live migration primitives (slots move
+    between hosts through exactly-once extract/install control
+    barriers).
 
     ``endpoints`` lists one ``host:port`` (or ``(host, port)``) per
     shard, in shard order; connections are established lazily on first
@@ -137,13 +139,6 @@ class RemoteEngine:
                 "the partition policy (mask_deadline_s / mask_frame_limit) "
                 "is its accounted degradation path"
             )
-        if slots is None:
-            slots = shards
-        if slots < shards:
-            raise ValueError(
-                f"need at least as many slots as shards, got {slots} slots "
-                f"for {shards} shards"
-            )
         if chunk_size < 1:
             raise ValueError(f"chunk size must be positive, got {chunk_size}")
         if mask_deadline_s < 0:
@@ -154,35 +149,24 @@ class RemoteEngine:
             raise ValueError(
                 f"mask_frame_limit must be >= 1, got {mask_frame_limit}"
             )
-        self.config = config
+        super().__init__(
+            config, shards, seed, slots, fault_plan, dead_letter,
+            invariant_every, None, watcher,
+            backlog_capacity=mask_frame_limit,
+        )
         self.chunk_size = chunk_size
         self.mask_deadline_s = mask_deadline_s
         self.mask_frame_limit = mask_frame_limit
         self.connect_timeout_s = connect_timeout_s
         self.barrier_timeout_s = barrier_timeout_s
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.invariant_every = invariant_every
-        self._plan = fault_plan
-        self._dead_letter = dead_letter
-        self._shards = shards
-        self._layout = ShardLayout.default(slots, shards)
-        self._assignment: List[int] = list(self._layout.assignment)
-        self._hash = StageHash(seed=seed, buckets=slots)
-        self._route = FlowRouter(self._hash)
         self._buffers: List[list] = [[] for _ in range(shards)]
         # Shard-local arrival index of each staged tuple (parallel to
         # _buffers), so a voided partition can dead-letter the exact
         # positional tuple the forensics replay needs.
         self._buffer_indices: List[list] = [[] for _ in range(shards)]
-        self._accepted = 0
         self._slot_states: Optional[List] = None
         self._final_snapshot: Optional[Dict[str, object]] = None
-        self._routed = [0] * shards
-        self._dropped = [0] * shards
-        self._first_loss: List[Optional[int]] = [None] * shards
-        self._loss_reason = [""] * shards
-        self._queue_high_water = [0] * shards
-        self._last_packet_ts: List[Optional[int]] = [None] * shards
         # Partition-policy state: when the current outage began (None
         # while reachable) and how many outages each shard has seen.
         self._outage_since: List[Optional[float]] = [None] * shards
@@ -190,44 +174,8 @@ class RemoteEngine:
         self._connections: Optional[List[ShardConnection]] = None
         self._closed_reports: Optional[List[Dict[str, object]]] = None
         self._session: Optional[int] = None
-        if watcher is not None and watcher.shard_count != slots:
-            raise ValueError(
-                f"watcher stage has {watcher.shard_count} watchers, engine "
-                f"has {slots} slots (the stage is slot-granular)"
-            )
-        self.watcher = watcher
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return self._layout.shards
-
-    @property
-    def slot_count(self) -> int:
-        return self._layout.slots
-
-    @property
-    def layout(self) -> ShardLayout:
-        return self._layout
-
-    @property
-    def seed(self) -> int:
-        return self._hash.seed
-
-    @property
-    def accepted(self) -> int:
-        return self._accepted
-
-    @property
-    def dropped(self) -> int:
-        """Packets accounted as lost parent-side (injected drops plus
-        partition-policy loss)."""
-        return sum(self._dropped)
-
-    @property
-    def routed(self) -> List[int]:
-        return list(self._routed)
 
     @property
     def running(self) -> bool:
@@ -236,12 +184,6 @@ class RemoteEngine:
     @property
     def endpoints(self) -> List[Tuple[str, int]]:
         return list(self._endpoints)
-
-    def slot_of(self, fid: FlowId) -> int:
-        return self._route(fid)
-
-    def shard_of(self, fid: FlowId) -> int:
-        return self._assignment[self._route(fid)]
 
     def queue_depths(self) -> List[int]:
         """Staged packets plus unacked in-flight frames per shard."""
@@ -252,14 +194,6 @@ class RemoteEngine:
                 depth += self._connections[index].ring_depth
             depths.append(depth)
         return depths
-
-    @property
-    def queue_high_water(self) -> List[int]:
-        return list(self._queue_high_water)
-
-    @property
-    def last_packet_ts(self) -> List[Optional[int]]:
-        return list(self._last_packet_ts)
 
     # -- liveness ----------------------------------------------------------
 
@@ -339,18 +273,9 @@ class RemoteEngine:
                 for slot in slot_ids
                 if self._slot_states[slot] is not None
             }
-        config = self.config
         reply = self._control(index, {
             "op": "assign",
-            "config": {
-                "rho": config.rho,
-                "n": config.n,
-                "beta_th": config.beta_th,
-                "alpha": config.alpha,
-                "beta_l": config.beta_l,
-                "gamma_l": config.gamma_l,
-                "virtual_unit": config.virtual_unit,
-            },
+            "config": config_as_dict(self.config),
             "seed": self._hash.seed,
             "slots": self._layout.slots,
             "slot_ids": list(slot_ids),
@@ -416,6 +341,7 @@ class RemoteEngine:
         chunk_size = self.chunk_size
         plan = self._plan
         watcher = self.watcher
+        lost = 0
         for packet in batch:
             fid = packet.fid
             slot = route(fid)
@@ -425,17 +351,15 @@ class RemoteEngine:
             if watcher is not None:
                 watcher.observe(packet, slot)
             if plan is not None and plan.should_drop(index, routed[index]):
-                self._record_loss(
-                    index, packet, "injected-drop", slot=slot,
-                    arrival=routed[index],
-                )
+                self._record_loss(index, packet, "injected-drop", slot=slot)
+                lost += 1
                 continue
             buffer = buffers[index]
             buffer.append((packet.time, packet.size, fid))
             self._buffer_indices[index].append(routed[index])
             if len(buffer) >= chunk_size:
                 self._ship(index)
-        self._accepted += len(batch)
+        self._accepted += len(batch) - lost
 
     def flush(self) -> None:
         """Ship all staged partial chunks (and any reorder-stashed
@@ -523,27 +447,6 @@ class RemoteEngine:
         except TransportError:
             self._note_outage(index)
 
-    def _record_loss(
-        self,
-        index: int,
-        packet: Packet,
-        reason: str,
-        slot: Optional[int] = None,
-        arrival: Optional[int] = None,
-    ) -> None:
-        self._dropped[index] += 1
-        if self._first_loss[index] is None:
-            self._first_loss[index] = packet.time
-            self._loss_reason[index] = reason
-        if self._dead_letter is not None:
-            # The consistent dead-letter tuple: shard, slot, 1-based
-            # shard-local arrival index.  Partition losses surface at
-            # ship time, so the arrival index travels with the staged
-            # tuple instead of being read off the live routed counter.
-            self._dead_letter.record(
-                packet, index, reason, slot=slot, index=arrival
-            )
-
     def _note_high_water(self, index: int) -> None:
         depth = self._connections[index].ring_depth
         if depth > self._queue_high_water[index]:
@@ -607,46 +510,19 @@ class RemoteEngine:
             )
         return reply
 
-    # -- hot reconfiguration -----------------------------------------------
+    # -- transport hooks ---------------------------------------------------
 
-    def apply_config(self, config: EARDetConfig) -> None:
-        """Swap every hosted slot detector onto ``config`` through an
-        exactly-once ``reconfig`` control barrier per shard server (see
-        :meth:`~repro.service.engine.InProcessEngine.apply_config`).
-
-        Each server is individually atomic; a partial fleet failure
-        raises :class:`~repro.core.eardet.ReconfigurationError` and the
-        retune executor's rollback (``apply_config(old_config)``)
-        restores consistency.
-        """
+    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
+        """An exactly-once ``reconfig`` control barrier per shard
+        server."""
         if self._final_snapshot is not None:
             raise RuntimeError("engine already closed")
         if self._connections is None:
-            from ..core.eardet import reconfigure_state
-
-            if self._slot_states is not None:
-                self._slot_states = [
-                    reconfigure_state(state, config)
-                    if state is not None
-                    else None
-                    for state in self._slot_states
-                ]
-            self.config = config
-            return
+            self._slot_states = _reconfigure_staged(self._slot_states, config)
+            return {}
         self.check_workers()
         self.flush()
-        payload = {
-            "op": "reconfig",
-            "config": {
-                "rho": config.rho,
-                "n": config.n,
-                "beta_th": config.beta_th,
-                "alpha": config.alpha,
-                "beta_l": config.beta_l,
-                "gamma_l": config.gamma_l,
-                "virtual_unit": config.virtual_unit,
-            },
-        }
+        payload = {"op": "reconfig", "config": config_as_dict(config)}
         failures: Dict[int, str] = {}
         for index in range(self._layout.shards):
             reply = self._control(index, dict(payload))
@@ -654,36 +530,7 @@ class RemoteEngine:
                 failures[index] = str(
                     reply.get("message") or reply.get("error") or reply
                 ).strip().splitlines()[-1]
-        if failures:
-            from ..core.eardet import ReconfigurationError
-
-            detail = "; ".join(
-                f"shard {index}: {error}"
-                for index, error in sorted(failures.items())
-            )
-            raise ReconfigurationError(
-                f"{len(failures)}/{self._layout.shards} shard servers "
-                f"refused the new configuration ({detail}); fleet may be "
-                "mixed — roll back by re-applying the previous config"
-            )
-        self.config = config
-
-    # -- live migration ----------------------------------------------------
-
-    def prepare_migration(self, plan: MigrationPlan) -> None:
-        plan.validate(self._layout)
-        self._start()
-        self.check_workers()
-        self.flush()
-        self._ensure_shards(plan.target_shards)
-
-    def extract_slots(
-        self, slot_ids: List[int]
-    ) -> Dict[int, Dict[str, object]]:
-        by_shard: Dict[int, List[int]] = {}
-        for slot in slot_ids:
-            by_shard.setdefault(self._assignment[slot], []).append(slot)
-        return self._extract_from(by_shard)
+        return failures
 
     def _extract_from(
         self, by_shard: Dict[int, List[int]]
@@ -697,56 +544,15 @@ class RemoteEngine:
                 extracted[int(slot)] = state
         return extracted
 
-    def install_slots(
-        self,
-        slot_states: Dict[int, Dict[str, object]],
-        assignment: Dict[int, int],
+    def _install_on(
+        self, by_shard: Dict[int, Dict[int, Dict[str, object]]]
     ) -> None:
-        by_shard: Dict[int, Dict[int, Dict[str, object]]] = {}
-        for slot, state in slot_states.items():
-            shard = assignment[int(slot)]
-            if shard >= self._shards:
-                raise ValueError(
-                    f"slot {slot} targets shard {shard}, which was never "
-                    f"provisioned (prepare_migration not run?)"
-                )
-            by_shard.setdefault(shard, {})[int(slot)] = state
         for index, states in by_shard.items():
             self._control(index, {"op": "install", "states": states})
 
-    def commit_layout(self, layout: ShardLayout) -> None:
-        if layout.slots != self._layout.slots:
-            raise ValueError(
-                f"layout has {layout.slots} slots, engine has "
-                f"{self._layout.slots}"
-            )
-        if layout.shards > self._shards:
-            raise ValueError(
-                f"layout spans {layout.shards} shards but only "
-                f"{self._shards} are provisioned"
-            )
-        self._layout = layout
-        self._assignment = list(layout.assignment)
-
-    def abort_migration(
-        self,
-        plan: MigrationPlan,
-        extracted: Dict[int, Dict[str, object]],
-    ) -> None:
-        targets: Dict[int, List[int]] = {}
-        for move in plan.moves:
-            if move.target < self._shards:
-                targets.setdefault(move.target, []).append(move.slot)
-        self._extract_from(targets)  # discard partial installs
-        if extracted:
-            self.install_slots(extracted, plan.assignment_before())
-
-    def _ensure_shards(self, shards: int) -> None:
-        """Activate spare endpoints for shards up to ``shards - 1``.
-        Unlike the multiprocess engine, a remote fleet cannot mint new
-        hosts — growth is bounded by the endpoint list."""
-        if shards <= self._shards:
-            return
+    def _check_growth(self, shards: int) -> None:
+        # Unlike the multiprocess engine, a remote fleet cannot mint new
+        # hosts — growth is bounded by the endpoint list.
         if shards > len(self._endpoints):
             raise MigrationError(
                 f"cannot grow to {shards} shards: only "
@@ -754,22 +560,32 @@ class RemoteEngine:
                 phase="freeze",
                 rolled_back=True,
             )
-        grow = shards - self._shards
+
+    def _grow(self, first_new: int) -> None:
+        grow = self._shards - first_new
         self._buffers.extend([] for _ in range(grow))
         self._buffer_indices.extend([] for _ in range(grow))
-        self._routed.extend([0] * grow)
-        self._dropped.extend([0] * grow)
-        self._first_loss.extend([None] * grow)
-        self._loss_reason.extend([""] * grow)
-        self._queue_high_water.extend([0] * grow)
-        self._last_packet_ts.extend([None] * grow)
         self._outage_since.extend([None] * grow)
         self._outages.extend([0] * grow)
-        first_new = self._shards
-        self._shards = shards
         if self._connections is not None:
-            for index in range(first_new, shards):
+            for index in range(first_new, self._shards):
                 self._assign_shard(index)
+
+    def _adopt(self, layout: ShardLayout, slot_states: List) -> None:
+        # Stage the states for the (not yet connected) servers.
+        if self._connections is not None or self._final_snapshot is not None:
+            raise RuntimeError("restore() must precede any ingestion")
+        if layout.shards > len(self._endpoints):
+            raise ValueError(
+                f"snapshot layout spans {layout.shards} shards but only "
+                f"{len(self._endpoints)} worker endpoints were provided"
+            )
+        shards = layout.shards
+        self._buffers = [[] for _ in range(shards)]
+        self._buffer_indices = [[] for _ in range(shards)]
+        self._outage_since = [None] * shards
+        self._outages = [0] * shards
+        self._slot_states = slot_states
 
     # -- checkpointing -----------------------------------------------------
 
@@ -779,186 +595,10 @@ class RemoteEngine:
             return self._final_snapshot
         self._start()
         self.flush()
-        states: Dict[int, Dict] = {}
-        for index in range(self._layout.shards):
-            reply = self._control(index, {"op": "snapshot"})
-            states[index] = {
-                int(slot): state
-                for slot, state in reply["states"].items()
-            }
-        return self._assemble(states)
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Stage a snapshot for the (not yet connected) servers; adopts
-        the snapshot's layout exactly like the other engines."""
-        if self._connections is not None or self._final_snapshot is not None:
-            raise RuntimeError("restore() must precede any ingestion")
-        fmt = state.get("format")
-        if fmt != ENGINE_SNAPSHOT_FORMAT:
-            raise ValueError(f"unsupported engine snapshot format {fmt!r}")
-        if state["seed"] != self._hash.seed:
-            raise ValueError(
-                f"snapshot hash seed {state['seed']} != engine seed "
-                f"{self._hash.seed}; flows would route to different slots"
-            )
-        slot_states = list(state["shards"])
-        slots = int(state.get("slots") or len(slot_states))
-        if slots != self._layout.slots:
-            raise ValueError(
-                f"snapshot has {slots} slots, engine has "
-                f"{self._layout.slots}; flows would route to different "
-                "sub-streams"
-            )
-        if len(slot_states) != slots:
-            raise ValueError(
-                f"snapshot carries {len(slot_states)} slot states for "
-                f"{slots} slots"
-            )
-        layout_state = state.get("layout")
-        if layout_state is not None:
-            layout = ShardLayout.from_dict(layout_state)
-        else:
-            layout = ShardLayout.default(slots, int(state["shard_count"]))
-        if layout.shards > len(self._endpoints):
-            raise ValueError(
-                f"snapshot layout spans {layout.shards} shards but only "
-                f"{len(self._endpoints)} worker endpoints were provided"
-            )
-        self._layout = layout
-        self._assignment = list(layout.assignment)
-        shards = layout.shards
-        self._shards = shards
-        self._buffers = [[] for _ in range(shards)]
-        self._buffer_indices = [[] for _ in range(shards)]
-        self._slot_states = slot_states
-        self._accepted = state["accepted"]
-
-        def _per_shard(key, default):
-            values = state.get(key)
-            if not values:
-                return [default] * shards
-            values = list(values)
-            return values + [default] * (shards - len(values))
-
-        self._dropped = _per_shard("dropped", 0)
-        self._first_loss = _per_shard("first_loss", None)
-        self._loss_reason = _per_shard("loss_reason", "")
-        self._queue_high_water = _per_shard("queue_high_water", 0)
-        self._last_packet_ts = _per_shard("last_packet_ts", None)
-        self._outage_since = [None] * shards
-        self._outages = [0] * shards
-        routed = state.get("routed")
-        if routed is not None:
-            self._routed = list(routed) + [0] * (shards - len(routed))
-        else:
-            self._routed = [
-                slot_state["stats"]["packets"] + dropped
-                for slot_state, dropped in zip(slot_states, self._dropped)
-            ]
-        watcher_state = state.get("watcher")
-        if watcher_state is not None and self.watcher is not None:
-            self.watcher.restore(watcher_state)
-
-    def _assemble(self, states: Dict[int, Dict]) -> Dict[str, object]:
-        layout = self._layout
-        slot_states: List = [None] * layout.slots
-        for mapping in states.values():
-            for slot, slot_state in mapping.items():
-                slot_states[int(slot)] = slot_state
-        missing = [
-            slot for slot, value in enumerate(slot_states) if value is None
-        ]
-        if missing:
-            raise WorkerError(
-                f"snapshot barrier returned no state for slots {missing}"
-            )
-        return {
-            "format": ENGINE_SNAPSHOT_FORMAT,
-            "seed": self._hash.seed,
-            "shard_count": layout.shards,
-            "accepted": self._accepted,
-            "dropped": list(self._dropped),
-            "first_loss": list(self._first_loss),
-            "loss_reason": list(self._loss_reason),
-            "queue_high_water": list(self._queue_high_water),
-            "last_packet_ts": list(self._last_packet_ts),
-            "routed": list(self._routed),
-            "overload": None,
-            "watcher": (
-                self.watcher.snapshot() if self.watcher is not None else None
-            ),
-            "slots": layout.slots,
-            "layout": layout.as_dict(),
-            "layout_epoch": layout.epoch,
-            "shards": slot_states,
-        }
-
-    # -- results -----------------------------------------------------------
-
-    def detections(self) -> Dict[FlowId, int]:
-        sink = ReportSink()
-        for slot_state in self.snapshot()["shards"]:
-            slot_sink = ReportSink()
-            slot_sink.restore(slot_state["sink"])
-            sink.merge(slot_sink)
-        return sink.as_dict()
-
-    def health(self) -> List[ShardHealth]:
-        snapshot = self.snapshot()
-        slot_states = snapshot["shards"]
-        layout = self._layout
-        watcher = self.watcher
-        samples = []
-        for index in range(layout.shards):
-            slots = layout.slots_of(index)
-            states = [slot_states[slot] for slot in slots]
-            depth = len(self._buffers[index]) if self._buffers else 0
-            if self._connections is not None:
-                depth += self._connections[index].ring_depth
-            samples.append(
-                ShardHealth(
-                    shard=index,
-                    packets=sum(s["stats"]["packets"] for s in states),
-                    queue_depth=depth,
-                    queue_capacity=self.mask_frame_limit,
-                    detections=sum(len(s["sink"]) for s in states),
-                    blacklist_size=sum(len(s["blacklist"]) for s in states),
-                    dropped=self._dropped[index],
-                    queue_high_water=self._queue_high_water[index],
-                    last_packet_ts_ns=self._last_packet_ts[index],
-                    degradation_level="exact",
-                    watcher_occupancy=(
-                        sum(watcher.occupancy(slot) for slot in slots)
-                        if watcher is not None
-                        else 0
-                    ),
-                    watcher_verdicts=(
-                        sum(
-                            len(watcher.watcher(slot).detected)
-                            for slot in slots
-                        )
-                        if watcher is not None
-                        else 0
-                    ),
-                    slot_count=len(slots),
-                )
-            )
-        return samples
-
-    def overload_report(self) -> Optional[Dict[str, object]]:
-        return None
-
-    def envelope(self) -> List[ExactnessEnvelope]:
-        return [
-            ExactnessEnvelope(
-                shard=index,
-                exact=self._dropped[index] == 0,
-                lost_packets=self._dropped[index],
-                first_loss_time_ns=self._first_loss[index],
-                reason=self._loss_reason[index],
-            )
-            for index in range(self._shards)
-        ]
+        return self._assemble({
+            index: self._control(index, {"op": "snapshot"})["states"]
+            for index in range(self._layout.shards)
+        })
 
     # -- transport introspection ------------------------------------------
 
@@ -993,10 +633,3 @@ class RemoteEngine:
             reply = self._control(index, {"op": "scrape"})
             metrics.append(dict(reply.get("metrics") or {}))
         return metrics
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteEngine(shards={self._shards}, "
-            f"slots={self._layout.slots}, epoch={self._layout.epoch}, "
-            f"accepted={self._accepted}, running={self.running})"
-        )

@@ -691,12 +691,7 @@ def _rollback(engine, plan, extracted) -> None:
     partially installed copies on the targets, reinstall the extracted
     states on their sources.  The layout was never swapped, so routing
     is already correct once the states are back."""
-    abort = getattr(engine, "abort_migration", None)
-    if abort is not None:
-        abort(plan, extracted)
-        return
-    if extracted:  # pragma: no cover - every engine has abort_migration
-        engine.install_slots(extracted, plan.assignment_before())
+    engine.abort_migration(plan, extracted)
 
 
 # -- the elasticity coordinator --------------------------------------------

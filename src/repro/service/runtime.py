@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from ..core.config import EARDetConfig
+from ..core.config import EARDetConfig, config_as_dict
 from ..model.packet import Packet
 from .backoff import BackoffPolicy
 from .checkpoint import (
@@ -54,20 +54,6 @@ CHECKPOINT_META_FORMAT = 1
 ENGINE_KINDS = ("inprocess", "multiprocess", "remote")
 
 
-def _config_dict(config: EARDetConfig) -> Dict[str, object]:
-    """The seven-field checkpoint/wire form (``EARDetConfig(**d)``
-    round-trips)."""
-    return {
-        "rho": config.rho,
-        "n": config.n,
-        "beta_th": config.beta_th,
-        "alpha": config.alpha,
-        "beta_l": config.beta_l,
-        "gamma_l": config.gamma_l,
-        "virtual_unit": config.virtual_unit,
-    }
-
-
 class _NamedSource:
     """Stand-in source for out-of-loop checkpoint writes — only the
     recorded source name matters at that point."""
@@ -92,6 +78,16 @@ def _build_engine(
     engine_options: Optional[Dict[str, object]] = None,
 ):
     options = dict(engine_options or {})
+    # The routing-side options every transport shares.
+    routing = dict(
+        seed=seed,
+        fault_plan=fault_plan,
+        dead_letter=dead_letter,
+        invariant_every=invariant_every,
+        overload=overload,
+        watcher=watcher,
+        slots=slots,
+    )
     if kind == "remote":
         from .remote import RemoteEngine
 
@@ -108,17 +104,7 @@ def _build_engine(
                 "(its unacked-frame rings backpressure the producer)"
             )
         return RemoteEngine(
-            config,
-            workers,
-            seed=seed,
-            fault_plan=fault_plan,
-            dead_letter=dead_letter,
-            invariant_every=invariant_every,
-            overload=overload,
-            watcher=watcher,
-            slots=slots,
-            shards=shards,
-            **options,
+            config, workers, shards=shards, **routing, **options
         )
     if kind == "inprocess":
         if options:
@@ -129,15 +115,9 @@ def _build_engine(
         return InProcessEngine(
             config,
             shards=shards,
-            seed=seed,
             queue_capacity=queue_capacity,
             overflow=overflow,
-            fault_plan=fault_plan,
-            dead_letter=dead_letter,
-            invariant_every=invariant_every,
-            overload=overload,
-            watcher=watcher,
-            slots=slots,
+            **routing,
         )
     if kind == "multiprocess":
         if overflow != "block":
@@ -145,18 +125,7 @@ def _build_engine(
                 "the multiprocess engine only supports overflow='block' "
                 "(its bounded queues block the producer)"
             )
-        return MultiprocessEngine(
-            config,
-            shards=shards,
-            seed=seed,
-            fault_plan=fault_plan,
-            dead_letter=dead_letter,
-            invariant_every=invariant_every,
-            overload=overload,
-            watcher=watcher,
-            slots=slots,
-            **options,
-        )
+        return MultiprocessEngine(config, shards=shards, **routing, **options)
     raise ValueError(f"engine must be one of {ENGINE_KINDS}, got {kind!r}")
 
 
@@ -371,7 +340,7 @@ class DetectionService:
         #: (``eardet tune --apply``).
         self._last_retune_inputs: Optional[Dict[str, object]] = None
         self._epoch_history: List[Dict[str, object]] = [
-            {"epoch": 0, "from_packets": 0, "config": _config_dict(config)}
+            {"epoch": 0, "from_packets": 0, "config": config_as_dict(config)}
         ]
         self._migrations = 0
         self._rollbacks = 0
@@ -578,9 +547,7 @@ class DetectionService:
     def _reshard_report(self) -> Optional[Dict[str, object]]:
         """The report's resharding section, or None while trivial (the
         initial identity layout, no coordinator, no migrations ever)."""
-        layout = getattr(self._engine, "layout", None)
-        if layout is None:  # pragma: no cover - every engine has a layout
-            return None
+        layout = self._engine.layout
         trivial = (
             layout.epoch == 0
             and layout.is_identity
@@ -696,7 +663,7 @@ class DetectionService:
             {
                 "epoch": report.to_epoch,
                 "from_packets": self._ingested,
-                "config": _config_dict(plan.new_config),
+                "config": config_as_dict(plan.new_config),
             }
         )
         if self.dead_letter is not None:
@@ -789,7 +756,7 @@ class DetectionService:
             return None
         return {
             "epoch": self._config_epoch,
-            "config": _config_dict(self.config),
+            "config": config_as_dict(self.config),
             "retunes": self._retunes,
             "rollbacks": self._retune_rollbacks,
             "infeasibles": self._retune_infeasibles,
@@ -940,19 +907,12 @@ class DetectionService:
         calls it directly to report what a *degraded* service (e.g. one
         whose source failed permanently) managed to process.
         """
-        envelope = (
-            self._engine.envelope() if hasattr(self._engine, "envelope")
-            else []
-        )
+        envelope = self._engine.envelope()
         from .sources import validation_stats
 
         stats = validation_stats(self._last_source)
         shard_health = self._engine.health()
-        overload = (
-            self._engine.overload_report()
-            if hasattr(self._engine, "overload_report")
-            else None
-        )
+        overload = self._engine.overload_report()
         if self._instruments is not None:
             # The health sample is the only per-detector view the
             # multiprocess engine can offer the registry (its detectors
@@ -998,11 +958,7 @@ class DetectionService:
         without draining (the supervisor's cleanup before a restart —
         the checkpoint on disk, not the wreckage, is the recovery
         state)."""
-        terminate = getattr(self._engine, "terminate", None)
-        if terminate is not None:
-            terminate()
-        else:  # pragma: no cover - every engine has terminate today
-            self._engine.close()
+        self._engine.terminate()
 
     def _sync_instruments(self, validation=None) -> None:
         """Copy the runtime's exact accumulators into the metric
@@ -1030,9 +986,7 @@ class DetectionService:
             # the counter and the incident log can never disagree.
             instruments.sync_incidents(self.forensics.store.totals_by_class)
         if self.overload is not None:
-            overload_report = getattr(self._engine, "overload_report", None)
-            if overload_report is not None:
-                instruments.sync_overload(overload_report())
+            instruments.sync_overload(self._engine.overload_report())
 
     def _checkpoint_control_meta(self) -> Optional[Dict[str, object]]:
         """The checkpoint's control block, or None while no retune ever
@@ -1097,7 +1051,7 @@ class DetectionService:
                 ),
                 # The CURRENT (newest-epoch) config: resume() rebuilds
                 # the service under it directly.
-                "config": _config_dict(self.config),
+                "config": config_as_dict(self.config),
                 "control": self._checkpoint_control_meta(),
             },
             # snapshot() drains the engine first, so the state matches the

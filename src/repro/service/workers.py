@@ -2,13 +2,15 @@
 
 Python's GIL means the in-process engine cannot exceed one core no matter
 how many shards it has; this module provides the throughput deployment.
-The parent routes packets and each shard worker hosts the EARDet
-detectors of the **slots** currently assigned to it (one slot per shard
-in the default layout), consuming chunks from a **bounded**
-``multiprocessing.Queue`` — when a shard falls behind, ``Queue.put``
-blocks the parent, which therefore stops pulling from the source:
-backpressure end to end, memory bounded by ``shards * queue_capacity *
-chunk_size`` packets plus the parent's per-shard staging buffers.
+The parent is the shared routing side
+(:class:`~repro.service.engine.ShardedEngine`) and each shard worker is a
+process shell around one :class:`~repro.service.engine.SlotHost` holding
+the **slots** currently assigned to it (one slot per shard in the default
+layout), consuming chunks from a **bounded** ``multiprocessing.Queue`` —
+when a shard falls behind, ``Queue.put`` blocks the parent, which
+therefore stops pulling from the source: backpressure end to end, memory
+bounded by ``shards * queue_capacity * chunk_size`` packets plus the
+parent's per-shard staging buffers.
 
 Scaling lives or dies on the *parent's* per-packet cost (it is the one
 serial stage), so the routing loop is aggressively cheap: slot lookup
@@ -25,8 +27,8 @@ staging buffers the parent enqueues a snapshot request on every shard
 queue.  Each worker replies with its state the moment it dequeues the
 marker — i.e. after processing exactly the packets routed before the
 marker and none after — so the assembled snapshot corresponds to an exact
-stream prefix, just like :meth:`InProcessEngine.snapshot`, and uses the
-same schema (the two engines' checkpoints are interchangeable).
+stream prefix, just like :meth:`InProcessEngine.snapshot`, and is the
+same schema (every engine's checkpoints are interchangeable).
 
 Live migration rides the same in-band mechanism: an ``extract`` marker
 asks a worker to snapshot-and-detach the named slots *after* everything
@@ -70,16 +72,15 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
-from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
-from ..core.eardet import EARDet, reconfigure_state
+from ..core.eardet import reconfigure_state
 from ..detectors.hashing import StageHash
-from ..model.packet import FlowId, Packet
-from .engine import ENGINE_SNAPSHOT_FORMAT, FlowRouter
-from .errors import MigrationError, OverloadError, ShardCrashError
-from .health import DeadLetterSink, ExactnessEnvelope, ShardHealth
+from ..model.packet import Packet
+from .engine import FlowRouter, ShardedEngine, SlotHost
+from .errors import MigrationError, OverloadError, ShardCrashError, WorkerError
+from .health import DeadLetterSink
 from .overload import OverloadPolicy, ShardOverload
-from .reshard import MigrationPlan, ShardLayout
+from .reshard import ShardLayout
 
 #: Packets per chunk shipped to a worker (amortizes queue/pickle costs).
 DEFAULT_CHUNK_SIZE = 2048
@@ -137,16 +138,6 @@ MIGRATION_ABORT_EXIT_CODE = 78
 MAX_WORKER_SHARDS = 64
 
 
-class WorkerError(ShardCrashError):
-    """A shard worker crashed; carries the worker's traceback.
-
-    Pre-dates the structured taxonomy; kept as the exception workers'
-    in-band ``("error", ...)`` replies surface as.  It *is* a
-    :class:`~repro.service.errors.ShardCrashError`, so the supervisor
-    treats both identically.
-    """
-
-
 def _invariant_from_payload(payload):
     """Rebuild a worker's :class:`~repro.guard.invariants.
     InvariantViolation` from its JSON-safe ``as_dict`` reply."""
@@ -160,6 +151,19 @@ def _invariant_from_payload(payload):
         bound=payload.get("bound"),
         forensics=payload.get("forensics") or {},
     )
+
+
+def _reconfigure_staged(
+    states: Optional[List], config: EARDetConfig
+) -> Optional[List]:
+    """Adapt restored slot states staged for shard hosts that have not
+    started yet, so they build under ``config`` when they do."""
+    if states is None:
+        return None
+    return [
+        reconfigure_state(state, config) if state is not None else None
+        for state in states
+    ]
 
 
 def _exit_when_orphaned(original_ppid, poll_s=None):
@@ -200,13 +204,14 @@ def _shard_worker(
     out_queue, heartbeat, faults, invariant_every=None,
 ):
     """Worker loop: consume chunks until a stop message, answering
-    snapshot / extract / install barriers in stream order.
+    snapshot / extract / install / reconfig barriers in stream order.
 
-    The worker hosts one EARDet per assigned slot (``slot_ids``), with
+    The worker is a process shell around one
+    :class:`~repro.service.engine.SlotHost` holding the assigned slots
+    (``slot_ids``; ``initial_states`` maps slot → restored state), with
     its own flow→slot router (same ``seed``/``slots`` as the parent's,
-    so dispatch agrees).  ``initial_states`` maps slot → restored state.
-    Hosting exactly one slot — the default layout — keeps the original
-    single-detector hot loop: no per-packet dispatch.
+    so dispatch agrees).  The shell adds signals, the heartbeat, fault
+    injection and the exit codes.
 
     ``faults`` is ``None`` or ``(kill_at, stall_at, stall_s)`` in
     shard-local packet indices — the deterministic chaos hooks.  An
@@ -244,32 +249,21 @@ def _shard_worker(
             daemon=True,
         ).start()
     try:
-        from ..guard import InvariantChecker, InvariantViolation
+        import traceback
+
+        from ..guard import InvariantViolation
         from .faults import KILL_EXIT_CODE
 
-        def build(state=None):
-            detector = EARDet(config)
-            if invariant_every is not None:
-                detector.attach_checker(InvariantChecker(invariant_every))
-            if state is not None:
-                detector.restore(state)
-            return detector
-
-        initial_states = initial_states or {}
-        detectors: Dict[int, EARDet] = {
-            slot: build(initial_states.get(slot)) for slot in slot_ids
-        }
-        router = FlowRouter(StageHash(seed=seed, buckets=slots))
+        host = SlotHost(
+            config,
+            slot_ids,
+            initial_states,
+            router=FlowRouter(StageHash(seed=seed, buckets=slots)),
+            invariant_every=invariant_every,
+        )
         # Shard-local packet position for fault triggers: packets this
         # worker's detectors have processed (resumes across restore).
-        processed = sum(d.stats.packets for d in detectors.values())
-
-        def single():
-            if len(detectors) == 1:
-                return next(iter(detectors.values()))
-            return None
-
-        solo = single()
+        processed = host.packets()
         kill_at = stall_at = None
         stall_s = 0.0
         if faults is not None:
@@ -280,12 +274,12 @@ def _shard_worker(
                 heartbeat[index] = time.monotonic()
             kind = message[0]
             if kind == "packets":
-                if solo is not None and kill_at is None and stall_at is None:
-                    observe = solo.observe
-                    for time_ns, size, fid in message[1]:
-                        observe(Packet(time_ns, size, fid))
+                if kill_at is None and stall_at is None:
+                    host.observe(message[1])
                     processed += len(message[1])
                 else:
+                    detectors = host.detectors
+                    router = host.router
                     for time_ns, size, fid in message[1]:
                         position = processed + 1
                         if stall_at is not None and position >= stall_at:
@@ -298,94 +292,44 @@ def _shard_worker(
                         )
                         processed += 1
             elif kind == "snapshot":
-                out_queue.put((
-                    "snapshot",
-                    index,
-                    message[1],
-                    {
-                        slot: detector.snapshot()
-                        for slot, detector in detectors.items()
-                    },
-                ))
+                out_queue.put(("snapshot", index, message[1], host.snapshot()))
             elif kind == "extract":
                 # In-band freeze barrier: everything queued before this
                 # marker is already processed, so the extracted states
-                # sit at an exact sub-stream boundary.  Unknown slots
-                # are skipped (a rollback extract-and-discard probes
-                # targets that may hold nothing).
-                taken = {}
-                for slot in message[1]:
-                    detector = detectors.pop(slot, None)
-                    if detector is not None:
-                        taken[slot] = detector.snapshot()
-                solo = single()
-                processed = sum(
-                    d.stats.packets for d in detectors.values()
-                )
+                # sit at an exact sub-stream boundary.
+                taken = host.extract(message[1])
+                processed = host.packets()
                 out_queue.put(("extracted", index, message[2], taken))
             elif kind == "install":
                 try:
-                    for slot, state in message[1].items():
-                        detectors[slot] = build(state)
+                    host.install(message[1])
                 except Exception:
                     # Decode-verified state that still fails to restore:
                     # ship the failure, then die with the migration-
                     # abort code so the parent/supervisor classify it.
-                    import traceback
-
                     out_queue.put(("error", index, traceback.format_exc()))
                     out_queue.close()
                     out_queue.join_thread()
                     os._exit(MIGRATION_ABORT_EXIT_CODE)
-                solo = single()
-                processed = sum(
-                    d.stats.packets for d in detectors.values()
-                )
+                processed = host.packets()
                 out_queue.put((
-                    "installed", index, message[2], sorted(detectors)
+                    "installed", index, message[2], sorted(host.detectors)
                 ))
             elif kind == "reconfig":
-                # In-band apply barrier (the hot-reconfiguration path):
-                # everything queued before this marker is processed, so
-                # each hosted slot's state sits at an exact sub-stream
-                # boundary.  Build-all-then-swap: on any failure the old
-                # detectors keep serving and the failure ships in-band —
-                # the worker stays alive (unlike an install failure, the
-                # process state is untouched and still trustworthy).
-                old_config = config
+                # In-band apply barrier: everything queued before this
+                # marker is processed, so each hosted slot's state sits
+                # at an exact sub-stream boundary.  A refusal leaves the
+                # old detectors serving and ships in-band — the worker
+                # stays alive (unlike an install failure, its process
+                # state is untouched and still trustworthy).
                 try:
-                    config = message[1]
-                    rebuilt = {
-                        slot: build(
-                            reconfigure_state(detector.snapshot(), config)
-                        )
-                        for slot, detector in detectors.items()
-                    }
+                    host.reconfigure(message[1])
+                    reply = {"ok": True}
                 except Exception:
-                    import traceback
-
-                    config = old_config
-                    out_queue.put((
-                        "reconfigured",
-                        index,
-                        message[2],
-                        {"ok": False, "error": traceback.format_exc()},
-                    ))
-                else:
-                    detectors = rebuilt
-                    solo = single()
-                    out_queue.put((
-                        "reconfigured", index, message[2], {"ok": True}
-                    ))
+                    reply = {"ok": False, "error": traceback.format_exc()}
+                out_queue.put(("reconfigured", index, message[2], reply))
             elif kind == "stop":
-                out_queue.put((
-                    "done",
-                    index,
-                    {
-                        slot: detector.snapshot()
-                        for slot, detector in detectors.items()
-                    },
-                ))
+                out_queue.put(("done", index, host.snapshot()))
                 if len(message) > 1 and message[1] == "drain":
                     # Graceful drain: flush the reply onto the pipe, then
                     # exit with the drain code so the parent (and any
@@ -411,11 +355,15 @@ def _shard_worker(
         out_queue.put(("error", index, traceback.format_exc()))
 
 
-class MultiprocessEngine:
-    """Sharded EARDet across OS processes, same interface and snapshot
-    schema as :class:`~repro.service.engine.InProcessEngine` — including
-    the live-migration primitives (slots move between worker processes
-    through in-band extract/install barriers).
+def _wire_tuple(time_ns, size, fid) -> tuple:
+    return (time_ns, size, fid)
+
+
+class MultiprocessEngine(ShardedEngine):
+    """Sharded EARDet across OS processes: the shared routing side of
+    :class:`~repro.service.engine.ShardedEngine` with one worker process
+    per shard — including the live-migration primitives (slots move
+    between worker processes through in-band extract/install barriers).
 
     Workers start lazily on first ingestion; :meth:`restore` must
     therefore be called (if at all) before any packet is ingested.
@@ -440,18 +388,9 @@ class MultiprocessEngine:
         slots: Optional[int] = None,
         terminate_grace_s: float = TERMINATE_GRACE_S,
     ):
-        if shards < 1:
-            raise ValueError(f"need at least 1 shard, got {shards}")
         if terminate_grace_s <= 0:
             raise ValueError(
                 f"terminate_grace_s must be > 0, got {terminate_grace_s}"
-            )
-        if slots is None:
-            slots = shards
-        if slots < shards:
-            raise ValueError(
-                f"need at least as many slots as shards, got {slots} slots "
-                f"for {shards} shards"
             )
         if chunk_size < 1:
             raise ValueError(f"chunk size must be positive, got {chunk_size}")
@@ -465,132 +404,58 @@ class MultiprocessEngine:
             raise ValueError(
                 f"put_timeout_s must be > 0 or None, got {put_timeout_s}"
             )
-        self.config = config
+        super().__init__(
+            config, shards, seed, slots, fault_plan, dead_letter,
+            invariant_every, overload, watcher,
+            backlog_capacity=queue_capacity,
+        )
         self.chunk_size = chunk_size
         self.queue_capacity = queue_capacity
         self.terminate_grace_s = terminate_grace_s
-        self._shards = shards
-        self._layout = ShardLayout.default(slots, shards)
-        self._assignment: List[int] = list(self._layout.assignment)
-        self._hash = StageHash(seed=seed, buckets=slots)
-        self._route = FlowRouter(self._hash)
+        self.put_timeout_s = put_timeout_s
         # Staging buffers hold wire tuples, not Packet objects — see the
-        # module docstring on the producer's per-packet budget.
+        # module docstring on the producer's per-packet budget.  Queue
+        # high water is sampled when a chunk ships, the only moment the
+        # in-flight depth can grow.
         self._buffers: List[list] = [[] for _ in range(shards)]
-        self._accepted = 0
         self._barrier_token = 0
         self._slot_states: Optional[List] = None
         self._final_snapshot: Optional[Dict[str, object]] = None
-        self._plan = fault_plan
-        self._dead_letter = dead_letter
-        self.invariant_every = invariant_every
-        self._routed = [0] * shards
-        self._dropped = [0] * shards
-        self._first_loss: List[Optional[int]] = [None] * shards
-        self._loss_reason = [""] * shards
-        # Operational telemetry (parent-side, no barrier needed): queue
-        # high water is sampled when a chunk ships — the only moment the
-        # in-flight depth can grow — and the last-packet timestamp is
-        # stamped on the routing path.
-        self._queue_high_water = [0] * shards
-        self._last_packet_ts: List[Optional[int]] = [None] * shards
-        self.put_timeout_s = put_timeout_s
-        self.overload_policy = overload
-        # Ladder state lives parent-side: admission happens where packets
-        # are routed, so rung buffers hold the same cheap wire tuples the
-        # staging buffers do.
-        self._overload: Optional[List[ShardOverload[tuple]]] = None
-        if overload is not None:
-            self._overload = [
-                ShardOverload(overload, lambda t, s, f: (t, s, f))
-                for _ in range(shards)
-            ]
-        # The watcher stage lives parent-side, on the routing path
-        # (slot-granular): it needs no worker protocol, checkpoints
-        # synchronously with the parent's loss accounting, keeps
-        # observing while a shard queue is full or a worker is being
-        # restarted — and never physically moves during a migration.
-        if watcher is not None and watcher.shard_count != slots:
-            raise ValueError(
-                f"watcher stage has {watcher.shard_count} watchers, engine "
-                f"has {slots} slots (the stage is slot-granular)"
-            )
-        self.watcher = watcher
         self._context = multiprocessing.get_context()
         self._queues = None
         self._results = None
         self._processes = None
         self._heartbeats = None
 
+    def _new_ladder(self) -> ShardOverload:
+        # Rung buffers hold the same cheap wire tuples the staging
+        # buffers do.
+        return ShardOverload(self.overload_policy, _wire_tuple)
+
     # -- introspection -----------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return self._layout.shards
-
-    @property
-    def slot_count(self) -> int:
-        return self._layout.slots
-
-    @property
-    def layout(self) -> ShardLayout:
-        """The current (versioned) slot→shard assignment."""
-        return self._layout
-
-    @property
-    def seed(self) -> int:
-        return self._hash.seed
-
-    @property
-    def accepted(self) -> int:
-        return self._accepted
-
-    @property
-    def dropped(self) -> int:
-        """Packets shed parent-side (injected drop faults only; the
-        blocking bounded queues themselves never shed load)."""
-        return sum(self._dropped)
-
-    @property
-    def routed(self) -> List[int]:
-        """Per-shard arrival counts (the coordinator's load signal)."""
-        return list(self._routed)
 
     @property
     def running(self) -> bool:
         return self._processes is not None
 
-    def slot_of(self, fid: FlowId) -> int:
-        """Which slot a flow hashes to (layout-independent)."""
-        return self._route(fid)
-
-    def shard_of(self, fid: FlowId) -> int:
-        """Which shard currently hosts a flow's slot."""
-        return self._assignment[self._route(fid)]
-
     def queue_depths(self) -> List[int]:
         """Staged packets plus in-flight chunks per shard (parent-side
         view; no barrier)."""
-        depths = []
-        for index in range(self._shards):
-            depth = len(self._buffers[index]) if self._buffers else 0
-            if self._queues is not None:
-                try:
-                    depth += self._queues[index].qsize()
-                except NotImplementedError:  # pragma: no cover - macOS
-                    pass
-            depths.append(depth)
-        return depths
+        return [
+            len(self._buffers[index]) + self._in_flight(index)
+            for index in range(self._shards)
+        ]
 
-    @property
-    def queue_high_water(self) -> List[int]:
-        """Highest parent-side queue depth each shard has reached."""
-        return list(self._queue_high_water)
-
-    @property
-    def last_packet_ts(self) -> List[Optional[int]]:
-        """Stream timestamp of the last packet routed to each shard."""
-        return list(self._last_packet_ts)
+    def _in_flight(self, index: int) -> int:
+        """Chunks queued to shard ``index`` and not yet taken by its
+        worker (0 before the fleet starts, or where ``Queue.qsize`` is
+        unsupported — macOS)."""
+        if self._queues is None:
+            return 0
+        try:
+            return self._queues[index].qsize()
+        except NotImplementedError:  # pragma: no cover - macOS
+            return 0
 
     # -- liveness ----------------------------------------------------------
 
@@ -779,6 +644,7 @@ class MultiprocessEngine:
         chunk_size = self.chunk_size
         plan = self._plan
         watcher = self.watcher
+        lost = 0
         for packet in batch:
             fid = packet.fid
             slot = route(fid)
@@ -789,6 +655,7 @@ class MultiprocessEngine:
                 watcher.observe(packet, slot)
             if plan is not None and plan.should_drop(index, routed[index]):
                 self._record_loss(index, packet, "injected-drop", slot=slot)
+                lost += 1
                 continue
             buffer = buffers[index]
             buffer.append((packet.time, packet.size, fid))
@@ -796,7 +663,7 @@ class MultiprocessEngine:
                 self._put(index, ("packets", buffer))
                 buffers[index] = []
                 self._note_high_water(index)
-        self._accepted += len(batch)
+        self._accepted += len(batch) - lost
 
     def _ingest_overload(self, batch: List[Packet]) -> None:
         """Ladder-mediated ingest: one occupancy observation per shard
@@ -844,21 +711,17 @@ class MultiprocessEngine:
         for index, state in enumerate(states):
             for item in state.on_batch_end():
                 self._stage(index, item)
-        self._accepted += len(batch)
 
     def _depth_packets(self, index: int) -> int:
         """Parent-visible shard backlog in packets (staging + in-flight)."""
-        depth = len(self._buffers[index])
-        if self._queues is not None:
-            try:
-                depth += self._queues[index].qsize() * self.chunk_size
-            except NotImplementedError:  # pragma: no cover - macOS
-                pass
-        return depth
+        return len(self._buffers[index]) + (
+            self._in_flight(index) * self.chunk_size
+        )
 
     def _stage(self, index: int, item: tuple) -> None:
         buffer = self._buffers[index]
         buffer.append(item)
+        self._accepted += 1
         if len(buffer) >= self.chunk_size:
             self._put(index, ("packets", buffer))
             self._buffers[index] = []
@@ -869,32 +732,9 @@ class MultiprocessEngine:
         ships — the only moment the parent-side depth can grow.  Uses the
         same unit as ``queue_depth`` (chunks; the staging buffer is empty
         at this point)."""
-        if self._queues is None:
-            return
-        try:
-            depth = self._queues[index].qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return
+        depth = self._in_flight(index)
         if depth > self._queue_high_water[index]:
             self._queue_high_water[index] = depth
-
-    def _record_loss(
-        self,
-        index: int,
-        packet: Packet,
-        reason: str,
-        slot: Optional[int] = None,
-    ) -> None:
-        self._dropped[index] += 1
-        if self._first_loss[index] is None:
-            self._first_loss[index] = packet.time
-            self._loss_reason[index] = reason
-        if self._dead_letter is not None:
-            # The consistent dead-letter tuple: shard, slot, 1-based
-            # shard-local arrival index (== routed count at loss time).
-            self._dead_letter.record(
-                packet, index, reason, slot=slot, index=self._routed[index]
-            )
 
     def flush(self) -> None:
         """Ship all staged partial chunks to the workers.
@@ -972,97 +812,34 @@ class MultiprocessEngine:
         self._results = None
         self._heartbeats = None
 
-    # -- hot reconfiguration -----------------------------------------------
+    # -- transport hooks ---------------------------------------------------
 
-    def apply_config(self, config: EARDetConfig) -> None:
-        """Swap every hosted slot detector onto ``config`` through an
-        in-band ``reconfig`` barrier on every shard queue (see
-        :meth:`InProcessEngine.apply_config` for the contract).
-
-        Each worker is individually atomic (build-all-then-swap; a
-        failure leaves its old detectors serving and ships the error
-        in-band without killing the process).  On a *partial* fleet
-        failure this raises :class:`~repro.core.eardet.
-        ReconfigurationError` and leaves a mixed fleet — the retune
-        executor's rollback (``apply_config(old_config)``) restores
-        consistency, and always succeeds because adapting back never
-        shrinks below occupancy.
-        """
+    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
+        """An in-band ``reconfig`` barrier on every shard queue."""
         if self._final_snapshot is not None:
             raise RuntimeError("engine already closed")
         if self._processes is None:
-            # Workers not yet started: adapt any staged (restored) slot
-            # states so they build under the new config at spawn.
-            if self._slot_states is not None:
-                self._slot_states = [
-                    reconfigure_state(state, config)
-                    if state is not None
-                    else None
-                    for state in self._slot_states
-                ]
-            self.config = config
-            return
+            self._slot_states = _reconfigure_staged(self._slot_states, config)
+            return {}
         self.check_workers()
         self.flush()
-        self._barrier_token += 1
-        token = self._barrier_token
+        token = self._next_token()
         for index in range(self._shards):
             self._put(index, ("reconfig", config, token))
         replies = self._collect("reconfigured", token)
-        failures = {
-            index: reply["error"]
+        return {
+            index: reply["error"].strip().splitlines()[-1]
             for index, reply in replies.items()
             if not reply["ok"]
         }
-        if failures:
-            from ..core.eardet import ReconfigurationError
-
-            detail = "; ".join(
-                f"shard {index}: {error.strip().splitlines()[-1]}"
-                for index, error in sorted(failures.items())
-            )
-            raise ReconfigurationError(
-                f"{len(failures)}/{self._shards} shard workers refused the "
-                f"new configuration ({detail}); fleet may be mixed — "
-                "roll back by re-applying the previous config"
-            )
-        self.config = config
-
-    # -- live migration ----------------------------------------------------
-
-    def prepare_migration(self, plan: MigrationPlan) -> None:
-        """Freeze phase: release ladder rung buffers and staged chunks
-        onto the worker queues (preserving per-flow order across the
-        cut), and spawn workers for any new target shards.
-
-        No full drain is needed: the subsequent ``extract`` message is
-        an *in-band* barrier — each source worker answers it only after
-        everything queued ahead of it, which is exactly the freeze
-        point."""
-        plan.validate(self._layout)
-        self._start()
-        self.check_workers()
-        self.flush()
-        self._ensure_shards(plan.target_shards)
-
-    def extract_slots(self, slot_ids: List[int]) -> Dict[int, Dict[str, object]]:
-        """Extract phase: in-band snapshot-and-detach of the named slots
-        from the shards currently hosting them."""
-        by_shard: Dict[int, List[int]] = {}
-        for slot in slot_ids:
-            by_shard.setdefault(self._assignment[slot], []).append(slot)
-        return self._extract_from(by_shard)
 
     def _extract_from(
         self, by_shard: Dict[int, List[int]]
     ) -> Dict[int, Dict[str, object]]:
-        """Send extract barriers to an explicit shard→slots map (the
-        rollback path probes migration *targets*, which may hold only
-        some — or none — of the slots; workers return what they have)."""
-        if not by_shard:
-            return {}
-        self._barrier_token += 1
-        token = self._barrier_token
+        # The freeze needs no full drain: ``extract`` is an in-band
+        # barrier each source worker answers only after everything
+        # queued ahead of it — exactly the freeze point.
+        token = self._next_token()
         for index, slots in by_shard.items():
             self._put(index, ("extract", list(slots), token))
         replies = self._collect(
@@ -1073,71 +850,17 @@ class MultiprocessEngine:
             extracted.update(taken)
         return extracted
 
-    def install_slots(
-        self,
-        slot_states: Dict[int, Dict[str, object]],
-        assignment: Dict[int, int],
+    def _install_on(
+        self, by_shard: Dict[int, Dict[int, Dict[str, object]]]
     ) -> None:
-        """Install phase: hand each target worker the decode-verified
-        states of the slots it will host, and wait for acknowledgements
-        (a worker that cannot restore the state ships the error and
-        exits with :data:`MIGRATION_ABORT_EXIT_CODE`)."""
-        by_shard: Dict[int, Dict[int, Dict[str, object]]] = {}
-        for slot, state in slot_states.items():
-            shard = assignment[int(slot)]
-            if shard >= self._shards:
-                raise ValueError(
-                    f"slot {slot} targets shard {shard}, which was never "
-                    f"provisioned (prepare_migration not run?)"
-                )
-            by_shard.setdefault(shard, {})[int(slot)] = state
-        if not by_shard:
-            return
-        self._barrier_token += 1
-        token = self._barrier_token
+        # A worker that cannot restore the state ships the error and
+        # exits with MIGRATION_ABORT_EXIT_CODE.
+        token = self._next_token()
         for index, states in by_shard.items():
             self._put(index, ("install", states, token))
         self._collect("installed", token, indices=list(by_shard))
 
-    def commit_layout(self, layout: ShardLayout) -> None:
-        """Cutover phase: atomically swap the parent's slot→shard
-        assignment.  Workers never route, so this is parent-local."""
-        if layout.slots != self._layout.slots:
-            raise ValueError(
-                f"layout has {layout.slots} slots, engine has "
-                f"{self._layout.slots}"
-            )
-        if layout.shards > self._shards:
-            raise ValueError(
-                f"layout spans {layout.shards} shards but only "
-                f"{self._shards} are provisioned"
-            )
-        self._layout = layout
-        self._assignment = list(layout.assignment)
-
-    def abort_migration(
-        self,
-        plan: MigrationPlan,
-        extracted: Dict[int, Dict[str, object]],
-    ) -> None:
-        """Rollback: extract-and-discard any partially installed copies
-        from the targets (workers answer with only the slots they hold),
-        then reinstall the extracted states on their sources.  The
-        assignment was never swapped, so routing is already correct."""
-        targets: Dict[int, List[int]] = {}
-        for move in plan.moves:
-            if move.target < self._shards:
-                targets.setdefault(move.target, []).append(move.slot)
-        self._extract_from(targets)  # discard partial installs
-        if extracted:
-            self.install_slots(extracted, plan.assignment_before())
-
-    def _ensure_shards(self, shards: int) -> None:
-        """Provision runtime resources (queue, worker process, arrays)
-        for shards up to index ``shards - 1``.  Never shrinks — a
-        merged-away shard stays up as an idle hot spare."""
-        if shards <= self._shards:
-            return
+    def _check_growth(self, shards: int) -> None:
         if self._heartbeats is not None and shards > len(self._heartbeats):
             raise MigrationError(
                 f"cannot grow to {shards} shards: the heartbeat array was "
@@ -1146,27 +869,22 @@ class MultiprocessEngine:
                 phase="freeze",
                 rolled_back=True,
             )
-        grow = shards - self._shards
-        self._buffers.extend([] for _ in range(grow))
-        self._routed.extend([0] * grow)
-        self._dropped.extend([0] * grow)
-        self._first_loss.extend([None] * grow)
-        self._loss_reason.extend([""] * grow)
-        self._queue_high_water.extend([0] * grow)
-        self._last_packet_ts.extend([None] * grow)
-        if self._overload is not None:
-            self._overload.extend(
-                ShardOverload(self.overload_policy, lambda t, s, f: (t, s, f))
-                for _ in range(grow)
-            )
-        first_new = self._shards
-        self._shards = shards
+
+    def _grow(self, first_new: int) -> None:
+        self._buffers.extend([] for _ in range(self._shards - first_new))
         if self._processes is not None:
-            for index in range(first_new, shards):
+            for index in range(first_new, self._shards):
                 self._queues.append(
                     self._context.Queue(maxsize=self.queue_capacity)
                 )
                 self._spawn_worker(index)
+
+    def _adopt(self, layout: ShardLayout, slot_states: List) -> None:
+        # Stage the states for the (not yet started) workers.
+        if self._processes is not None or self._final_snapshot is not None:
+            raise RuntimeError("restore() must precede any ingestion")
+        self._buffers = [[] for _ in range(layout.shards)]
+        self._slot_states = slot_states
 
     # -- checkpointing -----------------------------------------------------
 
@@ -1176,89 +894,14 @@ class MultiprocessEngine:
             return self._final_snapshot
         self._start()
         self.flush()
-        self._barrier_token += 1
-        token = self._barrier_token
+        token = self._next_token()
         for index in range(self._shards):
             self._put(index, ("snapshot", token))
-        states = self._collect("snapshot", token)
-        return self._assemble(states)
+        return self._assemble(self._collect("snapshot", token))
 
-    def restore(self, state: Dict[str, object]) -> None:
-        """Stage a snapshot for the (not yet started) workers.
-
-        Adopts the snapshot's layout — shard count, slot assignment,
-        epoch — exactly like :meth:`InProcessEngine.restore`; seed and
-        slot count stay strict."""
-        if self._processes is not None or self._final_snapshot is not None:
-            raise RuntimeError("restore() must precede any ingestion")
-        fmt = state.get("format")
-        if fmt != ENGINE_SNAPSHOT_FORMAT:
-            raise ValueError(f"unsupported engine snapshot format {fmt!r}")
-        if state["seed"] != self._hash.seed:
-            raise ValueError(
-                f"snapshot hash seed {state['seed']} != engine seed "
-                f"{self._hash.seed}; flows would route to different slots"
-            )
-        slot_states = list(state["shards"])
-        slots = int(state.get("slots") or len(slot_states))
-        if slots != self._layout.slots:
-            raise ValueError(
-                f"snapshot has {slots} slots, engine has "
-                f"{self._layout.slots}; flows would route to different "
-                "sub-streams"
-            )
-        if len(slot_states) != slots:
-            raise ValueError(
-                f"snapshot carries {len(slot_states)} slot states for "
-                f"{slots} slots"
-            )
-        layout_state = state.get("layout")
-        if layout_state is not None:
-            layout = ShardLayout.from_dict(layout_state)
-        else:
-            layout = ShardLayout.default(slots, int(state["shard_count"]))
-        self._layout = layout
-        self._assignment = list(layout.assignment)
-        shards = layout.shards
-        self._shards = shards
-        self._buffers = [[] for _ in range(shards)]
-        if self._overload is not None and len(self._overload) < shards:
-            self._overload.extend(
-                ShardOverload(self.overload_policy, lambda t, s, f: (t, s, f))
-                for _ in range(shards - len(self._overload))
-            )
-        self._slot_states = slot_states
-        self._accepted = state["accepted"]
-
-        def _per_shard(key, default):
-            values = state.get(key)
-            if not values:
-                return [default] * shards
-            values = list(values)
-            return values + [default] * (shards - len(values))
-
-        self._dropped = _per_shard("dropped", 0)
-        self._first_loss = _per_shard("first_loss", None)
-        self._loss_reason = _per_shard("loss_reason", "")
-        self._queue_high_water = _per_shard("queue_high_water", 0)
-        self._last_packet_ts = _per_shard("last_packet_ts", None)
-        routed = state.get("routed")
-        if routed is not None:
-            self._routed = list(routed) + [0] * (shards - len(routed))
-        else:
-            self._routed = [
-                slot_state["stats"]["packets"] + dropped
-                for slot_state, dropped in zip(slot_states, self._dropped)
-            ]
-        overload_state = state.get("overload")
-        if overload_state is not None and self._overload is not None:
-            for shard_overload, shard_state in zip(
-                self._overload, overload_state
-            ):
-                shard_overload.restore(shard_state)
-        watcher_state = state.get("watcher")
-        if watcher_state is not None and self.watcher is not None:
-            self.watcher.restore(watcher_state)
+    def _next_token(self) -> int:
+        self._barrier_token += 1
+        return self._barrier_token
 
     def _collect(
         self,
@@ -1316,139 +959,3 @@ class MultiprocessEngine:
             )
             pending.discard(index)
         return states
-
-    def _assemble(self, states: Dict[int, Dict]) -> Dict[str, object]:
-        """Merge per-worker ``{slot: state}`` replies into the shared
-        slot-indexed snapshot schema."""
-        layout = self._layout
-        slot_states: List = [None] * layout.slots
-        for mapping in states.values():
-            for slot, slot_state in mapping.items():
-                slot_states[int(slot)] = slot_state
-        missing = [
-            slot for slot, value in enumerate(slot_states) if value is None
-        ]
-        if missing:
-            raise WorkerError(
-                f"snapshot barrier returned no state for slots {missing}"
-            )
-        return {
-            "format": ENGINE_SNAPSHOT_FORMAT,
-            "seed": self._hash.seed,
-            "shard_count": layout.shards,
-            "accepted": self._accepted,
-            "dropped": list(self._dropped),
-            "first_loss": list(self._first_loss),
-            "loss_reason": list(self._loss_reason),
-            "queue_high_water": list(self._queue_high_water),
-            "last_packet_ts": list(self._last_packet_ts),
-            "routed": list(self._routed),
-            "overload": (
-                [state.snapshot() for state in self._overload]
-                if self._overload is not None
-                else None
-            ),
-            "watcher": (
-                self.watcher.snapshot() if self.watcher is not None else None
-            ),
-            "slots": layout.slots,
-            "layout": layout.as_dict(),
-            "layout_epoch": layout.epoch,
-            "shards": slot_states,
-        }
-
-    # -- results -----------------------------------------------------------
-
-    def detections(self) -> Dict[FlowId, int]:
-        """Merged first-detection reports (snapshot barrier if running)."""
-        sink = ReportSink()
-        for slot_state in self.snapshot()["shards"]:
-            slot_sink = ReportSink()
-            slot_sink.restore(slot_state["sink"])
-            sink.merge(slot_sink)
-        return sink.as_dict()
-
-    def health(self) -> List[ShardHealth]:
-        """Per-shard health from the latest snapshot barrier (slot state
-        aggregated onto the hosting shard).
-
-        ``queue_depth`` counts in-flight *chunks* (plus the staging
-        buffer's packets), the meaningful backpressure signal here.
-        """
-        snapshot = self.snapshot()
-        slot_states = snapshot["shards"]
-        layout = self._layout
-        watcher = self.watcher
-        samples = []
-        for index in range(layout.shards):
-            slots = layout.slots_of(index)
-            states = [slot_states[slot] for slot in slots]
-            depth = len(self._buffers[index]) if self._buffers else 0
-            if self._queues is not None:
-                try:
-                    depth += self._queues[index].qsize()
-                except NotImplementedError:  # pragma: no cover - macOS
-                    pass
-            samples.append(
-                ShardHealth(
-                    shard=index,
-                    packets=sum(s["stats"]["packets"] for s in states),
-                    queue_depth=depth,
-                    queue_capacity=self.queue_capacity,
-                    detections=sum(len(s["sink"]) for s in states),
-                    blacklist_size=sum(len(s["blacklist"]) for s in states),
-                    dropped=self._dropped[index],
-                    queue_high_water=self._queue_high_water[index],
-                    last_packet_ts_ns=self._last_packet_ts[index],
-                    degradation_level=(
-                        self._overload[index].level.label
-                        if self._overload is not None
-                        else "exact"
-                    ),
-                    watcher_occupancy=(
-                        sum(watcher.occupancy(slot) for slot in slots)
-                        if watcher is not None
-                        else 0
-                    ),
-                    watcher_verdicts=(
-                        sum(
-                            len(watcher.watcher(slot).detected)
-                            for slot in slots
-                        )
-                        if watcher is not None
-                        else 0
-                    ),
-                    slot_count=len(slots),
-                )
-            )
-        return samples
-
-    def overload_report(self) -> Optional[Dict[str, object]]:
-        """Service-level overload summary (see
-        :meth:`InProcessEngine.overload_report`); ``None`` when no
-        policy is armed."""
-        if self._overload is None:
-            return None
-        from .overload import build_overload_report
-
-        return build_overload_report(self._overload, self.config.rho)
-
-    def envelope(self) -> List[ExactnessEnvelope]:
-        """Per-shard exactness (see :class:`InProcessEngine.envelope`)."""
-        return [
-            ExactnessEnvelope(
-                shard=index,
-                exact=self._dropped[index] == 0,
-                lost_packets=self._dropped[index],
-                first_loss_time_ns=self._first_loss[index],
-                reason=self._loss_reason[index],
-            )
-            for index in range(self._shards)
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiprocessEngine(shards={self._shards}, "
-            f"slots={self._layout.slots}, epoch={self._layout.epoch}, "
-            f"accepted={self._accepted}, running={self.running})"
-        )

@@ -24,7 +24,7 @@ disabled hot path pays a single ``is None`` test per batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_NS,
@@ -34,6 +34,9 @@ from .registry import (
     NULL_REGISTRY,
 )
 from .tracing import DEFAULT_SPAN_CAPACITY, NullTracer, NULL_TRACER, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
+    from ..service.engine import ShardedEngine
 
 __all__ = ["Telemetry", "ServiceInstruments"]
 
@@ -514,24 +517,22 @@ class ServiceInstruments:
         if packets > 0:
             self.packet_latency_ns.observe(duration_ns // packets)
 
-    def sync_engine(self, engine: object) -> None:
-        """Copy the engine's cheap parent-side accounting into the
-        registry.  Reads only fields both engines keep on the routing
+    def sync_engine(self, engine: ShardedEngine) -> None:
+        """Copy the engine's cheap routing-side accounting into the
+        registry.  Reads only what every transport keeps on the routing
         side — never triggers a snapshot barrier."""
-        channels = self._channels
-        routed: Sequence[int] = engine._routed  # type: ignore[attr-defined]
-        dropped: Sequence[int] = engine._dropped  # type: ignore[attr-defined]
-        first_loss = engine._first_loss  # type: ignore[attr-defined]
-        depths: Sequence[int] = engine.queue_depths()  # type: ignore[attr-defined]
-        high_water: Sequence[int] = engine.queue_high_water  # type: ignore[attr-defined]
-        last_ts = engine.last_packet_ts  # type: ignore[attr-defined]
-        for index, channel in enumerate(channels):
+        routed = engine.routed
+        envelope = engine.envelope()
+        depths = engine.queue_depths()
+        high_water = engine.queue_high_water
+        last_ts = engine.last_packet_ts
+        for index, channel in enumerate(self._channels):
             channel.ingested.set_total(routed[index])
-            channel.dropped.set_total(dropped[index])
+            channel.dropped.set_total(envelope[index].lost_packets)
             channel.queue_depth.set(depths[index])
             channel.queue_high_water.set(high_water[index])
             channel.last_packet_ts.set(last_ts[index])
-            loss = first_loss[index]
+            loss = envelope[index].first_loss_time_ns
             if loss is not None:
                 channel.exact.set(0)
                 channel.first_loss.set(loss)

@@ -15,8 +15,11 @@ from repro.model.stream import PacketStream
 from repro.service import (
     CheckpointError,
     DetectionService,
+    FaultPlan,
     InProcessEngine,
     MultiprocessEngine,
+    ShardFault,
+    ShardServer,
     StreamSource,
     SyntheticSource,
     TraceFileSource,
@@ -383,6 +386,48 @@ class TestMultiprocessEngine:
             assert mp_engine.detections() == reference.detections
         finally:
             mp_engine.close()
+
+
+@pytest.mark.slow
+class TestTransportParity:
+    def test_one_snapshot_schema_under_injected_drops(self):
+        """The three transports share one routing side: serving the same
+        stream under the same drop window, their snapshots agree on every
+        key — ``accepted`` counts only packets that entered a shard
+        queue or staging buffer, never the injected drops.  The one
+        exception is ``queue_high_water``, whose unit is the
+        transport's own (packets, chunks, frames)."""
+        packets = make_packets(3000)
+        servers = [ShardServer().start() for _ in range(2)]
+        workers = [(server.host, server.port) for server in servers]
+        snapshots = {}
+        try:
+            for kind, options in (
+                ("inprocess", None),
+                ("multiprocess", None),
+                ("remote", {"workers": workers}),
+            ):
+                plan = FaultPlan(
+                    [ShardFault("drop", shard=0, at=5, count=20)]
+                )
+                service = DetectionService(
+                    CONFIG, shards=2, engine=kind, fault_plan=plan,
+                    engine_options=options,
+                )
+                try:
+                    service.serve(StreamSource(packets))
+                    snapshots[kind] = service.engine.snapshot()
+                finally:
+                    service.shutdown()
+        finally:
+            for server in servers:
+                server.stop()
+        for snapshot in snapshots.values():
+            del snapshot["queue_high_water"]
+        assert snapshots["inprocess"]["accepted"] == len(packets) - 20
+        assert snapshots["inprocess"]["dropped"][0] == 20
+        assert snapshots["multiprocess"] == snapshots["inprocess"]
+        assert snapshots["remote"] == snapshots["inprocess"]
 
 
 # ---------------------------------------------------------------- the CLI

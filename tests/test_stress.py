@@ -114,21 +114,35 @@ def test_engineered_config_on_long_mixed_trace():
             assert not detector.is_detected(fid), fid
 
 
+def _admit_step(store, fid, amount):
+    """The fused Misra-Gries step EARDet runs on a full store."""
+    leftover = store.admit(amount)
+    if leftover > 0:
+        store.insert(fid, leftover)
+
+
+def _decrement_all_step(store, fid, amount):
+    """The primitive step virtual traffic still calls."""
+    store.decrement_all(min(amount, store.min_value()))
+
+
 def test_counter_store_heap_health_over_long_run():
-    """The lazy heap must not accumulate stale entries without bound."""
+    """The lazy heap must not accumulate stale entries without bound,
+    whichever step a full store takes."""
     from repro.core.counters import HeapCounterStore
 
-    rng = random.Random(7)
-    store = HeapCounterStore(64)
-    for index in range(200_000):
-        fid = rng.randrange(200)
-        amount = rng.randint(1, 1518)
-        if fid in store:
-            store.increment(fid, amount)
-        elif not store.is_full:
-            store.insert(fid, amount)
-        else:
-            store.decrement_all(min(amount, store.min_value()))
-    # Lazy deletion keeps some staleness, but it must stay proportional
-    # to the live set, not the operation count.
-    assert len(store._heap) < 50_000
+    for full_step in (_admit_step, _decrement_all_step):
+        rng = random.Random(7)
+        store = HeapCounterStore(64)
+        for index in range(200_000):
+            fid = rng.randrange(200)
+            amount = rng.randint(1, 1518)
+            if fid in store:
+                store.increment(fid, amount)
+            elif not store.is_full:
+                store.insert(fid, amount)
+            else:
+                full_step(store, fid, amount)
+        # Lazy deletion keeps some staleness, but it must stay
+        # proportional to the live set, not the operation count.
+        assert len(store._heap) < 50_000, full_step.__name__
