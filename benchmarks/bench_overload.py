@@ -58,7 +58,7 @@ from repro.service import (  # noqa: E402
 )
 from trajectory import (  # noqa: E402
     CONFIG,
-    OVERLOAD_RESULTS_PATH,
+    GATES,
     append_point,
     make_packets,
 )
@@ -238,15 +238,8 @@ def main(argv=None) -> int:
         "passed": not failures,
     }
     if not args.no_append:
-        append_point(
-            point,
-            path=OVERLOAD_RESULTS_PATH,
-            description=(
-                "overload-ladder trajectory; points from "
-                "benchmarks/trajectory.py --overload (idle-ladder "
-                "overhead) and benchmarks/bench_overload.py (soak)"
-            ),
-        )
+        gate = GATES["overload"]
+        append_point(point, gate.path, gate.description)
 
     if args.json:
         print(json.dumps(point, indent=2))

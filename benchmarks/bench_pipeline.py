@@ -52,7 +52,7 @@ from repro.service import (  # noqa: E402
     StreamSource,
     WatcherPolicy,
 )
-from trajectory import PIPELINE_RESULTS_PATH, append_point  # noqa: E402
+from trajectory import GATES, append_point  # noqa: E402
 
 #: Wide ambiguity region: gamma_l = 10 kB/s, rho/(n+1) = 200 kB/s.
 CONFIG = EARDetConfig(
@@ -202,15 +202,8 @@ def main(argv=None) -> int:
     }
 
     if not args.no_append:
-        append_point(
-            point,
-            path=PIPELINE_RESULTS_PATH,
-            description=(
-                "two-stage pipeline trajectory; points from "
-                "benchmarks/trajectory.py --pipeline (watcher overhead) "
-                "and benchmarks/bench_pipeline.py (ambiguity corpus)"
-            ),
-        )
+        gate = GATES["pipeline"]
+        append_point(point, gate.path, gate.description)
 
     if args.json:
         print(json.dumps(point, indent=2))

@@ -56,7 +56,7 @@ from repro.service import (  # noqa: E402
 from repro.service.reshard import MIGRATION_PHASES  # noqa: E402
 from trajectory import (  # noqa: E402
     CONFIG,
-    RESHARD_RESULTS_PATH,
+    GATES,
     append_point,
     make_packets,
 )
@@ -184,9 +184,9 @@ def main(argv=None) -> int:
     count = args.packets or (24_000 if args.quick else 96_000)
     packets = make_packets(count, seed=args.seed)
 
-    # Warm untimed first (see trajectory.measure_reshard): the process's
-    # first service run pays one-time costs that would otherwise bias
-    # the static-vs-storm comparison below.
+    # Warm untimed first (see trajectory.race): the process's first
+    # service run pays one-time costs that would otherwise bias the
+    # static-vs-storm comparison below.
     _static_detections(
         packets[: max(1, count // 4)], shards=2, engine=args.engine
     )
@@ -230,16 +230,8 @@ def main(argv=None) -> int:
         "passed": not failures,
     }
     if not args.no_append:
-        append_point(
-            point,
-            path=RESHARD_RESULTS_PATH,
-            description=(
-                "resharding trajectory; points from "
-                "benchmarks/trajectory.py --reshard (slot-layout "
-                "overhead + migration pause) and "
-                "benchmarks/bench_reshard.py (migration storm + chaos)"
-            ),
-        )
+        gate = GATES["reshard"]
+        append_point(point, gate.path, gate.description)
 
     if args.json:
         print(json.dumps(point, indent=2))

@@ -18,12 +18,8 @@ Every service row records ``extra_info["packets"]`` and
 ``["packets_per_second"]``, matching ``bench_service.py``'s JSON shape.
 """
 
-import random
-
 import pytest
 
-from repro.core.config import EARDetConfig
-from repro.model.packet import Packet
 from repro.service import DetectionService, StreamSource
 from repro.telemetry import (
     MetricRegistry,
@@ -31,28 +27,13 @@ from repro.telemetry import (
     Telemetry,
     render_prometheus,
 )
-
-CONFIG = EARDetConfig(
-    rho=1_000_000, n=8, beta_th=3000, alpha=1518,
-    beta_l=1000, gamma_l=50_000,
-)
-
-
-def _make_packets(count, seed=7, flows=50, heavy_share=0.1):
-    rng = random.Random(seed)
-    packets = []
-    t = 0
-    for i in range(count):
-        t += rng.randint(500, 2000)
-        fid = f"h{i % 3}" if rng.random() < heavy_share else f"f{rng.randrange(flows)}"
-        packets.append(Packet(time=t, size=rng.choice((64, 576, 1518)), fid=fid))
-    return packets
+from trajectory import CONFIG, make_packets
 
 
 @pytest.fixture(scope="module")
 def telemetry_workload(params):
     count = max(5_000, int(1_500_000 * min(params.scale, 0.08)))
-    return _make_packets(count)
+    return make_packets(count)
 
 
 # ------------------------------------------------------------- micro-ops
