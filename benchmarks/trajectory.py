@@ -467,9 +467,12 @@ GATES = {gate.name: gate for gate in (
         "storm + chaos)",
     ),
     # Frame encoding plus loopback TCP is real per-packet work; the
-    # budget catches regressions, not the existence of the cost.
+    # budget catches regressions, not the existence of the cost.  This
+    # stream's str flow ids take the codec-list column; column frames
+    # measured 28-58% on a 2-vCPU VM, per-packet tuple frames 75-84%, so
+    # 70% catches a return to the tuple payload.
     Gate(
-        "net", budget=90.0, probe=_net_probe,
+        "net", budget=70.0, probe=_net_probe,
         arms={"service-local": _local, "service-remote": _remote},
         description="multi-host trajectory; one point per run of "
         "benchmarks/trajectory.py --net (remote-vs-local throughput over "

@@ -28,7 +28,7 @@ see ``tests/test_properties_eardet.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable
 
 from ..detectors.base import Detector
 from ..model.packet import FlowId, Packet
@@ -192,9 +192,38 @@ class EARDet(Detector):
     # -- Algorithm 1 -------------------------------------------------------
 
     def _update(self, packet: Packet) -> bool:
+        return self._step(packet.time, packet.size, packet.fid)
+
+    def observe_batch(
+        self,
+        times: Iterable[int],
+        sizes: Iterable[int],
+        fids: Iterable[FlowId],
+    ) -> None:
+        """Process parallel packet columns in order, without building a
+        :class:`~repro.model.packet.Packet`.
+
+        Per packet this is exactly :meth:`observe`: Algorithm 1 through
+        :meth:`_step`, a sink report when the flow crosses the
+        threshold, and the invariant checker.  The columns are not
+        validated here; a caller taking them from outside the process
+        checks ``time >= 0`` and ``size > 0`` first, as ``Packet``
+        would."""
+        step = self._step
+        report = self.sink.report
+        checker = self.checker
+        for now, size, fid in zip(times, sizes, fids):
+            if step(now, size, fid):
+                report(fid, now)
+            if checker is not None:
+                checker.after_packet(self)
+
+    def _step(self, now: int, size: int, fid: FlowId) -> bool:
+        """Algorithm 1 for one packet; True when its flow is detected at
+        it.  The one body both :meth:`observe` and :meth:`observe_batch`
+        run."""
         stats = self.stats
         stats.packets += 1
-        fid = packet.fid
         store = self._store
         blacklist = self._blacklist
         cut = False
@@ -216,8 +245,6 @@ class EARDet(Detector):
         # Idle fill and link consumption (Algorithm 1 lines 18-22).  A gap
         # with no idle volume (an oversubscribed one included) leaves the
         # carryover as it is, so it is not folded in.
-        now = packet.time
-        size = packet.size
         if self._started:
             idle_scaled = (
                 self.config.rho * (now - self._last_time)

@@ -9,8 +9,10 @@ recording the whole stream.  The minimal bundle is:
   reused at zero extra cost — or a committed migration), plus
 - the **trace slice**: every ingest batch since that baseline, held in a
   bounded ring buffer (integer-exact ``(time, size, fid)`` tuples,
-  serialized into the bundle columnar per batch: the integer columns as
-  packed little-endian arrays, the flow ids as one JSON list), plus
+  serialized into the bundle columnar per batch: times and flow ids as
+  :func:`~repro.service.checkpoint.pack_column` columns, so any flow id
+  the checkpoint codec carries — ``FiveTuple``, ``bytes``, tuples — fits,
+  and sizes as packed little-endian uint32), plus
 - the **skip list**: the positional losses (injected drops, voided
   partitions) inside the window, re-injected on replay as a synthesized
   :class:`~repro.service.faults.FaultPlan` so the replayed engine loses
@@ -35,10 +37,20 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from ..core.config import config_as_dict
 from ..model.packet import Packet
-from ..service.checkpoint import write_checkpoint
+from ..service.checkpoint import (
+    Encoded,
+    pack_column,
+    unpack_column,
+    write_checkpoint,
+)
 
-#: Bundle payload schema version.
-BUNDLE_FORMAT = 1
+#: Bundle payload schema version.  Format 2 packs the flow-id column
+#: with :func:`~repro.service.checkpoint.pack_column`; format-1 bundles,
+#: whose flow-id column is one JSON string, still replay.
+BUNDLE_FORMAT = 2
+
+#: Bundle formats :func:`~repro.forensics.replay.load_bundle` accepts.
+READABLE_BUNDLE_FORMATS = (1, BUNDLE_FORMAT)
 
 #: ``meta["kind"]`` of every replay bundle (checkpoint-container payload).
 BUNDLE_KIND = "eardet-replay-bundle"
@@ -53,26 +65,32 @@ DEFAULT_RING_CAPACITY = 65536
 REPLAYABLE_LOSS_REASONS = ("injected-drop", "partition")
 
 
-def _encode_batch(batch: List[Packet]) -> Tuple[bytes, bytes, str]:
-    """One ingest batch in columnar form: ``(times, sizes, fids_json)``
-    with times as packed ``<q`` and sizes as packed ``<I`` — integer-
-    exact and ~3x cheaper to serialize than per-packet JSON rows, which
-    is what keeps bundle capture inside its overhead budget."""
-    count = len(batch)
-    times = struct.pack(f"<{count}q", *(p.time for p in batch))
-    sizes = struct.pack(f"<{count}I", *(p.size for p in batch))
-    fids = json.dumps([p.fid for p in batch], separators=(",", ":"))
-    return times, sizes, fids
+def _encode_batch(batch: List[Packet]) -> Encoded:
+    """One ingest batch in columnar form, encoded once: ``(times, sizes,
+    fids)`` with times and flow ids as :func:`~repro.service.checkpoint.
+    pack_column` columns and sizes as packed ``<I`` (half an int64
+    column's bytes) — integer-exact and far cheaper to serialize than
+    per-packet rows, which is what keeps bundle capture inside its
+    overhead budget."""
+    sizes = [p.size for p in batch]
+    return Encoded((
+        pack_column([p.time for p in batch]),
+        struct.pack(f"<{len(sizes)}I", *sizes),
+        pack_column([p.fid for p in batch]),
+    ))
 
 
 def _decode_batch(encoded) -> List[Tuple[int, int, object]]:
-    """Inverse of :func:`_encode_batch`; flow id tuples round-tripped
-    through JSON come back as lists (the caller normalizes)."""
-    times_raw, sizes_raw, fids_json = encoded
-    count = len(times_raw) // 8
-    times = struct.unpack(f"<{count}q", times_raw)
-    sizes = struct.unpack(f"<{count}I", sizes_raw)
-    fids = json.loads(fids_json)
+    """Inverse of :func:`_encode_batch`, also for format-1 bundles, whose
+    flow-id column is one JSON string (tuple ids come back from it as
+    lists; the caller normalizes)."""
+    times_raw, sizes_raw, fids_raw = encoded
+    times = unpack_column(times_raw)
+    sizes = struct.unpack(f"<{len(sizes_raw) // 4}I", sizes_raw)
+    if isinstance(fids_raw, str):
+        fids = json.loads(fids_raw)
+    else:
+        fids = unpack_column(fids_raw)
     return list(zip(times, sizes, fids))
 
 
@@ -172,7 +190,7 @@ class CaptureLayer:
         """
         started = time.monotonic_ns()
         baseline = self._baseline
-        batches: List[Tuple[bytes, bytes, str]] = []
+        batches: List[Encoded] = []
         earliest: Optional[int] = None
         for entry in self._ring:
             start, batch = entry[0], entry[1]

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
+from ..model.packet import FiveTuple
+
 #: Incident record schema version (the ``v`` body's ``format`` is implied
 #: by the store header line; see :class:`IncidentStore`).
 INCIDENT_FORMAT = 1
@@ -167,14 +169,36 @@ class Incident:
         )
 
 
+def _json_fid(value: object) -> Dict[str, object]:
+    """JSON form of a flow id JSON has no type for (``json.dumps``
+    ``default``): a :class:`FiveTuple` or ``bytes`` becomes a one-key
+    object that :func:`_normalize_fid` turns back into the flow id."""
+    if isinstance(value, FiveTuple):
+        return {"five_tuple": [value.src, value.dst, value.sport,
+                               value.dport, value.proto]}
+    if isinstance(value, bytes):
+        return {"bytes": value.hex()}
+    raise TypeError(f"cannot encode {type(value).__name__} in an incident")
+
+
 def _normalize_fid(fid):
-    """Flow ids round-trip through JSON: tuples come back as lists."""
-    return tuple(fid) if isinstance(fid, list) else fid
+    """Flow ids round-trip through JSON: tuples come back as lists, and
+    :func:`_json_fid` objects as the flow ids they encode."""
+    if isinstance(fid, list):
+        return tuple(_normalize_fid(item) for item in fid)
+    if isinstance(fid, dict):
+        if "five_tuple" in fid:
+            return FiveTuple(*fid["five_tuple"])
+        if "bytes" in fid:
+            return bytes.fromhex(fid["bytes"])
+    return fid
 
 
 def _canonical(body: Dict[str, object]) -> str:
     """The canonical encoding the CRC covers: sorted keys, no spaces."""
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        body, sort_keys=True, separators=(",", ":"), default=_json_fid
+    )
 
 
 def encode_line(record: Incident) -> str:
@@ -186,6 +210,7 @@ def encode_line(record: Incident) -> str:
         {"crc": f"{crc:08x}", "v": body},
         sort_keys=True,
         separators=(",", ":"),
+        default=_json_fid,
     )
 
 

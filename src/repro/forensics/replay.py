@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.config import EARDetConfig, config_as_dict
 from ..model.packet import Packet
 from .capture import (
-    BUNDLE_FORMAT,
     BUNDLE_KIND,
+    READABLE_BUNDLE_FORMATS,
     _decode_batch,
     overload_policy_from_dict,
 )
@@ -126,10 +126,10 @@ def load_bundle(path: str) -> Dict[str, object]:
             f"{path} is not a replay bundle "
             f"(kind {meta.get('kind')!r}, expected {BUNDLE_KIND!r})"
         )
-    if meta.get("format") != BUNDLE_FORMAT:
+    if meta.get("format") not in READABLE_BUNDLE_FORMATS:
         raise CheckpointError(
             f"unsupported replay bundle format {meta.get('format')!r} "
-            f"(this build reads format {BUNDLE_FORMAT})"
+            f"(this build reads formats {READABLE_BUNDLE_FORMATS})"
         )
     if meta.get("truncated"):
         raise ReplayIncompleteError(

@@ -28,7 +28,7 @@ two-phase freeze/extract → install/cutover protocol with rollback — so
 detections are bit-identical under any migration history; the
 :class:`Coordinator` proposes such plans under sustained skew.  The
 multi-host layer (:mod:`repro.service.net`, :mod:`repro.service.remote`)
-carries the same wire tuples over TCP with exactly-once batch delivery —
+carries the same packet columns over TCP with exactly-once delivery —
 CRC-protected frames, monotonic sequences, cumulative acks, an
 unacked-frame replay ring — so a :class:`RemoteEngine` coordinator can
 drive ``eardet worker --listen`` shard servers on other hosts with

@@ -36,6 +36,13 @@ batch and control frames carry one codec value each, under the frame
 layer's own magic, sequence numbers and CRC.  Determinism matters there
 too — equal payloads produce equal frames, so a retransmitted frame is
 byte-identical to the original.
+
+Packet batches travel as parallel columns (times, sizes, flow IDs), and
+:func:`pack_column` / :func:`unpack_column` own one column's layout: a
+column whose values are all ``int`` inside int64 is packed little-endian
+int64 ``bytes`` (8 bytes a value, no per-value tag); any other column
+stays a codec list.  Frame ``BATCH`` payloads and the trace slices of
+forensic replay bundles both use it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from ..model.packet import FiveTuple
 
@@ -173,6 +180,7 @@ _B_TUPLE = bytes((_T_TUPLE,))
 _B_LIST = bytes((_T_LIST,))
 _B_DICT = bytes((_T_DICT,))
 _B_INT_SMALL = tuple(bytes((_T_INT, v)) for v in range(0x80))
+_B_STR_SHORT = tuple(bytes((_T_STR, n)) for n in range(0x80))
 
 
 def _encode(out: io.BytesIO, value: Any) -> None:
@@ -208,23 +216,52 @@ def _encode(out: io.BytesIO, value: Any) -> None:
     elif isinstance(value, tuple):
         out.write(_B_TUPLE)
         _write_uvarint(out, len(value))
-        for item in value:
-            _encode(out, item)
+        _encode_items(out, value)
     elif isinstance(value, list):
         out.write(_B_LIST)
         _write_uvarint(out, len(value))
-        for item in value:
-            _encode(out, item)
+        _encode_items(out, value)
     elif isinstance(value, dict):
         out.write(_B_DICT)
         _write_uvarint(out, len(value))
         for key, item in value.items():
             _encode(out, key)
             _encode(out, item)
+    elif isinstance(value, Encoded):
+        out.write(value.data)
     else:
         raise CheckpointError(
             f"cannot serialize {type(value).__name__} value {value!r}"
         )
+
+
+def _encode_items(out: io.BytesIO, items: Sequence[Any]) -> None:
+    """A tuple's or list's items.  A short ``str`` — a flow id in a
+    codec-list column — is written in one call, without the type
+    dispatch of :func:`_encode`; the bytes are the same."""
+    write = out.write
+    for item in items:
+        if type(item) is str:
+            encoded = item.encode("utf-8")
+            if len(encoded) < 0x80:
+                write(_B_STR_SHORT[len(encoded)] + encoded)
+                continue
+        _encode(out, item)
+
+
+class Encoded:
+    """A value encoded once: a :func:`dumps` that contains it writes
+    these bytes verbatim, and :func:`loads` returns the value itself.
+    For a value that many payloads embed — a replay bundle's trace
+    batch, shared by every incident in its capture window — so a codec
+    list column is walked once, not once per payload."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, value: Any):
+        out = io.BytesIO()
+        _encode(out, value)
+        self.data = out.getvalue()
 
 
 def _decode(data: memoryview, offset: int):
@@ -342,6 +379,46 @@ def loads(data: bytes) -> Any:
             f"{len(body) - offset} trailing payload bytes", offset=offset
         )
     return value
+
+
+# -- packed columns --------------------------------------------------------
+
+
+def pack_column(values: Sequence[Any]) -> Union[bytes, List[Any]]:
+    """One column of a columnar batch in its encoded form.
+
+    Packed little-endian int64 ``bytes`` when every value has type
+    ``int`` (``bool`` is not) and fits in int64; otherwise the values as
+    a list for the value codec, the only form that carries ``str``,
+    ``tuple``, :class:`~repro.model.packet.FiveTuple`, ``bytes`` or
+    ``bool`` flow IDs and ints beyond int64.  Deterministic, like the
+    codec: equal columns encode to equal values."""
+    if set(map(type, values)) == {int}:
+        try:
+            return struct.pack(f"<{len(values)}q", *values)
+        except struct.error:  # an int beyond int64
+            pass
+    return list(values)
+
+
+def unpack_column(column: Any) -> Sequence[Any]:
+    """Inverse of :func:`pack_column`: a packed column's values as a
+    tuple of ints, a list column as it is.  Raises
+    :class:`CheckpointCorruptError` on a packed column that is not a
+    whole number of int64 values or on any other type."""
+    if isinstance(column, bytes):
+        if len(column) % 8:
+            raise CheckpointCorruptError(
+                f"packed column of {len(column)} bytes is not a whole "
+                "number of int64 values",
+                offset=len(column),
+            )
+        return struct.unpack(f"<{len(column) // 8}q", column)
+    if isinstance(column, list):
+        return column
+    raise CheckpointCorruptError(
+        f"a column is packed bytes or a list, not {type(column).__name__}"
+    )
 
 
 # -- checkpoint files ------------------------------------------------------

@@ -33,18 +33,20 @@ so the engines split along one line:
   shares: constructor validation, the memoized flow→slot router, the
   layout and its assignment, per-shard loss accounting (the exactness
   envelope), the watcher tap and overload ladders, health, detections,
-  the one engine snapshot schema, restore validation, and the grouping,
-  commit and rollback steps of live migration.
+  the one engine snapshot schema, restore validation, the grouping,
+  commit and rollback steps of live migration, and the staging loop
+  that routes packets into per-shard ``(times, sizes, fids)`` columns.
 - :class:`SlotHost` is the **slot side**: one shard's ``{slot: EARDet}``
-  and the slot commands — observe, snapshot, extract, install,
+  and the slot commands — observe (columns, through
+  :meth:`EARDet.observe_batch`), snapshot, extract, install,
   reconfigure — that every transport runs against it.
 - A transport carries routed packets and commands from one to the other:
-  :class:`InProcessEngine` (bounded deques drained on the calling
-  thread, all slots in one host), :class:`~repro.service.workers.
-  MultiprocessEngine` (one worker process per shard, in-band queue
-  barriers) and :class:`~repro.service.remote.RemoteEngine` (one TCP
-  :class:`~repro.service.net.ShardServer` per shard, exactly-once
-  frames).
+  :class:`InProcessEngine` (bounded ``Packet`` deques drained on the
+  calling thread, all slots in one host), :class:`~repro.service.workers.
+  MultiprocessEngine` (one worker process per shard, column chunks and
+  in-band barriers on its queue) and :class:`~repro.service.remote.
+  RemoteEngine` (one TCP :class:`~repro.service.net.ShardServer` per
+  shard, exactly-once frames of packed columns).
 
 What :class:`InProcessEngine` adds over ``ParallelEARDet`` is the
 *runtime* layer:
@@ -80,7 +82,9 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
@@ -122,6 +126,9 @@ _SHARD_ACCOUNTING = (
 )
 
 SlotState = Dict[str, object]
+
+#: A chunk of packets as parallel ``(times, sizes, fids)`` columns.
+Columns = Tuple[List[int], List[int], List[FlowId]]
 
 
 class FlowRouter:
@@ -219,19 +226,29 @@ class SlotHost:
         """Packets the hosted detectors have processed."""
         return sum(d.stats.packets for d in self.detectors.values())
 
-    def observe(self, tuples: Iterable[Tuple[int, int, FlowId]]) -> None:
-        """Apply a chunk of ``(time, size, fid)`` wire tuples in order,
-        rebuilding each :class:`Packet` on the host's own core."""
+    def observe(self, times: Sequence[int], sizes: Sequence[int],
+                fids: Sequence[FlowId]) -> None:
+        """Apply a chunk of packet columns through
+        :meth:`EARDet.observe_batch`.  A host with several slots splits
+        the chunk by slot first; each slot still sees its packets in
+        arrival order, and slots are independent."""
         solo = self.solo
         if solo is not None:
-            observe = solo.observe
-            for time_ns, size, fid in tuples:
-                observe(Packet(time_ns, size, fid))
+            solo.observe_batch(times, sizes, fids)
             return
-        detectors = self.detectors
         router = self.router
-        for time_ns, size, fid in tuples:
-            detectors[router(fid)].observe(Packet(time_ns, size, fid))
+        groups: Dict[int, Columns] = {}
+        for time_ns, size, fid in zip(times, sizes, fids):
+            slot = router(fid)
+            group = groups.get(slot)
+            if group is None:
+                group = groups[slot] = ([], [], [])
+            group[0].append(time_ns)
+            group[1].append(size)
+            group[2].append(fid)
+        detectors = self.detectors
+        for slot, group in groups.items():
+            detectors[slot].observe_batch(*group)
 
     def snapshot(self) -> Dict[int, SlotState]:
         """Every hosted slot's exact state."""
@@ -340,9 +357,14 @@ class ShardedEngine:
         self._accepted = 0
         for key, fresh in _SHARD_ACCOUNTING:
             setattr(self, "_" + key, [fresh] * shards)
+        # Staging transports' per-shard columns (see :meth:`ingest`), and
+        # restored slot states staged for hosts that start lazily.
+        self._staged: List[Columns] = [([], [], []) for _ in range(shards)]
+        self._slot_states: Optional[List[Optional[SlotState]]] = None
         # Ladder state lives on the routing side: admission happens
         # where packets are routed, so rung buffers hold whatever the
-        # transport queues (Packets in-process, wire tuples otherwise).
+        # transport queues (Packets in-process, ``(time, size, fid)``
+        # tuples that :meth:`_stage` appends to the columns otherwise).
         self._overload: Optional[List[ShardOverload]] = None
         if overload is not None:
             self._overload = [self._new_ladder() for _ in range(shards)]
@@ -350,8 +372,45 @@ class ShardedEngine:
     # -- the transport -----------------------------------------------------
 
     def ingest(self, batch: List[Packet]) -> None:
-        """Route a batch of packets towards their shards."""
-        raise NotImplementedError
+        """The staging loop of the multiprocess and remote transports
+        (the in-process engine queues Packets instead): route each
+        packet onto its shard's :data:`Columns` and hand them to the
+        transport's :meth:`_ship` once ``self.chunk_size`` are staged.
+        An armed overload policy goes through the transport's
+        ``_ingest_overload`` instead."""
+        self._start()
+        self.check_workers()
+        if self._overload is not None:
+            self._ingest_overload(batch)
+            return
+        staged = self._staged
+        route = self._route
+        assignment = self._assignment
+        routed = self._routed
+        last_ts = self._last_packet_ts
+        chunk_size = self.chunk_size
+        plan = self._plan
+        watcher = self.watcher
+        lost = 0
+        for packet in batch:
+            fid = packet.fid
+            slot = route(fid)
+            index = assignment[slot]
+            routed[index] += 1
+            last_ts[index] = packet.time
+            if watcher is not None:
+                watcher.observe(packet, slot)
+            if plan is not None and plan.should_drop(index, routed[index]):
+                self._record_loss(index, packet, "injected-drop", slot=slot)
+                lost += 1
+                continue
+            times, sizes, fids = staged[index]
+            times.append(packet.time)
+            sizes.append(packet.size)
+            fids.append(fid)
+            if len(times) >= chunk_size:
+                self._ship(index)
+        self._accepted += len(batch) - lost
 
     def flush(self) -> None:
         """Push everything routed so far towards its slot host."""
@@ -370,6 +429,44 @@ class ShardedEngine:
         raise NotImplementedError
 
     # -- transport hooks ---------------------------------------------------
+
+    def _ship(self, index: int) -> None:
+        """Send shard ``index``'s staged columns towards its slot host,
+        leaving fresh empty ones staged."""
+        raise NotImplementedError
+
+    def _note_depth(self, index: int, depth: int) -> None:
+        """Raise shard ``index``'s queue high water to ``depth``."""
+        if depth > self._queue_high_water[index]:
+            self._queue_high_water[index] = depth
+
+    def _staged_states(self, slot_ids: Iterable[int]) -> Dict[int, SlotState]:
+        """The restored states staged for ``slot_ids`` (lazy hosts)."""
+        staged = self._slot_states
+        if staged is None:
+            return {}
+        return {slot: staged[slot] for slot in slot_ids
+                if staged[slot] is not None}
+
+    def _reconfigure_staged(self, config: EARDetConfig) -> None:
+        """Adapt the staged restored states, so hosts that have not
+        started yet build under ``config`` when they do."""
+        if self._slot_states is not None:
+            self._slot_states = [
+                None if state is None else reconfigure_state(state, config)
+                for state in self._slot_states
+            ]
+
+    def _stage(self, index: int, item: Tuple[int, int, FlowId]) -> None:
+        """Stage one ``(time, size, fid)`` released by a ladder rung,
+        shipping the shard's columns once full."""
+        times, sizes, fids = self._staged[index]
+        times.append(item[0])
+        sizes.append(item[1])
+        fids.append(item[2])
+        self._accepted += 1
+        if len(times) >= self.chunk_size:
+            self._ship(index)
 
     def _new_ladder(self) -> ShardOverload:
         """A fresh per-shard degradation ladder for this transport."""
@@ -717,6 +814,7 @@ class ShardedEngine:
         grow = shards - self._shards
         for key, fresh in _SHARD_ACCOUNTING:
             getattr(self, "_" + key).extend([fresh] * grow)
+        self._staged.extend(([], [], []) for _ in range(grow))
         if self._overload is not None:
             self._overload.extend(self._new_ladder() for _ in range(grow))
         first_new, self._shards = self._shards, shards
@@ -819,6 +917,7 @@ class ShardedEngine:
         self._layout = layout
         self._assignment = list(layout.assignment)
         shards = self._shards = layout.shards
+        self._staged = [([], [], []) for _ in range(shards)]
         if self._overload is not None and len(self._overload) < shards:
             self._overload.extend(
                 self._new_ladder() for _ in range(shards - len(self._overload))
@@ -1130,9 +1229,7 @@ class InProcessEngine(ShardedEngine):
         queue = self._queues[index]
         queue.append((self._route(packet.fid), packet))
         self._accepted += 1
-        depth = len(queue)
-        if depth > self._queue_high_water[index]:
-            self._queue_high_water[index] = depth
+        self._note_depth(index, len(queue))
 
     def pump(self, budget: Optional[int] = None) -> int:
         """Drain up to ``budget`` packets from each shard queue (the

@@ -2,7 +2,7 @@
 and the shard server behind ``eardet worker --listen``.
 
 The in-tree engines shard within one process tree; this module carries
-the same wire tuples over TCP so one coordinator
+the same packet columns over TCP so one coordinator
 (:class:`~repro.service.remote.RemoteEngine`) can drive shard servers on
 other hosts with the same bit-identical-detections discipline.  Networks
 fail in ways ``multiprocessing`` queues never do — partitions, half-open
@@ -20,10 +20,15 @@ Frame layout (all integers little-endian)::
                  (:func:`repro.service.checkpoint.dumps`)
     last 4       CRC-32 over type + sequence + payload
 
+A ``BATCH`` payload is the tuple of packet columns ``(times, sizes,
+fids)``, each packed to little-endian int64 ``bytes`` when its values
+allow, else a codec list (:func:`repro.service.checkpoint.pack_column`);
+the server checks them as ``Packet`` would (:func:`decode_batch`).
+
 Exactly-once batch delivery rests on three rules:
 
 1. **Monotonic sequences.**  Every state-carrying frame (a ``BATCH`` of
-   wire tuples, or a ``CONTROL`` request) takes the connection's next
+   packet columns, or a ``CONTROL`` request) takes the connection's next
    sequence number.  ``HELLO``/``WELCOME``/``ACK`` ride outside the
    stream (sequence 0 for HELLO/WELCOME; an ACK's sequence *is* the
    cumulative ack).
@@ -42,7 +47,8 @@ Exactly-once batch delivery rests on three rules:
 The server (:class:`ShardServer`) is a TCP shell around the same
 :class:`~repro.service.engine.SlotHost` a multiprocess worker runs:
 ``assign`` builds the host (configuration, hash seed and slot space,
-hosted slots, restored states), ``BATCH`` frames feed it, and the
+hosted slots, restored states), ``BATCH`` frames feed it their columns
+through :meth:`~repro.core.eardet.EARDet.observe_batch`, and the
 ``snapshot`` / ``extract`` / ``install`` / ``reconfig`` / ``stop`` ops
 are the host's slot commands; the server itself adds ``ping`` liveness,
 a ``scrape`` of its counters, the sequence discipline, and its exit
@@ -66,13 +72,13 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
 from ..detectors.hashing import StageHash
 from .backoff import BackoffPolicy
-from .checkpoint import CheckpointError, dumps, loads
+from .checkpoint import CheckpointError, dumps, loads, unpack_column
 from .engine import FlowRouter, SlotHost
 from .errors import FrameCorruptError, HandshakeError, TransportError
 from .workers import DRAIN_EXIT_CODE, INVARIANT_EXIT_CODE
@@ -84,7 +90,7 @@ FRAME_MAGIC = b"ERNF"
 #: Bump on any incompatible change to the frame layout or the control
 #: vocabulary.  Both ends send it in the handshake and refuse mismatches
 #: permanently (:class:`~repro.service.errors.HandshakeError`).
-NET_PROTOCOL_VERSION = 1
+NET_PROTOCOL_VERSION = 2
 
 #: Exit code the shard server uses when the transport fails permanently:
 #: a handshake the two ends can never agree on (protocol version,
@@ -191,6 +197,27 @@ def decode_frame(data: bytes) -> Tuple[int, int, Any]:
             f"undecodable frame payload: {error}", offset=_HEADER.size
         ) from error
     return ftype, seq, payload
+
+
+def decode_batch(payload: Any) -> Tuple[Sequence, Sequence, Sequence]:
+    """A ``BATCH`` payload's ``(times, sizes, fids)`` columns, checked
+    as ``Packet`` construction would: raises :class:`~repro.service.
+    errors.FrameCorruptError` unless there are three columns of equal
+    length, every time is ``>= 0`` and every size ``> 0``."""
+    if not isinstance(payload, tuple) or len(payload) != 3:
+        raise FrameCorruptError(f"BATCH payload not 3 columns: {payload!r:.50}")
+    try:
+        times, sizes, fids = map(unpack_column, payload)
+        lengths = (len(times), len(sizes), len(fids))
+        if len(set(lengths)) != 1:
+            raise FrameCorruptError(f"BATCH column lengths {lengths} differ")
+        if times and (min(times) < 0 or min(sizes) <= 0):
+            raise FrameCorruptError(
+                f"BATCH min time {min(times)}, min size {min(sizes)}"
+            )
+    except (CheckpointError, TypeError) as error:
+        raise FrameCorruptError(f"bad BATCH column: {error}") from error
+    return times, sizes, fids
 
 
 def read_frame(sock: socket.socket,
@@ -918,17 +945,18 @@ class ShardServer:
 
     # -- frame application -------------------------------------------------
 
-    def _apply_batch(self, tuples) -> None:
+    def _apply_batch(self, payload) -> None:
         if self._host is None:
             raise FrameCorruptError("BATCH before assign")
+        times, sizes, fids = decode_batch(payload)
         try:
-            self._host.observe(tuples)
+            self._host.observe(times, sizes, fids)
         except Exception as error:
             if _is_invariant(error):
                 raise _InvariantSignal(error) from error
             raise
         self.batches_applied += 1
-        self.packets_processed += len(tuples)
+        self.packets_processed += len(times)
 
     def _apply_control(
         self, seq: int, payload

@@ -344,7 +344,8 @@ ItemT = TypeVar("ItemT")
 
 #: ``make_item(time_ns, size, fid) -> item`` — how a rung re-materializes
 #: a coalesced arrival in the engine's native packet representation
-#: (``Packet`` in-process, wire tuple for the multiprocess engine).
+#: (``Packet`` in-process, a ``(time, size, fid)`` tuple for the
+#: multiprocess engine's column staging).
 ItemFactory = Callable[[int, int, FlowId], ItemT]
 
 

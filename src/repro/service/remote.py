@@ -5,12 +5,13 @@
 engine.InProcessEngine` is the reference, :class:`~repro.service.
 workers.MultiprocessEngine` the one-host throughput deployment): the
 shared routing side — memoized flow→slot hashing, slot→shard assignment,
-watcher tap, loss accounting — stages wire tuples exactly as the
-multiprocess parent does, but ships chunks as exactly-once ``BATCH``
-frames over :mod:`repro.service.net` to
-:class:`~repro.service.net.ShardServer` processes that may live on other
-hosts (``eardet worker --listen``), each hosting its slots in the same
-:class:`~repro.service.engine.SlotHost` the other transports use.
+watcher tap, loss accounting, staging ``(times, sizes, fids)``
+columns — is the multiprocess parent's, but a full chunk ships as one
+exactly-once ``BATCH`` frame of packed columns over
+:mod:`repro.service.net` to :class:`~repro.service.net.ShardServer`
+processes that may live on other hosts (``eardet worker --listen``),
+each feeding the columns to the same :class:`~repro.service.engine.
+SlotHost` the other transports use, without building a ``Packet``.
 
 Determinism is inherited: slots are independent and each processes its
 hash sub-stream in arrival order no matter which host serves it, so
@@ -50,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.config import EARDetConfig, config_as_dict
 from ..model.packet import Packet
 from .backoff import BackoffPolicy
+from .checkpoint import pack_column
 from .engine import ShardedEngine
 from .errors import MigrationError, TransportError, WorkerError
 from .health import DeadLetterSink
@@ -61,11 +63,7 @@ from .net import (
     parse_endpoint,
 )
 from .reshard import ShardLayout
-from .workers import (
-    DEFAULT_CHUNK_SIZE,
-    _invariant_from_payload,
-    _reconfigure_staged,
-)
+from .workers import DEFAULT_CHUNK_SIZE, _invariant_from_payload
 
 #: Default bound on how long an endpoint outage is masked exactly before
 #: the shard's envelope is voided (seconds from the first failed send).
@@ -160,12 +158,6 @@ class RemoteEngine(ShardedEngine):
         self.connect_timeout_s = connect_timeout_s
         self.barrier_timeout_s = barrier_timeout_s
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self._buffers: List[list] = [[] for _ in range(shards)]
-        # Shard-local arrival index of each staged tuple (parallel to
-        # _buffers), so a voided partition can dead-letter the exact
-        # positional tuple the forensics replay needs.
-        self._buffer_indices: List[list] = [[] for _ in range(shards)]
-        self._slot_states: Optional[List] = None
         self._final_snapshot: Optional[Dict[str, object]] = None
         # Partition-policy state: when the current outage began (None
         # while reachable) and how many outages each shard has seen.
@@ -189,7 +181,7 @@ class RemoteEngine(ShardedEngine):
         """Staged packets plus unacked in-flight frames per shard."""
         depths = []
         for index in range(self._shards):
-            depth = len(self._buffers[index])
+            depth = len(self._staged[index][0])
             if self._connections is not None:
                 depth += self._connections[index].ring_depth
             depths.append(depth)
@@ -266,20 +258,13 @@ class RemoteEngine(ShardedEngine):
         to the barrier deadline — a fleet that cannot even start is an
         error, not an outage to mask)."""
         slot_ids = self._layout.slots_of(index)
-        states = {}
-        if self._slot_states is not None:
-            states = {
-                slot: self._slot_states[slot]
-                for slot in slot_ids
-                if self._slot_states[slot] is not None
-            }
         reply = self._control(index, {
             "op": "assign",
             "config": config_as_dict(self.config),
             "seed": self._hash.seed,
             "slots": self._layout.slots,
             "slot_ids": list(slot_ids),
-            "states": states,
+            "states": self._staged_states(slot_ids),
             "invariant_every": self.invariant_every,
         })
         if reply.get("op") != "assigned":
@@ -328,46 +313,13 @@ class RemoteEngine(ShardedEngine):
 
     # -- ingest ------------------------------------------------------------
 
-    def ingest(self, batch: List[Packet]) -> None:
-        """Route packets into per-shard staging buffers, shipping each
-        buffer as an exactly-once frame once it fills."""
-        self._start()
-        self.check_workers()
-        buffers = self._buffers
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        last_ts = self._last_packet_ts
-        chunk_size = self.chunk_size
-        plan = self._plan
-        watcher = self.watcher
-        lost = 0
-        for packet in batch:
-            fid = packet.fid
-            slot = route(fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                watcher.observe(packet, slot)
-            if plan is not None and plan.should_drop(index, routed[index]):
-                self._record_loss(index, packet, "injected-drop", slot=slot)
-                lost += 1
-                continue
-            buffer = buffers[index]
-            buffer.append((packet.time, packet.size, fid))
-            self._buffer_indices[index].append(routed[index])
-            if len(buffer) >= chunk_size:
-                self._ship(index)
-        self._accepted += len(batch) - lost
-
     def flush(self) -> None:
         """Ship all staged partial chunks (and any reorder-stashed
         frame).  Does not wait for acks — barriers prove the prefix."""
         if self._connections is None:
             return
         for index in range(self._shards):
-            if self._buffers[index]:
+            if self._staged[index][0]:
                 self._ship(index)
             conn = self._connections[index]
             if conn.connected:
@@ -375,14 +327,10 @@ class RemoteEngine(ShardedEngine):
                 conn.poll()
 
     def _ship(self, index: int) -> None:
-        """Send shard ``index``'s staged buffer as one BATCH frame,
+        """Send shard ``index``'s staged columns as one BATCH frame,
         applying the partition policy when the endpoint is unreachable."""
-        tuples = self._buffers[index]
-        arrivals = self._buffer_indices[index]
-        self._buffers[index] = []
-        self._buffer_indices[index] = []
-        if not tuples:
-            return
+        columns = self._staged[index]
+        self._staged[index] = ([], [], [])
         conn = self._connections[index]
         self._check_fatal(conn)
         if not conn.connected:
@@ -391,21 +339,22 @@ class RemoteEngine(ShardedEngine):
             # The mask budget is gone: the envelope is void from this —
             # the first unsendable — packet onward, and the loss is
             # accounted to the integer identity.
-            for (time_ns, size, fid), arrival in zip(tuples, arrivals):
+            arrivals = self._arrivals(index, len(columns[0]))
+            for time_ns, size, fid, arrival in zip(*columns, arrivals):
                 self._record_loss(
                     index, Packet(time_ns, size, fid), "partition",
                     slot=self._route(fid), arrival=arrival,
                 )
             return
         try:
-            conn.send(FT_BATCH, tuples)
+            conn.send(FT_BATCH, tuple(map(pack_column, columns)))
             conn.poll()
             self._outage_since[index] = None
         except TransportError:
             # The frame is in the unacked ring either way — the outage
             # is masked from here until reconnect or budget exhaustion.
             self._note_outage(index)
-        self._note_high_water(index)
+        self._note_depth(index, conn.ring_depth)
         if conn.connected and conn.ring_depth > self.mask_frame_limit:
             # Connected but the server is far behind: apply backpressure
             # the way the bounded multiprocess queues do, by blocking
@@ -414,6 +363,18 @@ class RemoteEngine(ShardedEngine):
                 conn.wait_acks(self.mask_frame_limit, self.barrier_timeout_s)
             except TransportError:
                 self._note_outage(index)
+
+    def _arrivals(self, index: int, count: int) -> List[int]:
+        """Shard-local arrival indices of the ``count`` packets staged
+        on shard ``index``: its latest routed positions no injected drop
+        took (until its columns ship, every routed packet is one or the
+        other) — the positions a forensics replay re-injects."""
+        plan, position, arrivals = self._plan, self._routed[index], []
+        while len(arrivals) < count:
+            if plan is None or not plan.should_drop(index, position):
+                arrivals.append(position)
+            position -= 1
+        return arrivals[::-1]
 
     def _note_outage(self, index: int) -> None:
         if self._outage_since[index] is None:
@@ -446,11 +407,6 @@ class RemoteEngine(ShardedEngine):
             self._outage_since[index] = None
         except TransportError:
             self._note_outage(index)
-
-    def _note_high_water(self, index: int) -> None:
-        depth = self._connections[index].ring_depth
-        if depth > self._queue_high_water[index]:
-            self._queue_high_water[index] = depth
 
     def _check_fatal(self, conn: ShardConnection) -> None:
         if conn.fatal is not None:
@@ -518,7 +474,7 @@ class RemoteEngine(ShardedEngine):
         if self._final_snapshot is not None:
             raise RuntimeError("engine already closed")
         if self._connections is None:
-            self._slot_states = _reconfigure_staged(self._slot_states, config)
+            self._reconfigure_staged(config)
             return {}
         self.check_workers()
         self.flush()
@@ -563,8 +519,6 @@ class RemoteEngine(ShardedEngine):
 
     def _grow(self, first_new: int) -> None:
         grow = self._shards - first_new
-        self._buffers.extend([] for _ in range(grow))
-        self._buffer_indices.extend([] for _ in range(grow))
         self._outage_since.extend([None] * grow)
         self._outages.extend([0] * grow)
         if self._connections is not None:
@@ -581,8 +535,6 @@ class RemoteEngine(ShardedEngine):
                 f"{len(self._endpoints)} worker endpoints were provided"
             )
         shards = layout.shards
-        self._buffers = [[] for _ in range(shards)]
-        self._buffer_indices = [[] for _ in range(shards)]
         self._outage_since = [None] * shards
         self._outages = [0] * shards
         self._slot_states = slot_states

@@ -16,11 +16,12 @@ Scaling lives or dies on the *parent's* per-packet cost (it is the one
 serial stage), so the routing loop is aggressively cheap: slot lookup
 goes through the memoized :class:`~repro.service.engine.FlowRouter`
 rather than re-hashing every packet (the slot→shard step is a list
-index), and chunks travel as plain ``(time, size, fid)`` tuples —
-several times cheaper to pickle than ``Packet`` instances — with each
-worker rebuilding ``Packet`` objects on its own core, where the cost
-parallelizes.  A worker hosting exactly one slot (the default layout)
-skips per-packet slot dispatch entirely.
+index), and chunks travel as the ``(times, sizes, fids)`` column lists
+the shared staging loop (:meth:`~repro.service.engine.ShardedEngine.
+ingest`) builds — far cheaper to pickle than ``Packet`` instances or
+per-packet tuples — which the worker feeds straight to
+:meth:`~repro.core.eardet.EARDet.observe_batch`.  A worker hosting
+exactly one slot (the default layout) skips per-packet slot dispatch.
 
 Exact snapshots use **in-band barrier markers**: after flushing its
 staging buffers the parent enqueues a snapshot request on every shard
@@ -73,7 +74,6 @@ import time
 from typing import Dict, Iterable, List, Optional
 
 from ..core.config import EARDetConfig
-from ..core.eardet import reconfigure_state
 from ..detectors.hashing import StageHash
 from ..model.packet import Packet
 from .engine import FlowRouter, ShardedEngine, SlotHost
@@ -151,19 +151,6 @@ def _invariant_from_payload(payload):
         bound=payload.get("bound"),
         forensics=payload.get("forensics") or {},
     )
-
-
-def _reconfigure_staged(
-    states: Optional[List], config: EARDetConfig
-) -> Optional[List]:
-    """Adapt restored slot states staged for shard hosts that have not
-    started yet, so they build under ``config`` when they do."""
-    if states is None:
-        return None
-    return [
-        reconfigure_state(state, config) if state is not None else None
-        for state in states
-    ]
 
 
 def _exit_when_orphaned(original_ppid, poll_s=None):
@@ -274,22 +261,19 @@ def _shard_worker(
                 heartbeat[index] = time.monotonic()
             kind = message[0]
             if kind == "packets":
+                times, sizes, fids = message[1:]
                 if kill_at is None and stall_at is None:
-                    host.observe(message[1])
-                    processed += len(message[1])
+                    host.observe(times, sizes, fids)
+                    processed += len(times)
                 else:
-                    detectors = host.detectors
-                    router = host.router
-                    for time_ns, size, fid in message[1]:
+                    for time_ns, size, fid in zip(times, sizes, fids):
                         position = processed + 1
                         if stall_at is not None and position >= stall_at:
                             stall_at = None
                             time.sleep(stall_s)
                         if kill_at is not None and position >= kill_at:
                             os._exit(KILL_EXIT_CODE)
-                        detectors[router(fid)].observe(
-                            Packet(time_ns, size, fid)
-                        )
+                        host.observe((time_ns,), (size,), (fid,))
                         processed += 1
             elif kind == "snapshot":
                 out_queue.put(("snapshot", index, message[1], host.snapshot()))
@@ -355,10 +339,6 @@ def _shard_worker(
         out_queue.put(("error", index, traceback.format_exc()))
 
 
-def _wire_tuple(time_ns, size, fid) -> tuple:
-    return (time_ns, size, fid)
-
-
 class MultiprocessEngine(ShardedEngine):
     """Sharded EARDet across OS processes: the shared routing side of
     :class:`~repro.service.engine.ShardedEngine` with one worker process
@@ -413,13 +393,7 @@ class MultiprocessEngine(ShardedEngine):
         self.queue_capacity = queue_capacity
         self.terminate_grace_s = terminate_grace_s
         self.put_timeout_s = put_timeout_s
-        # Staging buffers hold wire tuples, not Packet objects — see the
-        # module docstring on the producer's per-packet budget.  Queue
-        # high water is sampled when a chunk ships, the only moment the
-        # in-flight depth can grow.
-        self._buffers: List[list] = [[] for _ in range(shards)]
         self._barrier_token = 0
-        self._slot_states: Optional[List] = None
         self._final_snapshot: Optional[Dict[str, object]] = None
         self._context = multiprocessing.get_context()
         self._queues = None
@@ -428,9 +402,7 @@ class MultiprocessEngine(ShardedEngine):
         self._heartbeats = None
 
     def _new_ladder(self) -> ShardOverload:
-        # Rung buffers hold the same cheap wire tuples the staging
-        # buffers do.
-        return ShardOverload(self.overload_policy, _wire_tuple)
+        return ShardOverload(self.overload_policy, lambda *item: item)
 
     # -- introspection -----------------------------------------------------
 
@@ -442,7 +414,7 @@ class MultiprocessEngine(ShardedEngine):
         """Staged packets plus in-flight chunks per shard (parent-side
         view; no barrier)."""
         return [
-            len(self._buffers[index]) + self._in_flight(index)
+            len(self._staged[index][0]) + self._in_flight(index)
             for index in range(self._shards)
         ]
 
@@ -555,13 +527,6 @@ class MultiprocessEngine(ShardedEngine):
     def _spawn_worker(self, index: int) -> None:
         """Start the worker process hosting shard ``index``'s slots."""
         slot_ids = self._layout.slots_of(index)
-        initial = None
-        if self._slot_states is not None:
-            initial = {
-                slot: self._slot_states[slot]
-                for slot in slot_ids
-                if self._slot_states[slot] is not None
-            }
         faults = None
         if self._plan is not None:
             kill_at = self._plan.kill_at(index)
@@ -580,7 +545,7 @@ class MultiprocessEngine(ShardedEngine):
                 self._layout.slots,
                 self._hash.seed,
                 slot_ids,
-                initial,
+                self._staged_states(slot_ids),
                 self._queues[index],
                 self._results,
                 self._heartbeats,
@@ -626,51 +591,12 @@ class MultiprocessEngine(ShardedEngine):
                         queue_capacity=self.queue_capacity,
                     )
 
-    def ingest(self, batch: List[Packet]) -> None:
-        """Route packets into per-shard staging buffers, shipping each
-        buffer as a chunk once it fills (blocking on a full shard queue —
-        the backpressure path)."""
-        self._start()
-        if self._processes is not None:
-            self.check_workers()
-        if self._overload is not None:
-            self._ingest_overload(batch)
-            return
-        buffers = self._buffers
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        last_ts = self._last_packet_ts
-        chunk_size = self.chunk_size
-        plan = self._plan
-        watcher = self.watcher
-        lost = 0
-        for packet in batch:
-            fid = packet.fid
-            slot = route(fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                watcher.observe(packet, slot)
-            if plan is not None and plan.should_drop(index, routed[index]):
-                self._record_loss(index, packet, "injected-drop", slot=slot)
-                lost += 1
-                continue
-            buffer = buffers[index]
-            buffer.append((packet.time, packet.size, fid))
-            if len(buffer) >= chunk_size:
-                self._put(index, ("packets", buffer))
-                buffers[index] = []
-                self._note_high_water(index)
-        self._accepted += len(batch) - lost
-
     def _ingest_overload(self, batch: List[Packet]) -> None:
         """Ladder-mediated ingest: one occupancy observation per shard
         per batch, each packet admitted at its shard's current rung,
         deferred-deadline clock advanced at the end.
 
-        Occupancy is measured in packets — staged tuples plus in-flight
+        Occupancy is measured in packets — staged packets plus in-flight
         chunks times the chunk size — against ``queue_capacity *
         chunk_size``.  On platforms without ``Queue.qsize`` (macOS) only
         the staging depth is visible, so the ladder under-escalates
@@ -714,27 +640,19 @@ class MultiprocessEngine(ShardedEngine):
 
     def _depth_packets(self, index: int) -> int:
         """Parent-visible shard backlog in packets (staging + in-flight)."""
-        return len(self._buffers[index]) + (
+        return len(self._staged[index][0]) + (
             self._in_flight(index) * self.chunk_size
         )
 
-    def _stage(self, index: int, item: tuple) -> None:
-        buffer = self._buffers[index]
-        buffer.append(item)
-        self._accepted += 1
-        if len(buffer) >= self.chunk_size:
-            self._put(index, ("packets", buffer))
-            self._buffers[index] = []
-            self._note_high_water(index)
-
-    def _note_high_water(self, index: int) -> None:
-        """Sample the shard's in-flight chunk count right after a chunk
-        ships — the only moment the parent-side depth can grow.  Uses the
-        same unit as ``queue_depth`` (chunks; the staging buffer is empty
-        at this point)."""
-        depth = self._in_flight(index)
-        if depth > self._queue_high_water[index]:
-            self._queue_high_water[index] = depth
+    def _ship(self, index: int) -> None:
+        """Put shard ``index``'s staged columns on its queue as one
+        chunk, then sample the in-flight chunk count — the only moment
+        the parent-side depth can grow (same unit as ``queue_depth``;
+        the staging buffer is empty at this point).  The columns stay
+        staged until the put succeeds."""
+        self._put(index, ("packets", *self._staged[index]))
+        self._staged[index] = ([], [], [])
+        self._note_depth(index, self._in_flight(index))
 
     def flush(self) -> None:
         """Ship all staged partial chunks to the workers.
@@ -749,10 +667,9 @@ class MultiprocessEngine(ShardedEngine):
             for index, state in enumerate(self._overload):
                 for item in state.flush():
                     self._stage(index, item)
-        for index, buffer in enumerate(self._buffers):
-            if buffer:
-                self._put(index, ("packets", buffer))
-                self._buffers[index] = []
+        for index, (times, _, _) in enumerate(self._staged):
+            if times:
+                self._ship(index)
 
     def close(self, drain: bool = False) -> Dict[str, object]:
         """Graceful drain: flush (including any ladder rung buffers),
@@ -819,7 +736,7 @@ class MultiprocessEngine(ShardedEngine):
         if self._final_snapshot is not None:
             raise RuntimeError("engine already closed")
         if self._processes is None:
-            self._slot_states = _reconfigure_staged(self._slot_states, config)
+            self._reconfigure_staged(config)
             return {}
         self.check_workers()
         self.flush()
@@ -871,7 +788,6 @@ class MultiprocessEngine(ShardedEngine):
             )
 
     def _grow(self, first_new: int) -> None:
-        self._buffers.extend([] for _ in range(self._shards - first_new))
         if self._processes is not None:
             for index in range(first_new, self._shards):
                 self._queues.append(
@@ -883,7 +799,6 @@ class MultiprocessEngine(ShardedEngine):
         # Stage the states for the (not yet started) workers.
         if self._processes is not None or self._final_snapshot is not None:
             raise RuntimeError("restore() must precede any ingestion")
-        self._buffers = [[] for _ in range(layout.shards)]
         self._slot_states = slot_states
 
     # -- checkpointing -----------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.config import EARDetConfig, engineer
-from repro.model.packet import Packet
+from repro.model.packet import FiveTuple, Packet
 from repro.model.stream import PacketStream
 from repro.model.thresholds import ThresholdFunction
 
@@ -85,3 +85,42 @@ def tiny_stream() -> PacketStream:
             Packet(time=9_000, size=50, fid="b"),
         ]
     )
+
+
+# ---------------------------------------------------------------- flow ids
+
+#: Flow-ID kinds the transport differentials run over: ``str`` IDs (the
+#: codec-list column), interned ints (the packed int64 column), and a mix
+#: of every kind the value codec carries.
+FID_KINDS = ("str", "int", "mixed")
+
+
+def _mixed_fid(index: int):
+    """The ``index``-th distinct flow's ID in the mixed stream: two bools,
+    one int above 2**63, then ints, strs, tuples, FiveTuples and bytes
+    in turn."""
+    special = {0: True, 1: False, 2: 2**63 + 7}
+    if index in special:
+        return special[index]
+    kinds = (
+        lambda: 1000 + index,
+        lambda: f"flow-{index}",
+        lambda: ("pair", index),
+        lambda: FiveTuple(0x0A000001, index, 80, 443),
+        lambda: b"raw-%d" % index,
+    )
+    return kinds[index % len(kinds)]()
+
+
+def with_fid_kind(packets, kind: str):
+    """``packets`` with each distinct flow ID replaced per ``kind`` (see
+    :data:`FID_KINDS`), in order of first appearance."""
+    if kind == "str":
+        return list(packets)
+    mapping: dict = {}
+    rewritten = []
+    for packet in packets:
+        index = mapping.setdefault(packet.fid, len(mapping))
+        fid = index if kind == "int" else _mixed_fid(index)
+        rewritten.append(Packet(time=packet.time, size=packet.size, fid=fid))
+    return rewritten

@@ -4,14 +4,22 @@ configuration switches."""
 
 import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import virtual as virtual_module
 from repro.core.config import EARDetConfig, engineer
 from repro.core.counters import ReferenceCounterStore
 from repro.core.eardet import EARDet
+from repro.guard import InvariantChecker, InvariantViolation
 from repro.model.packet import Packet
 from repro.model.units import NS_PER_S
 from repro.traffic.attacks import FloodingAttack
 from repro.traffic.datasets import federico_like
 from repro.traffic.mix import build_attack_scenario
+
+from conftest import packet_lists
 
 
 def flooded_federico():
@@ -292,3 +300,117 @@ class TestModesAndLifecycle:
         detector = EARDet(make_config())
         assert detector.counter_count() == 3
         assert "EARDet" in repr(detector)
+
+
+class _TripChecker(InvariantChecker):
+    """Checks every packet and raises at its ``at``-th one."""
+
+    def __init__(self, at: int):
+        super().__init__(every=1)
+        self.at = at
+
+    def after_packet(self, detector) -> None:
+        super().after_packet(detector)
+        if self.packets_seen == self.at:
+            raise InvariantViolation(
+                "tripped", check="test-trip", detector="eardet"
+            )
+
+
+def fed_detector(config, packets, chunk=None, checker=None):
+    """An EARDet fed ``packets`` per packet through ``observe`` (``chunk``
+    None) or in ``chunk``-packet column slices through ``observe_batch``.
+    Virtual flow ids come from a process-global sequence, so each run
+    starts it at 0 for the two runs' snapshots to be comparable."""
+    detector = EARDet(config)
+    if checker is not None:
+        detector.attach_checker(checker)
+    previous = virtual_module._next_virtual_index
+    virtual_module._next_virtual_index = 0
+    try:
+        if chunk is None:
+            for packet in packets:
+                detector.observe(packet)
+        else:
+            for start in range(0, len(packets), chunk):
+                part = packets[start:start + chunk]
+                detector.observe_batch(
+                    [p.time for p in part],
+                    [p.size for p in part],
+                    [p.fid for p in part],
+                )
+    finally:
+        virtual_module._next_virtual_index = max(
+            previous, virtual_module._next_virtual_index
+        )
+    return detector
+
+
+class TestObserveBatch:
+    """``observe_batch`` over columns is ``observe`` per packet: one
+    Algorithm-1 body, the same sink reports, the same checker calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        packets=packet_lists(
+            max_packets=80, max_flows=5, max_size=3, max_gap_ns=40
+        ),
+        chunk=st.integers(min_value=1, max_value=9),
+        every=st.sampled_from([None, 1, 3]),
+    )
+    def test_matches_per_packet_observe(self, packets, chunk, every):
+        config = make_config()
+        per_packet = fed_detector(
+            config, packets,
+            checker=InvariantChecker(every) if every else None,
+        )
+        batched = fed_detector(
+            config, packets, chunk=chunk,
+            checker=InvariantChecker(every) if every else None,
+        )
+        assert batched.snapshot() == per_packet.snapshot()
+        assert batched.detected == per_packet.detected
+        assert batched.stats == per_packet.stats
+        if every:
+            for attr in ("packets_seen", "checks_run", "violations"):
+                assert getattr(batched.checker, attr) == getattr(
+                    per_packet.checker, attr
+                )
+
+    def test_matches_on_attack_stream_with_checker(self):
+        """A paper-scale config under flooding (virtual traffic,
+        evictions, detections and blacklist prunes all run) in
+        1,024-packet columns with a sampled checker armed."""
+        config, stream = flooded_federico()
+        packets = list(stream)
+        per_packet = fed_detector(
+            config, packets, checker=InvariantChecker(64)
+        )
+        batched = fed_detector(
+            config, packets, chunk=1024, checker=InvariantChecker(64)
+        )
+        assert per_packet.stats.detections > 0
+        assert per_packet.stats.virtual_bytes > 0
+        assert batched.snapshot() == per_packet.snapshot()
+        assert batched.checker.checks_run == per_packet.checker.checks_run
+
+    def test_violation_stops_at_the_same_packet(self):
+        """A checker raising mid-batch stops the batch at that packet,
+        exactly where per-packet ``observe`` stops."""
+        config, stream = flooded_federico()
+        packets = list(stream)[:5000]
+        per_packet, batched = (
+            EARDet(config).attach_checker(_TripChecker(1234))
+            for _ in range(2)
+        )
+        with pytest.raises(InvariantViolation, match="tripped"):
+            per_packet.observe_stream(packets)
+        with pytest.raises(InvariantViolation, match="tripped"):
+            batched.observe_batch(
+                [p.time for p in packets],
+                [p.size for p in packets],
+                [p.fid for p in packets],
+            )
+        assert per_packet.stats.packets == 1234
+        assert batched.stats == per_packet.stats
+        assert batched.detected == per_packet.detected

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 
 import pytest
 
 from repro.cli import main
 from repro.core.config import EARDetConfig
 from repro.forensics import (
+    BUNDLE_FORMAT,
     CLASS_COLORS,
     CaptureLayer,
     ForensicsLab,
@@ -25,7 +27,8 @@ from repro.forensics import (
     render_html,
     replay_bundle,
 )
-from repro.model.packet import Packet
+from repro.forensics.incidents import _normalize_fid
+from repro.model.packet import FiveTuple, Packet
 from repro.service import (
     DeadLetterSink,
     DetectionService,
@@ -38,6 +41,11 @@ from repro.service import (
     StreamSource,
     Supervisor,
     WatcherPolicy,
+)
+from repro.service.checkpoint import (
+    read_checkpoint,
+    unpack_column,
+    write_checkpoint,
 )
 from repro.telemetry import Telemetry
 
@@ -282,6 +290,68 @@ class TestForensicServe:
         # The log on disk is the same story, CRC-verified end to end.
         reloaded = IncidentStore.load(lab.store.path)
         assert len(reloaded) == lab.store.total
+
+    @pytest.mark.parametrize("fid_kind", ["five_tuple", "bytes"])
+    def test_flow_ids_json_cannot_encode_replay_exactly(
+        self, tmp_path, fid_kind
+    ):
+        """FiveTuple (the ``.pcap`` default) and bytes flow ids: every
+        bundle and incident line is written, every bundle replays
+        bit-identically, and the reloaded log names the same flows."""
+        index: dict = {}
+
+        def convert(fid):
+            number = index.setdefault(fid, len(index))
+            if fid_kind == "bytes":
+                return fid.encode()
+            return FiveTuple(0x0A000001, number, 80, 443)
+
+        packets = [
+            Packet(p.time, p.size, convert(p.fid)) for p in make_packets(4000)
+        ]
+        report, lab = forensic_serve(tmp_path, packets, batch_size=256)
+        detections = [
+            r for r in lab.store.records if r.incident_class == "detection"
+        ]
+        assert detections and len(detections) == len(report.detections)
+        for record in detections:
+            result = replay_bundle(record.bundle)
+            assert result.exact, (record.payload, result.observed)
+            assert result.observed == record.payload["time_ns"]
+        reloaded = IncidentStore.load(lab.store.path)
+        assert {
+            _normalize_fid(r.payload["fid"])
+            for r in reloaded
+            if r.incident_class == "detection"
+        } == set(report.detections)
+
+    def test_format_1_bundle_still_replays(self, tmp_path):
+        """Format-1 bundles carry the flow-id column as one JSON string
+        (times and sizes were already packed as today); replay still
+        reads them."""
+        report, lab = forensic_serve(
+            tmp_path, make_packets(4000), batch_size=256
+        )
+        record = next(
+            r for r in lab.store.records if r.incident_class == "detection"
+        )
+        bundle = read_checkpoint(record.bundle)
+        assert bundle["meta"]["format"] == BUNDLE_FORMAT == 2
+        bundle["meta"]["format"] = 1
+        batches = []
+        for times, sizes, fids in bundle["trace"]["batches"]:
+            values = unpack_column(times)
+            assert times == struct.pack(f"<{len(values)}q", *values)
+            fids_json = json.dumps(
+                list(unpack_column(fids)), separators=(",", ":")
+            )
+            batches.append((times, sizes, fids_json))
+        bundle["trace"]["batches"] = batches
+        path = tmp_path / "format-1.bundle"
+        write_checkpoint(str(path), bundle)
+        result = replay_bundle(str(path))
+        assert result.exact
+        assert result.observed == record.payload["time_ns"]
 
     def test_injected_drops_replay_through_the_skip_list(self, tmp_path):
         """Positional losses inside the capture window are re-injected

@@ -18,6 +18,7 @@ import contextlib
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -40,6 +41,7 @@ from repro.service import (
     NetFault,
     RemoteEngine,
     ShardConnection,
+    ShardFault,
     ShardServer,
     TRANSPORT_ABORT_EXIT_CODE,
     TransportError,
@@ -47,15 +49,19 @@ from repro.service import (
     parse_endpoint,
     parse_endpoints,
 )
+from repro.service.checkpoint import pack_column
 from repro.service.net import (
     FT_ACK,
     FT_BATCH,
     FT_CONTROL,
     FT_HELLO,
     MAX_PAYLOAD,
+    decode_batch,
     decode_frame,
     encode_frame,
 )
+
+from conftest import FID_KINDS, with_fid_kind
 
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
@@ -121,6 +127,37 @@ def remote_engine(servers, **kwargs):
     return RemoteEngine(CONFIG, endpoints_of(servers), **kwargs)
 
 
+def batch_payload(*packets):
+    """The BATCH payload for ``(time, size, fid)`` packets: their three
+    columns in :func:`pack_column` form."""
+    return tuple(pack_column(list(column)) for column in zip(*packets))
+
+
+#: An ``assign`` control payload for a one-slot shard under CONFIG.
+ASSIGN = {
+    "op": "assign",
+    "config": {
+        "rho": CONFIG.rho, "n": CONFIG.n,
+        "beta_th": CONFIG.beta_th, "alpha": CONFIG.alpha,
+        "beta_l": CONFIG.beta_l, "gamma_l": CONFIG.gamma_l,
+        "virtual_unit": CONFIG.virtual_unit,
+    },
+    "seed": 0, "slots": 1, "slot_ids": [0], "states": {},
+}
+
+#: One malformed BATCH payload per check the server makes in place of
+#: ``Packet`` construction.
+BAD_BATCHES = {
+    "two-columns": (pack_column([1]), pack_column([64])),
+    "v1-tuple-list": [(1, 64, "flow")],
+    "ragged-packed-column": (b"\x00" * 12, pack_column([64]), ["f"]),
+    "unequal-lengths": (pack_column([1, 2]), pack_column([64]), ["f", "g"]),
+    "negative-time": batch_payload((5, 64, 7), (-1, 64, 7)),
+    "zero-size": batch_payload((1, 64, 7), (2, 0, 7)),
+    "negative-size": batch_payload((1, -64, "f")),
+}
+
+
 # ---------------------------------------------------------------- codec
 
 
@@ -128,7 +165,7 @@ class TestFrameCodec:
     def test_round_trip_every_type(self):
         payloads = {
             FT_HELLO: {"proto": NET_PROTOCOL_VERSION, "shard": 3},
-            FT_BATCH: [(1, 64, "flow-1"), (2, 1518, b"raw-id")],
+            FT_BATCH: batch_payload((1, 64, "flow-1"), (2, 1518, b"raw-id")),
             FT_CONTROL: {"op": "ping"},
             FT_ACK: None,
         }
@@ -138,10 +175,46 @@ class TestFrameCodec:
             )
             assert ftype_out == ftype
             assert seq == 17
-            if isinstance(payload, list):
-                assert [tuple(item) for item in decoded] == payload
-            else:
-                assert decoded == payload
+            assert decoded == payload
+
+    def test_batch_columns_pack_per_column(self):
+        """Each column picks its own encoding from its values' types:
+        int64-range ints pack to 8 bytes a value, anything else stays a
+        codec list — and both decode to the original values."""
+        big = 2**63
+        payload = batch_payload(
+            (1, 64, 5), (2, 1518, True), (3, 40, big), (4, 40, "f"),
+        )
+        times, sizes, fids = payload
+        assert times == struct.pack("<4q", 1, 2, 3, 4)
+        assert sizes == struct.pack("<4q", 64, 1518, 40, 40)
+        assert fids == [5, True, big, "f"]
+        assert pack_column([1, big]) == [1, big]
+        assert pack_column([-(2**63), 2**63 - 1]) == bytes.fromhex(
+            "0000000000000080" "ffffffffffffff7f"
+        )
+        _, _, decoded = decode_frame(encode_frame(FT_BATCH, 1, payload))
+        assert [list(column) for column in decode_batch(decoded)] == [
+            [1, 2, 3, 4], [64, 1518, 40, 40], [5, True, big, "f"],
+        ]
+        assert type(decode_batch(decoded)[2][1]) is bool
+
+    @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+    def test_malformed_batch_rejected(self, case):
+        """The server builds no ``Packet``, so the batch decoder makes
+        its checks: a bad payload raises FrameCorruptError, both from
+        :func:`decode_batch` and from the server applying it."""
+        payload = BAD_BATCHES[case]
+        with pytest.raises(FrameCorruptError):
+            decode_batch(payload)
+        server = ShardServer()
+        try:
+            server._apply_control(1, ASSIGN)
+            with pytest.raises(FrameCorruptError):
+                server._apply_batch(payload)
+            assert server.packets_processed == 0
+        finally:
+            server.stop()
 
     def test_encode_rejects_bad_type_and_seq(self):
         with pytest.raises(ValueError):
@@ -207,16 +280,7 @@ class TestFrameCodec:
 
 class TestExactlyOnce:
     def assign(self, conn):
-        seq = conn.send(FT_CONTROL, {
-            "op": "assign",
-            "config": {
-                "rho": CONFIG.rho, "n": CONFIG.n,
-                "beta_th": CONFIG.beta_th, "alpha": CONFIG.alpha,
-                "beta_l": CONFIG.beta_l, "gamma_l": CONFIG.gamma_l,
-                "virtual_unit": CONFIG.virtual_unit,
-            },
-            "seed": 0, "slots": 1, "slot_ids": [0], "states": {},
-        })
+        seq = conn.send(FT_CONTROL, ASSIGN)
         assert conn.wait_reply(seq, 10.0)["op"] == "assigned"
 
     def test_duplicate_batch_discarded_not_reapplied(self):
@@ -224,7 +288,7 @@ class TestExactlyOnce:
             conn = ShardConnection(0, server.host, server.port, backoff=FAST)
             conn.connect(hello_extra={"session": 1})
             self.assign(conn)
-            batch = [(1, 64, "flow-a"), (2, 64, "flow-a")]
+            batch = batch_payload((1, 64, 11), (2, 64, 11))
             seq = conn.send(FT_BATCH, batch)
             conn.wait_acks(0, 10.0)
             # Re-send the identical frame: the server must discard it by
@@ -245,8 +309,8 @@ class TestExactlyOnce:
             )
             conn.connect(hello_extra={"session": 1})
             self.assign(conn)  # frame 1
-            conn.send(FT_BATCH, [(1, 64, "a")])  # frame 2: dropped
-            conn.send(FT_BATCH, [(2, 64, "b")])  # frame 3: arrives as a gap
+            conn.send(FT_BATCH, batch_payload((1, 64, 1)))  # frame 2: dropped
+            conn.send(FT_BATCH, batch_payload((2, 64, 2)))  # frame 3: a gap
             conn.wait_acks(0, 10.0)  # gap ack -> replay tail -> drained
             assert server.gaps_discarded >= 1
             assert server.packets_processed == 2
@@ -274,7 +338,7 @@ class TestExactlyOnce:
             conn = ShardConnection(0, server.host, server.port, backoff=FAST)
             conn.connect(hello_extra={"session": 1})
             self.assign(conn)
-            conn.send(FT_BATCH, [(1, 64, "a")])
+            conn.send(FT_BATCH, batch_payload((1, 64, 1)))
             conn.wait_acks(0, 10.0)
             conn.close_socket()
             welcome = conn.connect(hello_extra={"session": 1})
@@ -306,6 +370,19 @@ class TestHandshake:
             conn = ShardConnection(0, server.host, server.port, backoff=FAST)
             with pytest.raises(HandshakeError):
                 conn.connect(hello_extra={"proto": 99, "session": 1})
+            deadline = time.monotonic() + 5.0
+            while server.exit_code is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.exit_code == TRANSPORT_ABORT_EXIT_CODE
+
+    def test_version_1_hello_refused(self):
+        """A coordinator still speaking protocol 1 (per-packet tuple
+        batches) is refused permanently, never fed column-less frames."""
+        assert NET_PROTOCOL_VERSION == 2
+        with fleet(1) as (server,):
+            conn = ShardConnection(0, server.host, server.port, backoff=FAST)
+            with pytest.raises(HandshakeError, match="protocol 1"):
+                conn.connect(hello_extra={"proto": 1, "session": 1})
             deadline = time.monotonic() + 5.0
             while server.exit_code is None and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -367,8 +444,9 @@ class TestRemoteDifferential:
     """detections(remote, net faults) == detections(in-process) wherever
     the envelope says EXACT — the PR's central property."""
 
-    def test_clean_run_bit_identical(self):
-        packets = make_packets()
+    @pytest.mark.parametrize("fid_kind", FID_KINDS)
+    def test_clean_run_bit_identical(self, fid_kind):
+        packets = with_fid_kind(make_packets(), fid_kind)
         expected = reference_detections(packets, slots=4)
         with fleet(2) as servers:
             engine = remote_engine(servers, slots=4, chunk_size=256)
@@ -453,6 +531,42 @@ class TestRemoteDifferential:
                 if engine.shard_of(fid) == 1:
                     assert remote.get(fid) == when
             engine.close()
+
+    def test_partition_dead_letters_carry_arrival_indices(self):
+        """A voided partition dead-letters each staged packet with its
+        shard-local arrival index, stepping over the positions an
+        injected drop took — the positions a forensics replay
+        re-injects."""
+        packets = make_packets()
+        sink = DeadLetterSink(capacity=len(packets))
+        plan = FaultPlan([
+            NetFault(kind="partition", shard=0, at=5, duration_s=0.5),
+            ShardFault("drop", shard=0, at=700, count=40),
+        ])
+        with fleet(2) as servers:
+            engine = remote_engine(
+                servers, slots=4, chunk_size=128, fault_plan=plan,
+                mask_deadline_s=0.01, mask_frame_limit=2, dead_letter=sink,
+            )
+            ingest_all(engine, packets)
+            arrivals = [
+                (p.time, p.size, p.fid)
+                for p in packets if engine.shard_of(p.fid) == 0
+            ]
+            engine.close()
+        by_reason: dict = {}
+        for entry in sink.entries:
+            assert entry.shard == 0
+            assert arrivals[entry.index - 1] == (
+                entry.time_ns, entry.size, entry.fid
+            )
+            by_reason.setdefault(entry.reason, []).append(entry.index)
+        assert by_reason["injected-drop"] == list(range(700, 740))
+        voided = by_reason["partition"]
+        # The outage spans the drop window, so voided chunks straddle it.
+        assert voided == sorted(voided)
+        assert min(voided) < 700 and max(voided) >= 740
+        assert not set(voided) & set(range(700, 740))
 
     def test_dead_shard_listed_while_mask_exhausted(self):
         packets = make_packets(count=1500)

@@ -29,6 +29,8 @@ from repro.service import (
     write_checkpoint,
 )
 
+from conftest import FID_KINDS, with_fid_kind
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
@@ -390,14 +392,16 @@ class TestMultiprocessEngine:
 
 @pytest.mark.slow
 class TestTransportParity:
-    def test_one_snapshot_schema_under_injected_drops(self):
+    @pytest.mark.parametrize("fid_kind", FID_KINDS)
+    def test_one_snapshot_schema_under_injected_drops(self, fid_kind):
         """The three transports share one routing side: serving the same
         stream under the same drop window, their snapshots agree on every
         key — ``accepted`` counts only packets that entered a shard
         queue or staging buffer, never the injected drops.  The one
         exception is ``queue_high_water``, whose unit is the
-        transport's own (packets, chunks, frames)."""
-        packets = make_packets(3000)
+        transport's own (packets, chunks, frames).  Every flow-ID kind
+        agrees, whichever column encoding its IDs take."""
+        packets = with_fid_kind(make_packets(3000), fid_kind)
         servers = [ShardServer().start() for _ in range(2)]
         workers = [(server.host, server.port) for server in servers]
         snapshots = {}

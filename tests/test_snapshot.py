@@ -21,7 +21,7 @@ from repro.core.counters import (
 from repro.core.eardet import EARDet
 from repro.core.parallel import ParallelEARDet
 from repro.core.virtual import Carryover, is_virtual_fid
-from repro.service.checkpoint import dumps, loads
+from repro.service.checkpoint import Encoded, dumps, loads
 
 from conftest import packet_lists
 
@@ -159,6 +159,17 @@ class TestBinaryCodec:
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, value):
         assert loads(dumps(value)) == value
+        # An Encoded value is embedded verbatim: same bytes, same value.
+        assert dumps(Encoded(value)) == dumps(value)
+
+    def test_str_items_encode_like_lone_strs(self):
+        """List and tuple items take a one-write path for short strs;
+        the bytes match the str encoded on its own, on both sides of
+        the one-byte length limit."""
+        for text in ("f1", "\u00e9" * 63, "x" * 127, "x" * 128, "\u00e9" * 64):
+            alone = dumps(text)[10:-4]  # the payload, without header/CRC
+            assert dumps([text])[10:-4] == b"\x08\x01" + alone
+            assert dumps((text, 1))[10:-4] == b"\x07\x02" + alone + b"\x03\x02"
 
     def test_round_trip_preserves_types(self):
         value = {"t": (1, "x"), "l": [1, "x"], "i": 2**200, "n": -(2**200)}
