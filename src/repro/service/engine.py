@@ -12,7 +12,7 @@ Slots vs shards
 ---------------
 
 Detection state lives per **slot** (``fid → slot`` through the seeded
-stage hash); runtime resources — queues, overload ladders, loss
+stage hash); runtime resources — staging bounds, overload ladders, loss
 accounting — live per **shard**; a versioned
 :class:`~repro.service.reshard.ShardLayout` maps slots onto shards.  By
 default ``slots == shards`` with the identity mapping, which is exactly
@@ -23,8 +23,8 @@ slot's detector can move between shards through the snapshot/restore
 path, and because each slot always sees its full hash sub-stream in
 arrival order, detections are bit-identical under any layout history.
 
-One shard core, three transports
---------------------------------
+One staging path, three transports
+----------------------------------
 
 The ensemble argument does not depend on how a packet reaches its slot,
 so the engines split along one line:
@@ -33,36 +33,38 @@ so the engines split along one line:
   shares: constructor validation, the memoized flow→slot router, the
   layout and its assignment, per-shard loss accounting (the exactness
   envelope), the watcher tap and overload ladders, health, detections,
-  the one engine snapshot schema, restore validation, the grouping,
-  commit and rollback steps of live migration, and the staging loop
-  that routes packets into per-shard ``(times, sizes, fids)`` columns.
+  the one snapshot schema and skeleton, restore validation, the
+  grouping, commit and rollback steps of live migration, and the
+  staging loop.  It routes each packet once onto its slot's ``(times,
+  sizes, fids)`` columns (beside its shard-local arrival index, which
+  stays here) and ships a shard's slot groups at the transport's bound.
 - :class:`SlotHost` is the **slot side**: one shard's ``{slot: EARDet}``
-  and the slot commands — observe (columns, through
-  :meth:`EARDet.observe_batch`), snapshot, extract, install,
+  and the slot commands — observe (one :meth:`EARDet.observe_batch` per
+  slot group; a host never routes), snapshot, extract, install,
   reconfigure — that every transport runs against it.
-- A transport carries routed packets and commands from one to the other:
-  :class:`InProcessEngine` (bounded ``Packet`` deques drained on the
-  calling thread, all slots in one host), :class:`~repro.service.workers.
-  MultiprocessEngine` (one worker process per shard, column chunks and
-  in-band barriers on its queue) and :class:`~repro.service.remote.
-  RemoteEngine` (one TCP :class:`~repro.service.net.ShardServer` per
-  shard, exactly-once frames of packed columns).
+- A transport carries slot groups and commands from one to the other:
+  :class:`InProcessEngine` (a direct call into one all-slots host),
+  :class:`~repro.service.workers.MultiprocessEngine` (one worker process
+  per shard, chunks and in-band barriers on its queue) and
+  :class:`~repro.service.remote.RemoteEngine` (one TCP
+  :class:`~repro.service.net.ShardServer` per shard, exactly-once frames
+  of packed slot groups).
 
 What :class:`InProcessEngine` adds over ``ParallelEARDet`` is the
 *runtime* layer:
 
-- **bounded per-shard queues** — ingestion enqueues, workers drain;
-  memory is capped at ``shards * queue_capacity`` packets regardless of
-  how oversubscribed the source is;
+- **bounded staging** — ``queue_capacity`` bounds each shard's staged
+  packets; memory is capped at ``shards * queue_capacity`` packets
+  regardless of how oversubscribed the source is;
 - **explicit backpressure** — the default ``overflow="block"`` policy
-  drains a full queue before accepting more (the pull-based source simply
-  isn't pulled from in the meantime); ``overflow="drop"`` instead sheds
-  load with exact per-shard drop accounting (a lossy mode for
-  monitor-only deployments — dropped packets void the exactness
-  guarantee and are reported, never silent);
-- **exact snapshots at packet boundaries** — :meth:`~InProcessEngine.
-  snapshot` drains all queues first, so the captured state corresponds
-  to exactly the packets ingested so far (see
+  applies a full shard's staged packets before accepting more (the
+  pull-based source simply isn't pulled from in the meantime);
+  ``overflow="drop"`` instead sheds load with exact per-shard drop
+  accounting (a lossy mode for monitor-only deployments — dropped
+  packets void the exactness guarantee and are reported, never silent);
+- **exact snapshots at packet boundaries** — :meth:`~ShardedEngine.
+  snapshot` applies everything staged first, so the captured state
+  corresponds to exactly the packets ingested so far (see
   :mod:`repro.service.checkpoint`);
 - **live migration primitives** — :meth:`~ShardedEngine.
   prepare_migration`, :meth:`~ShardedEngine.extract_slots`,
@@ -80,10 +82,10 @@ wherever the exactness envelope says EXACT.
 
 from __future__ import annotations
 
+import sys
 import time as _time
-from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from ..core.blacklist import ReportSink
@@ -97,7 +99,7 @@ from .health import DeadLetterSink, ExactnessEnvelope, ShardHealth
 from .overload import DegradationLevel, OverloadPolicy, ShardOverload
 from .reshard import MigrationPlan, ShardLayout
 
-#: Default bound on each shard's pending-packet queue.
+#: Default bound on each shard's staged packets (in-process engine).
 DEFAULT_QUEUE_CAPACITY = 4096
 
 #: Queue-overflow policies.
@@ -127,8 +129,13 @@ _SHARD_ACCOUNTING = (
 
 SlotState = Dict[str, object]
 
-#: A chunk of packets as parallel ``(times, sizes, fids)`` columns.
-Columns = Tuple[List[int], List[int], List[FlowId]]
+#: One slot's staged packets: the ``(times, sizes, fids)`` columns its
+#: detector observes, plus each packet's shard-local arrival index (the
+#: position a dead letter names; it never leaves the routing side).
+Staged = Tuple[List[int], List[int], List[FlowId], List[int]]
+
+#: One slot's share of a shipped chunk: ``(slot, times, sizes, fids)``.
+SlotGroup = Tuple[int, Sequence[int], Sequence[int], Sequence[FlowId]]
 
 
 class FlowRouter:
@@ -170,10 +177,8 @@ class SlotHost:
     slots in one.  Transports only map the commands onto their wire and
     their failures onto their own exit codes or replies.
 
-    ``states`` maps slot → restored state for the initial slots;
-    ``router`` (the shard's own flow→slot router, same seed and slot
-    space as the engine's) is needed only by :meth:`observe` on a host
-    with more than one slot.  ``invariant_every`` arms an
+    ``states`` maps slot → restored state for the initial slots.
+    ``invariant_every`` arms an
     :class:`~repro.guard.invariants.InvariantChecker` on every detector
     the host builds.
     """
@@ -183,12 +188,10 @@ class SlotHost:
         config: EARDetConfig,
         slot_ids: Iterable[int],
         states: Optional[Dict[int, SlotState]] = None,
-        router: Optional[FlowRouter] = None,
         store_factory: Callable[[int], CounterStore] = HeapCounterStore,
         invariant_every: Optional[int] = None,
     ):
         self.config = config
-        self.router = router
         self._store_factory = store_factory
         self._invariant_every = invariant_every
         states = states or {}
@@ -196,8 +199,6 @@ class SlotHost:
             int(slot): self._build(config, states.get(slot))
             for slot in slot_ids
         }
-        self.solo: Optional[EARDet] = None
-        self._refresh_solo()
 
     def _build(
         self, config: EARDetConfig, state: Optional[SlotState] = None
@@ -213,42 +214,17 @@ class SlotHost:
             detector.restore(state)
         return detector
 
-    def _refresh_solo(self) -> None:
-        # Hosting exactly one slot — the default layout — lets
-        # :meth:`observe` skip per-packet slot dispatch entirely.
-        self.solo = (
-            next(iter(self.detectors.values()))
-            if len(self.detectors) == 1
-            else None
-        )
-
     def packets(self) -> int:
         """Packets the hosted detectors have processed."""
         return sum(d.stats.packets for d in self.detectors.values())
 
-    def observe(self, times: Sequence[int], sizes: Sequence[int],
-                fids: Sequence[FlowId]) -> None:
-        """Apply a chunk of packet columns through
-        :meth:`EARDet.observe_batch`.  A host with several slots splits
-        the chunk by slot first; each slot still sees its packets in
-        arrival order, and slots are independent."""
-        solo = self.solo
-        if solo is not None:
-            solo.observe_batch(times, sizes, fids)
-            return
-        router = self.router
-        groups: Dict[int, Columns] = {}
-        for time_ns, size, fid in zip(times, sizes, fids):
-            slot = router(fid)
-            group = groups.get(slot)
-            if group is None:
-                group = groups[slot] = ([], [], [])
-            group[0].append(time_ns)
-            group[1].append(size)
-            group[2].append(fid)
+    def observe(self, groups: Iterable[SlotGroup]) -> None:
+        """Apply routed slot groups ``(slot, times, sizes, fids)``, one
+        :meth:`EARDet.observe_batch` per group.  Each group holds its
+        slot's packets in arrival order, and slots are independent."""
         detectors = self.detectors
-        for slot, group in groups.items():
-            detectors[slot].observe_batch(*group)
+        for slot, times, sizes, fids in groups:
+            detectors[slot].observe_batch(times, sizes, fids)
 
     def snapshot(self) -> Dict[int, SlotState]:
         """Every hosted slot's exact state."""
@@ -267,7 +243,6 @@ class SlotHost:
             detector = self.detectors.pop(int(slot), None)
             if detector is not None:
                 taken[int(slot)] = detector.snapshot()
-        self._refresh_solo()
         return taken
 
     def install(self, states: Dict[int, SlotState]) -> None:
@@ -275,7 +250,6 @@ class SlotHost:
         copy already hosted."""
         for slot, state in states.items():
             self.detectors[int(slot)] = self._build(self.config, state)
-        self._refresh_solo()
 
     def reconfigure(self, config: EARDetConfig) -> None:
         """Rebuild every hosted slot under ``config`` from its adapted
@@ -292,21 +266,20 @@ class SlotHost:
         }
         self.detectors = rebuilt
         self.config = config
-        self._refresh_solo()
 
 
 class ShardedEngine:
     """The routing side of a sharded EARDet, shared by every transport.
 
-    Subclasses supply the transport — :meth:`ingest`, :meth:`flush`,
-    :meth:`queue_depths`, :meth:`snapshot`, :meth:`close`,
-    :meth:`terminate` and the hooks below; everything that decides what
-    a routed, lost or migrated packet means for exactness lives here
-    once.
+    Subclasses supply the transport — :meth:`_ship`, :meth:`close`,
+    :meth:`terminate`, :meth:`queue_depths` and the hooks below;
+    everything that decides what a routed, lost or migrated packet means
+    for exactness lives here once.
 
     ``backlog_capacity`` is the bound :meth:`queue_depths` is reported
     against in :meth:`health` (packets, chunks or frames, depending on
-    the transport).
+    the transport); ``ship_at`` is how many staged packets make a shard
+    ship.
     """
 
     def __init__(
@@ -321,6 +294,7 @@ class ShardedEngine:
         overload: Optional[OverloadPolicy],
         watcher,
         backlog_capacity: int,
+        ship_at: int,
     ):
         if shards < 1:
             raise ValueError(f"need at least 1 shard, got {shards}")
@@ -347,92 +321,275 @@ class ShardedEngine:
         self._plan = fault_plan
         self._dead_letter = dead_letter
         self._backlog_capacity = backlog_capacity
+        self._ship_at = ship_at
+        #: Whether a shard at ``ship_at`` sheds instead of shipping.
+        self._sheds_when_full = False
         self._hash = StageHash(seed=seed, buckets=slots)
         self._route = FlowRouter(self._hash)
-        self._layout = ShardLayout.default(slots, shards)
-        self._assignment: List[int] = list(self._layout.assignment)
         #: Shards with provisioned runtime resources (never below the
         #: layout's shard count; a merged-away shard stays as a spare).
         self._shards = shards
+        self._set_layout(ShardLayout.default(slots, shards))
         self._accepted = 0
         for key, fresh in _SHARD_ACCOUNTING:
             setattr(self, "_" + key, [fresh] * shards)
-        # Staging transports' per-shard columns (see :meth:`ingest`), and
-        # restored slot states staged for hosts that start lazily.
-        self._staged: List[Columns] = [([], [], []) for _ in range(shards)]
+        # Each slot's staged packets, and how many each shard holds.
+        self._staging: List[Staged] = [
+            ([], [], [], []) for _ in range(slots)
+        ]
+        self._staged = [0] * shards
+        # Restored slot states for hosts that start lazily; the final
+        # snapshot of a closed out-of-process fleet.
         self._slot_states: Optional[List[Optional[SlotState]]] = None
+        self._final_snapshot: Optional[Dict[str, object]] = None
         # Ladder state lives on the routing side: admission happens
-        # where packets are routed, so rung buffers hold whatever the
-        # transport queues (Packets in-process, ``(time, size, fid)``
-        # tuples that :meth:`_stage` appends to the columns otherwise).
+        # where packets are routed, and rung buffers hold ``(time, size,
+        # fid)`` items that :meth:`_stage` routes onto their slot.
         self._overload: Optional[List[ShardOverload]] = None
         if overload is not None:
-            self._overload = [self._new_ladder() for _ in range(shards)]
+            self._overload = [ShardOverload(overload) for _ in range(shards)]
 
-    # -- the transport -----------------------------------------------------
+    def _set_layout(self, layout: ShardLayout) -> None:
+        self._layout = layout
+        self._assignment: List[int] = list(layout.assignment)
+        #: The slots each provisioned shard hosts (what it ships).
+        self._shard_slots = [layout.slots_of(s) for s in range(self._shards)]
+
+    # -- the staging loops -------------------------------------------------
 
     def ingest(self, batch: List[Packet]) -> None:
-        """The staging loop of the multiprocess and remote transports
-        (the in-process engine queues Packets instead): route each
-        packet onto its shard's :data:`Columns` and hand them to the
-        transport's :meth:`_ship` once ``self.chunk_size`` are staged.
-        An armed overload policy goes through the transport's
-        ``_ingest_overload`` instead."""
+        """Route a batch onto slot columns, each packet once, and ship a
+        shard through :meth:`_ship` when it holds ``ship_at`` staged
+        packets (an in-process ``overflow="drop"`` engine sheds instead).
+        An armed overload policy goes through :meth:`_ingest_overload`."""
         self._start()
         self.check_workers()
         if self._overload is not None:
             self._ingest_overload(batch)
-            return
+        else:
+            staging = self._staging
+            staged = self._staged
+            route = self._route
+            assignment = self._assignment
+            routed = self._routed
+            last_ts = self._last_packet_ts
+            ship_at = self._ship_at
+            plan = self._plan
+            watcher = self.watcher
+            accepted = 0
+            for packet in batch:
+                fid = packet.fid
+                slot = route(fid)
+                index = assignment[slot]
+                arrival = routed[index] = routed[index] + 1
+                last_ts[index] = packet.time
+                if watcher is not None:
+                    # Stage-2 tap at the routing point: sees the wire
+                    # stream before staging/overflow/faults can lose it.
+                    # Slot-keyed, so the tap is invariant under resharding.
+                    watcher.observe(packet, slot)
+                if plan is not None and self._fault(index, packet, slot):
+                    continue
+                if staged[index] >= ship_at:
+                    if self._sheds_when_full:
+                        self._record_loss(
+                            index, packet, "queue-overflow", slot=slot
+                        )
+                        continue
+                    self._ship(index)
+                times, sizes, fids, arrivals = staging[slot]
+                times.append(packet.time)
+                sizes.append(packet.size)
+                fids.append(fid)
+                arrivals.append(arrival)
+                staged[index] += 1
+                accepted += 1
+            self._accepted += accepted
+        for index, depth in enumerate(self.queue_depths()):
+            self._note_depth(index, depth)
+
+    def _ingest_overload(self, batch: List[Packet]) -> None:
+        """Ladder-mediated ingest: observe each shard's load once per
+        batch, admit each packet at its shard's current rung, advance
+        the deferred-deadline clock at the end.
+
+        Memory stays bounded because load at or above the high
+        watermark escalates one rung per batch, so a persistently full
+        shard stops staging (SHEDDING) after at most three batches.
+        """
+        states = self._overload
+        assert states is not None
+        for index, state in enumerate(states):
+            for item in state.observe(*self._ladder_load(index)):
+                self._stage(index, item)
+        staging = self._staging
         staged = self._staged
         route = self._route
         assignment = self._assignment
         routed = self._routed
         last_ts = self._last_packet_ts
-        chunk_size = self.chunk_size
+        ship_at = self._ship_at
         plan = self._plan
         watcher = self.watcher
-        lost = 0
+        # Inlined EXACT rung (admit + _stage without the calls): the
+        # level is fixed for the whole batch (only ``observe`` moves
+        # it), so an EXACT shard's packet costs one byte-count bump,
+        # and its packet count and last time settle after the loop.
+        exact = [
+            state.account
+            if state.controller.level is DegradationLevel.EXACT else None
+            for state in states
+        ]
+        kept = [routed[i] - self._dropped[i] for i in range(len(states))]
+        accepted = 0
         for packet in batch:
             fid = packet.fid
             slot = route(fid)
             index = assignment[slot]
-            routed[index] += 1
+            arrival = routed[index] = routed[index] + 1
             last_ts[index] = packet.time
             if watcher is not None:
+                # The watcher taps ahead of the ladder: it keeps seeing
+                # in-region traffic even while this shard sheds load.
                 watcher.observe(packet, slot)
-            if plan is not None and plan.should_drop(index, routed[index]):
-                self._record_loss(index, packet, "injected-drop", slot=slot)
-                lost += 1
+            if plan is not None and self._fault(index, packet, slot):
                 continue
-            times, sizes, fids = staged[index]
-            times.append(packet.time)
-            sizes.append(packet.size)
-            fids.append(fid)
-            if len(times) >= chunk_size:
-                self._ship(index)
-        self._accepted += len(batch) - lost
+            account = exact[index]
+            if account is not None:
+                account.exact_bytes += packet.size
+                if staged[index] >= ship_at:
+                    self._ship(index)
+                times, sizes, fids, arrivals = staging[slot]
+                times.append(packet.time)
+                sizes.append(packet.size)
+                fids.append(fid)
+                arrivals.append(arrival)
+                staged[index] += 1
+                accepted += 1
+                continue
+            emitted = states[index].admit(packet.time, packet.size, fid)
+            if emitted is None:
+                self._record_loss(index, packet, "overload-shed", slot=slot)
+                continue
+            for item in emitted:
+                self._stage(index, item)
+        self._accepted += accepted
+        for index, state in enumerate(states):
+            # Every packet an EXACT shard kept was staged, its last one
+            # after any ship, so it is the latest slot-column tail.
+            admitted = routed[index] - self._dropped[index] - kept[index]
+            if exact[index] is not None and admitted:
+                exact[index].exact_packets += admitted
+                state._last_time = max(
+                    staging[slot][0][-1]
+                    for slot in self._shard_slots[index]
+                    if staging[slot][0]
+                )
+            for item in state.on_batch_end():
+                self._stage(index, item)
+
+    def _fault(self, index: int, packet: Packet, slot: int) -> bool:
+        """The fault plan at the routing point: account an injected drop
+        (returns True: the packet goes no further)."""
+        if self._plan.should_drop(index, self._routed[index]):
+            self._record_loss(index, packet, "injected-drop", slot=slot)
+            return True
+        return False
+
+    def _stage(self, index: int, item: Tuple[int, int, FlowId]) -> None:
+        """Stage one ``(time, size, fid)`` a ladder rung released.  It
+        takes the shard's latest arrival index (an aggregate has no one
+        index; the remote engine, which reads them, arms no ladder)."""
+        if self._staged[index] >= self._ship_at:
+            self._ship(index)
+        time_ns, size, fid = item
+        times, sizes, fids, arrivals = self._staging[self._route(fid)]
+        times.append(time_ns)
+        sizes.append(size)
+        fids.append(fid)
+        arrivals.append(self._routed[index])
+        self._staged[index] += 1
+        self._accepted += 1
+
+    def _slot_groups(self, index: int) -> List[Tuple[int, Staged]]:
+        """Shard ``index``'s non-empty staged slots, as ``(slot,
+        staged)`` pairs."""
+        staging = self._staging
+        return [
+            (slot, staging[slot])
+            for slot in self._shard_slots[index]
+            if staging[slot][0]
+        ]
+
+    def _unstage(self, index: int) -> None:
+        """Leave shard ``index`` with nothing staged (after a ship)."""
+        staging = self._staging
+        for slot in self._shard_slots[index]:
+            if staging[slot][0]:
+                staging[slot] = ([], [], [], [])
+        self._staged[index] = 0
 
     def flush(self) -> None:
-        """Push everything routed so far towards its slot host."""
-        raise NotImplementedError
+        """Push everything routed so far towards its slot host: release
+        the ladders' rung buffers (a drain or snapshot never strands
+        them), then ship every shard holding staged packets."""
+        if not self.running:
+            return
+        if self._overload is not None:
+            for index, state in enumerate(self._overload):
+                for item in state.flush():
+                    self._stage(index, item)
+        for index, staged in enumerate(self._staged):
+            if staged:
+                self._ship(index)
 
     def snapshot(self) -> Dict[str, object]:
-        """Exact engine state at the current packet boundary."""
-        raise NotImplementedError
+        """Exact engine state at the current packet boundary: everything
+        staged is pushed to its slot host first, so the collected slot
+        states cover exactly the packets accepted so far."""
+        if self._final_snapshot is not None:
+            return self._final_snapshot
+        self._start()
+        self.flush()
+        return self._assemble(self._collect_states())
 
     def close(self, drain: bool = False) -> Optional[Dict[str, object]]:
-        """Graceful drain and release (``drain``: requested, not EOF)."""
-        raise NotImplementedError
+        """Graceful drain: push everything staged, stop every slot host
+        (collecting its final exact states) and return the final engine
+        snapshot.  ``drain`` marks a requested drain rather than the end
+        of the stream."""
+        if self._final_snapshot is None:
+            self._start()
+            self.flush()
+            self._final_snapshot = self._assemble(self._stop(drain))
+        return self._final_snapshot
 
     def terminate(self) -> None:
-        """Abandon in-flight work without draining (crash teardown)."""
-        raise NotImplementedError
+        """Abandon in-flight work without draining (crash teardown; a
+        restored checkpoint supersedes it) — here, the staged packets."""
+        for index in range(self._shards):
+            self._unstage(index)
 
     # -- transport hooks ---------------------------------------------------
 
     def _ship(self, index: int) -> None:
-        """Send shard ``index``'s staged columns towards its slot host,
-        leaving fresh empty ones staged."""
+        """Hand shard ``index``'s staged slot groups to its slot host,
+        leaving nothing staged."""
+        raise NotImplementedError
+
+    def _ladder_load(self, index: int) -> Tuple[int, int]:
+        """Shard ``index``'s backlog and its bound, in packets — what
+        its overload ladder observes once per batch."""
+        return self._staged[index], self._backlog_capacity
+
+    def _collect_states(self) -> Dict[int, Dict[int, SlotState]]:
+        """Every shard's ``{slot: state}`` once everything routed has
+        reached its slot (the snapshot barrier)."""
+        raise NotImplementedError
+
+    def _stop(self, drain: bool) -> Dict[int, Dict[int, SlotState]]:
+        """Stop and release every slot host; returns each shard's final
+        ``{slot: state}``."""
         raise NotImplementedError
 
     def _note_depth(self, index: int, depth: int) -> None:
@@ -448,42 +605,11 @@ class ShardedEngine:
         return {slot: staged[slot] for slot in slot_ids
                 if staged[slot] is not None}
 
-    def _reconfigure_staged(self, config: EARDetConfig) -> None:
-        """Adapt the staged restored states, so hosts that have not
-        started yet build under ``config`` when they do."""
-        if self._slot_states is not None:
-            self._slot_states = [
-                None if state is None else reconfigure_state(state, config)
-                for state in self._slot_states
-            ]
-
-    def _stage(self, index: int, item: Tuple[int, int, FlowId]) -> None:
-        """Stage one ``(time, size, fid)`` released by a ladder rung,
-        shipping the shard's columns once full."""
-        times, sizes, fids = self._staged[index]
-        times.append(item[0])
-        sizes.append(item[1])
-        fids.append(item[2])
-        self._accepted += 1
-        if len(times) >= self.chunk_size:
-            self._ship(index)
-
-    def _new_ladder(self) -> ShardOverload:
-        """A fresh per-shard degradation ladder for this transport."""
-        raise NotImplementedError
-
     def _start(self) -> None:
         """Bring up slot hosts that a transport starts lazily."""
 
     def check_workers(self) -> None:
         """Raise a structured error for a slot host that has died."""
-
-    def _freeze(self) -> None:
-        """Migration freeze point: everything routed so far must reach
-        its slot before the moving slots are extracted."""
-        self._start()
-        self.check_workers()
-        self.flush()
 
     def _extract_from(
         self, by_shard: Dict[int, List[int]]
@@ -497,8 +623,9 @@ class ShardedEngine:
         raise NotImplementedError
 
     def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        """Rebuild every slot host under ``config``; returns the last
-        error line of each shard that refused."""
+        """Rebuild every running slot host under ``config`` (everything
+        routed has reached its slot); returns the last error line of
+        each shard that refused."""
         raise NotImplementedError
 
     def _check_growth(self, shards: int) -> None:
@@ -507,15 +634,17 @@ class ShardedEngine:
 
     def _grow(self, first_new: int) -> None:
         """Provision transport resources for shards ``first_new`` up to
-        ``self._shards - 1``."""
-        raise NotImplementedError
+        ``self._shards - 1`` (none in-process: one host holds every
+        slot)."""
 
     def _adopt(
         self, layout: ShardLayout, slot_states: List[SlotState]
     ) -> None:
-        """Take over a restored layout's slot states and size the
-        transport's per-shard resources for ``layout.shards`` shards."""
-        raise NotImplementedError
+        """Take over a restored layout's slot states, staged for slot
+        hosts that start lazily (hence before the first ingestion)."""
+        if self.running or self._final_snapshot is not None:
+            raise RuntimeError("restore() must precede any ingestion")
+        self._slot_states = slot_states
 
     def _slot_views(self) -> List[Tuple[int, ReportSink, int]]:
         """Slot-indexed ``(packets, report sink, blacklist size)``.
@@ -532,6 +661,17 @@ class ShardedEngine:
         return views
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def running(self) -> bool:
+        """Whether the slot hosts are up (in-process: always)."""
+        return True
+
+    @property
+    def backlog_capacity(self) -> int:
+        """The bound on each shard's :meth:`queue_depths`, in the
+        transport's unit (the ``queue_capacity`` in :meth:`health`)."""
+        return self._backlog_capacity
 
     @property
     def shard_count(self) -> int:
@@ -552,8 +692,8 @@ class ShardedEngine:
 
     @property
     def accepted(self) -> int:
-        """Packets that entered a shard queue or staging buffer.
-        Injected drops, overflow and shed packets never do."""
+        """Packets staged on their slot.  Injected drops, overflow and
+        shed packets never are."""
         return self._accepted
 
     @property
@@ -586,8 +726,9 @@ class ShardedEngine:
         return self._assignment[self._route(fid)]
 
     def queue_depths(self) -> List[int]:
-        """Current backlog per shard (cheap; no drain, no barrier)."""
-        raise NotImplementedError
+        """Current backlog per shard in the transport's own unit (cheap;
+        no drain, no barrier): staged packets in-process."""
+        return list(self._staged)
 
     # -- loss accounting ---------------------------------------------------
 
@@ -711,9 +852,23 @@ class ShardedEngine:
         :class:`~repro.core.eardet.ReconfigurationError` and may leave a
         mixed fleet; rollback is ``apply_config(old_config)``, which
         always succeeds because adapting back never shrinks below
-        occupancy.
+        occupancy.  Slot hosts that have not started yet build from
+        their adapted staged states when they do.
         """
-        failures = self._reconfigure(config)
+        if self._final_snapshot is not None:
+            raise RuntimeError("engine already closed")
+        failures: Dict[int, str] = {}
+        if self.running:
+            # Everything routed so far reaches its slot first, so the
+            # swap lands at an exact stream boundary.
+            self.check_workers()
+            self.flush()
+            failures = self._reconfigure(config)
+        elif self._slot_states is not None:
+            self._slot_states = [
+                None if state is None else reconfigure_state(state, config)
+                for state in self._slot_states
+            ]
         if failures:
             from ..core.eardet import ReconfigurationError
 
@@ -736,7 +891,9 @@ class ShardedEngine:
         arrival order), bring everything routed so far to its slot, and
         provision any new shards the plan targets."""
         plan.validate(self._layout)
-        self._freeze()
+        self._start()
+        self.check_workers()
+        self.flush()
         self._ensure_shards(plan.target_shards)
 
     def extract_slots(self, slot_ids: List[int]) -> Dict[int, SlotState]:
@@ -781,8 +938,7 @@ class ShardedEngine:
                 f"layout spans {layout.shards} shards but only "
                 f"{self._shards} are provisioned"
             )
-        self._layout = layout
-        self._assignment = list(layout.assignment)
+        self._set_layout(layout)
 
     def abort_migration(
         self,
@@ -814,10 +970,13 @@ class ShardedEngine:
         grow = shards - self._shards
         for key, fresh in _SHARD_ACCOUNTING:
             getattr(self, "_" + key).extend([fresh] * grow)
-        self._staged.extend(([], [], []) for _ in range(grow))
+        self._staged.extend([0] * grow)
         if self._overload is not None:
-            self._overload.extend(self._new_ladder() for _ in range(grow))
+            self._overload.extend(
+                ShardOverload(self.overload_policy) for _ in range(grow)
+            )
         first_new, self._shards = self._shards, shards
+        self._shard_slots.extend([] for _ in range(grow))
         self._grow(first_new)
 
     # -- checkpointing -----------------------------------------------------
@@ -914,13 +1073,14 @@ class ShardedEngine:
         else:
             layout = ShardLayout.default(slots, int(state["shard_count"]))
         self._adopt(layout, slot_states)
-        self._layout = layout
-        self._assignment = list(layout.assignment)
         shards = self._shards = layout.shards
-        self._staged = [([], [], []) for _ in range(shards)]
+        self._set_layout(layout)
+        self._staging = [([], [], [], []) for _ in range(slots)]
+        self._staged = [0] * shards
         if self._overload is not None and len(self._overload) < shards:
             self._overload.extend(
-                self._new_ladder() for _ in range(shards - len(self._overload))
+                ShardOverload(self.overload_policy)
+                for _ in range(shards - len(self._overload))
             )
         for key, fresh in _SHARD_ACCOUNTING:
             values = list(state.get(key) or ())
@@ -955,7 +1115,7 @@ class ShardedEngine:
 
 
 class InProcessEngine(ShardedEngine):
-    """Sharded EARDet with bounded ingestion queues, single-threaded.
+    """Sharded EARDet with bounded per-shard staging, single-threaded.
 
     Parameters
     ----------
@@ -963,15 +1123,17 @@ class InProcessEngine(ShardedEngine):
         Configuration applied to every slot detector (with the full link
         capacity ``rho``; see the module docstring).
     shards:
-        Number of hosting shards (queues, ladders, loss accounting).
+        Number of hosting shards (staging bounds, ladders, loss
+        accounting).
     seed:
         Seed of the flow-to-slot hash; must match between a snapshot and
         the engine restoring it.
     queue_capacity:
-        Maximum pending packets per shard.
+        Maximum staged packets per shard.
     overflow:
-        ``"block"`` (drain before accepting more; exact) or ``"drop"``
-        (shed load, counted per shard; lossy).
+        ``"block"`` (apply a full shard's staged packets before staging
+        more; exact) or ``"drop"`` (shed load, counted per shard;
+        lossy).
     store_factory:
         Counter-store implementation for each slot detector.
     fault_plan:
@@ -992,7 +1154,7 @@ class InProcessEngine(ShardedEngine):
         Optional :class:`~repro.service.pipeline.WatcherStage` observing
         the ambiguity region, one watcher per *slot* (its
         ``shard_count`` must equal the engine's slot count).  It taps
-        the stream at the routing point — before queueing, overflow,
+        the stream at the routing point — before staging, overflow,
         fault injection, or the overload ladder — and never feeds the
         slot detectors, so arming it leaves exact detections
         bit-identical.  Slot granularity also makes its verdict streams
@@ -1000,16 +1162,17 @@ class InProcessEngine(ShardedEngine):
         are read out separately (never merged into :meth:`detections`).
     overload:
         Optional :class:`~repro.service.overload.OverloadPolicy`.  When
-        armed, ingestion stops draining synchronously: packets are
-        admitted through the per-shard degradation ladder and queues are
-        drained by explicit :meth:`pump` calls bounded by the policy's
-        ``drain_budget`` (modelling finite worker capacity), so queue
-        occupancy becomes a real overload signal instead of a sawtooth.
-        Queue growth past capacity is permitted transiently — occupancy
-        above the high watermark escalates the ladder, which reaches
-        SHEDDING (and therefore stops enqueueing) within at most three
-        observations, keeping memory bounded.  With ``overload=None``
-        (the default) nothing on the ingest path changes.
+        armed, ingestion never applies staged packets itself: packets
+        are admitted through the per-shard degradation ladder and staged
+        packets are applied by explicit :meth:`pump` calls bounded by
+        the policy's ``drain_budget`` (modelling finite worker
+        capacity), so the staged count becomes a real overload signal
+        instead of a sawtooth.  Staging past capacity is permitted
+        transiently — a count above the high watermark escalates the
+        ladder, which reaches SHEDDING (and therefore stops staging)
+        within at most three observations, keeping memory bounded.
+        With ``overload=None`` (the default) nothing on the ingest path
+        changes.
     slots:
         Number of flow slots (detector granularity).  ``None`` (the
         default) means one slot per shard — the pre-reshard behaviour.
@@ -1040,13 +1203,18 @@ class InProcessEngine(ShardedEngine):
             raise ValueError(
                 f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
             )
+        # A full shard ships (block) or sheds (drop) at capacity; with a
+        # ladder armed nothing ships inside ingest, because pump() is
+        # then the capacity model and the ladder bounds the backlog.
         super().__init__(
             config, shards, seed, slots, fault_plan, dead_letter,
             invariant_every, overload, watcher,
             backlog_capacity=queue_capacity,
+            ship_at=queue_capacity if overload is None else sys.maxsize,
         )
         self.queue_capacity = queue_capacity
         self.overflow = overflow
+        self._sheds_when_full = overflow == "drop"
         #: Every slot's detector, in one host.
         self.slot_host = SlotHost(
             config,
@@ -1054,24 +1222,12 @@ class InProcessEngine(ShardedEngine):
             store_factory=store_factory,
             invariant_every=invariant_every,
         )
-        # Queued items carry the slot the packet was routed to at ingest,
-        # so draining never hashes a flow a second time.
-        self._queues: List[Deque[Tuple[int, Packet]]] = [
-            deque() for _ in range(shards)
-        ]
-
-    def _new_ladder(self) -> ShardOverload:
-        return ShardOverload(self.overload_policy, Packet)
-
-    def queue_depths(self) -> List[int]:
-        """Current pending-packet count per shard (cheap; no drain)."""
-        return [len(queue) for queue in self._queues]
 
     def detector_groups(self) -> List[List[EARDet]]:
         """Per-shard lists of hosted slot detectors (telemetry sync)."""
         detectors = self.slot_host.detectors
         return [
-            [detectors[slot] for slot in self._layout.slots_of(s)]
+            [detectors[slot] for slot in self._shard_slots[s]]
             for s in range(self._layout.shards)
         ]
 
@@ -1082,214 +1238,80 @@ class InProcessEngine(ShardedEngine):
             for d in (detectors[slot] for slot in range(self._layout.slots))
         ]
 
-    # -- ingestion ---------------------------------------------------------
+    # -- the transport -----------------------------------------------------
 
-    def ingest(self, batch: List[Packet]) -> None:
-        """Route a batch of packets onto shard queues, applying the
-        overflow policy when a queue is full (and, when a fault plan is
-        armed, injecting kills/stalls/drops at exact packet positions).
+    def _ship(self, index: int) -> None:
+        """Apply shard ``index``'s staged slot groups to their detectors
+        — the direct call this transport has in place of a wire."""
+        self._note_depth(index, self._staged[index])
+        groups = self._slot_groups(index)
+        self._unstage(index)
+        self.slot_host.observe((slot, *group[:3]) for slot, group in groups)
 
-        With an armed overload policy the batch instead flows through
-        the per-shard degradation ladder (see :meth:`_ingest_overload`).
-        """
-        if self._overload is not None:
-            self._ingest_overload(batch)
-            return
-        queues = self._queues
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        high_water = self._queue_high_water
-        last_ts = self._last_packet_ts
-        capacity = self.queue_capacity
-        block = self.overflow == "block"
-        plan = self._plan
-        watcher = self.watcher
-        for packet in batch:
-            slot = route(packet.fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                # Stage-2 tap at the routing point: sees the wire
-                # stream before queueing/overflow/faults can lose it.
-                # Slot-keyed, so the tap is invariant under resharding.
-                watcher.observe(packet, slot)
-            if plan is not None:
-                local = routed[index]
-                if plan.should_drop(index, local):
-                    self._record_loss(index, packet, "injected-drop", slot=slot)
-                    continue
-                stall = plan.take_stall(index, local)
-                if stall is not None:
-                    _time.sleep(stall.duration_s)
-                kill = plan.take_kill(index, local)
-                if kill is not None:
-                    raise ShardCrashError(
-                        f"injected kill: shard {index} died at its packet "
-                        f"{local}",
-                        shard=index,
-                    )
-            queue = queues[index]
-            if len(queue) >= capacity:
-                if block:
-                    self._drain_shard(index)
-                else:
-                    self._record_loss(index, packet, "queue-overflow", slot=slot)
-                    continue
-            queue.append((slot, packet))
-            self._accepted += 1
-            depth = len(queue)
-            if depth > high_water[index]:
-                high_water[index] = depth
-
-    def _ingest_overload(self, batch: List[Packet]) -> None:
-        """Ladder-mediated ingest: observe occupancy once per shard per
-        batch, admit each packet at its shard's current rung, advance
-        the deferred-deadline clock at the end.
-
-        Enqueueing here is unconditional (no synchronous drain, no
-        overflow drop): queue depth is the overload *signal*, and the
-        ladder — not the queue bound — is what sheds load.  Memory stays
-        bounded because occupancy at or above the high watermark
-        escalates one rung per batch, so a persistently full shard stops
-        enqueueing (SHEDDING) after at most three batches.
-        """
-        states = self._overload
-        assert states is not None
-        queues = self._queues
-        capacity = self.queue_capacity
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        last_ts = self._last_packet_ts
-        high_water = self._queue_high_water
-        plan = self._plan
-        watcher = self.watcher
-        exact = DegradationLevel.EXACT
-        accepted = 0
-        for index, state in enumerate(states):
-            for item in state.observe(len(queues[index]), capacity):
-                self._enqueue(index, item)
-        for packet in batch:
-            slot = route(packet.fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                # The watcher taps ahead of the ladder: it keeps seeing
-                # in-region traffic even while this shard sheds load.
-                watcher.observe(packet, slot)
-            if plan is not None:
-                local = routed[index]
-                if plan.should_drop(index, local):
-                    self._record_loss(index, packet, "injected-drop", slot=slot)
-                    continue
-                stall = plan.take_stall(index, local)
-                if stall is not None:
-                    _time.sleep(stall.duration_s)
-                kill = plan.take_kill(index, local)
-                if kill is not None:
-                    raise ShardCrashError(
-                        f"injected kill: shard {index} died at its packet "
-                        f"{local}",
-                        shard=index,
-                    )
-            state = states[index]
-            if state.controller.level is exact:
-                # Inlined EXACT rung (equivalent to admit + _enqueue):
-                # the armed-but-idle ladder must cost attribute bumps,
-                # not three function calls per packet.
-                account = state.account
-                account.exact_packets += 1
-                account.exact_bytes += packet.size
-                state._last_time = packet.time
-                queue = queues[index]
-                queue.append((slot, packet))
-                accepted += 1
-                depth = len(queue)
-                if depth > high_water[index]:
-                    high_water[index] = depth
-                continue
-            emitted = state.admit(packet.time, packet.size, packet.fid, packet)
-            if emitted is None:
-                self._record_loss(index, packet, "overload-shed", slot=slot)
-                continue
-            for item in emitted:
-                self._enqueue(index, item)
-        self._accepted += accepted
-        for index, state in enumerate(states):
-            for item in state.on_batch_end():
-                self._enqueue(index, item)
-
-    def _enqueue(self, index: int, packet: Packet) -> None:
-        """Queue a packet released by a rung buffer (deferred or
-        aggregated), routing it here since it bypassed :meth:`ingest`'s
-        routing."""
-        queue = self._queues[index]
-        queue.append((self._route(packet.fid), packet))
-        self._accepted += 1
-        self._note_depth(index, len(queue))
+    def _fault(self, index: int, packet: Packet, slot: int) -> bool:
+        # No worker can die here, so injected stalls and kills fire at
+        # routing time, at the shard-local arrival they name.
+        if super()._fault(index, packet, slot):
+            return True
+        local = self._routed[index]
+        stall = self._plan.take_stall(index, local)
+        if stall is not None:
+            _time.sleep(stall.duration_s)
+        if self._plan.take_kill(index, local) is not None:
+            raise ShardCrashError(
+                f"injected kill: shard {index} died at its packet {local}",
+                shard=index,
+            )
+        return False
 
     def pump(self, budget: Optional[int] = None) -> int:
-        """Drain up to ``budget`` packets from each shard queue (the
-        worker-capacity model under an armed overload policy; defaults
-        to the policy's ``drain_budget``).  Returns packets processed.
-        ``None`` budget (and no policy default) drains fully."""
+        """Apply up to ``budget`` staged packets of each shard, slot by
+        slot, each slot's packets in arrival order (the worker-capacity
+        model under an armed overload policy; defaults to the policy's
+        ``drain_budget``).  Each shard's staged count — all its ladder
+        reads — falls by exactly what was applied, which is returned.
+        ``None`` budget (and no policy default) applies everything."""
         if budget is None and self.overload_policy is not None:
             budget = self.overload_policy.drain_budget
         processed = 0
         detectors = self.slot_host.detectors
-        for queue in self._queues:
+        for index, staged in enumerate(self._staged):
+            if budget is None or staged <= budget:
+                if staged:
+                    self._ship(index)
+                processed += staged
+                continue
             remaining = budget
-            while queue and (remaining is None or remaining > 0):
-                slot, packet = queue.popleft()
-                detectors[slot].observe(packet)
-                processed += 1
-                if remaining is not None:
-                    remaining -= 1
+            for slot in self._shard_slots[index]:
+                times, sizes, fids, arrivals = self._staging[slot]
+                take = min(remaining, len(times))
+                if take:
+                    detectors[slot].observe_batch(
+                        times[:take], sizes[:take], fids[:take]
+                    )
+                    del times[:take], sizes[:take], fids[:take]
+                    del arrivals[:take]
+                    remaining -= take
+                    if not remaining:
+                        break
+            self._staged[index] -= budget
+            processed += budget
         return processed
-
-    def flush(self) -> None:
-        """Process every pending packet (the graceful-drain step).
-
-        With an armed overload policy this first releases everything the
-        rung buffers hold (deferred packets, open aggregate epochs), so
-        a drain or snapshot never strands coalesced packets."""
-        if self._overload is not None:
-            for index, state in enumerate(self._overload):
-                for item in state.flush():
-                    self._enqueue(index, item)
-        for index in range(len(self._queues)):
-            self._drain_shard(index)
-
-    def _drain_shard(self, index: int) -> None:
-        queue = self._queues[index]
-        detectors = self.slot_host.detectors
-        while queue:
-            slot, packet = queue.popleft()
-            detectors[slot].observe(packet)
 
     def close(self, drain: bool = False) -> None:
         """Drain and release; the in-process engine holds no OS resources.
         ``drain`` exists for interface parity with the other transports
-        (there it selects the drain exit code); the drain work —
-        flushing rung buffers and queues — happens either way."""
+        (there it selects the drain exit code); the drain work — rung
+        buffers released, staged packets applied — happens either way."""
         self.flush()
-
-    def terminate(self) -> None:
-        """Abandon pending work without draining (the supervisor's
-        teardown path after a crash — the restored checkpoint supersedes
-        whatever is still queued)."""
-        for queue in self._queues:
-            queue.clear()
 
     # -- transport hooks ---------------------------------------------------
 
+    def _collect_states(self) -> Dict[int, Dict[int, SlotState]]:
+        return {0: self.slot_host.snapshot()}
+
     def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        # Queues are flushed first so the swap lands at an exact stream
-        # boundary; the one host's failure propagates as raised.
-        self.flush()
+        # The one host's failure propagates as raised.
         self.slot_host.reconfigure(config)
         return {}
 
@@ -1326,23 +1348,9 @@ class InProcessEngine(ShardedEngine):
             )
         super().commit_layout(layout)
 
-    def _grow(self, first_new: int) -> None:
-        self._queues.extend(deque() for _ in range(self._shards - first_new))
-
     def _adopt(
         self, layout: ShardLayout, slot_states: List[SlotState]
     ) -> None:
-        self._queues = [deque() for _ in range(layout.shards)]
         detectors = self.slot_host.detectors
         for slot, slot_state in enumerate(slot_states):
             detectors[slot].restore(slot_state)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Exact engine state at the current packet boundary.
-
-        Drains all queues first so the captured slot states correspond to
-        exactly the packets accepted so far."""
-        self.flush()
-        return self._assemble({0: self.slot_host.snapshot()})

@@ -2,7 +2,7 @@
 and the shard server behind ``eardet worker --listen``.
 
 The in-tree engines shard within one process tree; this module carries
-the same packet columns over TCP so one coordinator
+the same routed slot groups over TCP so one coordinator
 (:class:`~repro.service.remote.RemoteEngine`) can drive shard servers on
 other hosts with the same bit-identical-detections discipline.  Networks
 fail in ways ``multiprocessing`` queues never do — partitions, half-open
@@ -20,15 +20,16 @@ Frame layout (all integers little-endian)::
                  (:func:`repro.service.checkpoint.dumps`)
     last 4       CRC-32 over type + sequence + payload
 
-A ``BATCH`` payload is the tuple of packet columns ``(times, sizes,
-fids)``, each packed to little-endian int64 ``bytes`` when its values
-allow, else a codec list (:func:`repro.service.checkpoint.pack_column`);
-the server checks them as ``Packet`` would (:func:`decode_batch`).
+A ``BATCH`` payload (protocol 3) is a tuple of slot groups ``(slot,
+times, sizes, fids)``, each column packed to little-endian int64
+``bytes`` when its values allow, else a codec list (:func:`repro.
+service.checkpoint.pack_column`); the server routes nothing and checks
+each group as ``Packet`` would, and its slot (:func:`decode_batch`).
 
 Exactly-once batch delivery rests on three rules:
 
 1. **Monotonic sequences.**  Every state-carrying frame (a ``BATCH`` of
-   packet columns, or a ``CONTROL`` request) takes the connection's next
+   slot groups, or a ``CONTROL`` request) takes the connection's next
    sequence number.  ``HELLO``/``WELCOME``/``ACK`` ride outside the
    stream (sequence 0 for HELLO/WELCOME; an ACK's sequence *is* the
    cumulative ack).
@@ -47,8 +48,8 @@ Exactly-once batch delivery rests on three rules:
 The server (:class:`ShardServer`) is a TCP shell around the same
 :class:`~repro.service.engine.SlotHost` a multiprocess worker runs:
 ``assign`` builds the host (configuration, hash seed and slot space,
-hosted slots, restored states), ``BATCH`` frames feed it their columns
-through :meth:`~repro.core.eardet.EARDet.observe_batch`, and the
+hosted slots, restored states), ``BATCH`` frames feed each slot group to
+its slot's :meth:`~repro.core.eardet.EARDet.observe_batch`, and the
 ``snapshot`` / ``extract`` / ``install`` / ``reconfig`` / ``stop`` ops
 are the host's slot commands; the server itself adds ``ping`` liveness,
 a ``scrape`` of its counters, the sequence discipline, and its exit
@@ -72,14 +73,13 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Container, Dict, List, Optional, Tuple
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
-from ..detectors.hashing import StageHash
 from .backoff import BackoffPolicy
 from .checkpoint import CheckpointError, dumps, loads, unpack_column
-from .engine import FlowRouter, SlotHost
+from .engine import SlotGroup, SlotHost
 from .errors import FrameCorruptError, HandshakeError, TransportError
 from .workers import DRAIN_EXIT_CODE, INVARIANT_EXIT_CODE
 
@@ -90,7 +90,7 @@ FRAME_MAGIC = b"ERNF"
 #: Bump on any incompatible change to the frame layout or the control
 #: vocabulary.  Both ends send it in the handshake and refuse mismatches
 #: permanently (:class:`~repro.service.errors.HandshakeError`).
-NET_PROTOCOL_VERSION = 2
+NET_PROTOCOL_VERSION = 3
 
 #: Exit code the shard server uses when the transport fails permanently:
 #: a handshake the two ends can never agree on (protocol version,
@@ -199,25 +199,41 @@ def decode_frame(data: bytes) -> Tuple[int, int, Any]:
     return ftype, seq, payload
 
 
-def decode_batch(payload: Any) -> Tuple[Sequence, Sequence, Sequence]:
-    """A ``BATCH`` payload's ``(times, sizes, fids)`` columns, checked
-    as ``Packet`` construction would: raises :class:`~repro.service.
-    errors.FrameCorruptError` unless there are three columns of equal
-    length, every time is ``>= 0`` and every size ``> 0``."""
-    if not isinstance(payload, tuple) or len(payload) != 3:
-        raise FrameCorruptError(f"BATCH payload not 3 columns: {payload!r:.50}")
-    try:
-        times, sizes, fids = map(unpack_column, payload)
-        lengths = (len(times), len(sizes), len(fids))
-        if len(set(lengths)) != 1:
-            raise FrameCorruptError(f"BATCH column lengths {lengths} differ")
-        if times and (min(times) < 0 or min(sizes) <= 0):
+def decode_batch(
+    payload: Any, hosted: Optional[Container[int]] = None
+) -> List[SlotGroup]:
+    """A ``BATCH`` payload's slot groups ``(slot, times, sizes, fids)``,
+    checked as ``Packet`` construction would: raises :class:`~repro.
+    service.errors.FrameCorruptError` unless the payload is a tuple of
+    4-tuples, each slot an ``int`` (one of ``hosted``, when given) with
+    three columns of equal length, every time ``>= 0`` and every size
+    ``> 0``."""
+    if not isinstance(payload, tuple):
+        raise FrameCorruptError(f"BATCH payload not slot groups: {payload!r:.50}")
+    groups = []
+    for group in payload:
+        if not isinstance(group, tuple) or len(group) != 4:
             raise FrameCorruptError(
-                f"BATCH min time {min(times)}, min size {min(sizes)}"
+                f"BATCH group not (slot, times, sizes, fids): {group!r:.50}"
             )
-    except (CheckpointError, TypeError) as error:
-        raise FrameCorruptError(f"bad BATCH column: {error}") from error
-    return times, sizes, fids
+        slot = group[0]
+        if type(slot) is not int:
+            raise FrameCorruptError(f"BATCH slot id {slot!r:.20} is not an int")
+        if hosted is not None and slot not in hosted:
+            raise FrameCorruptError(f"BATCH slot {slot} is not hosted here")
+        try:
+            times, sizes, fids = map(unpack_column, group[1:])
+            lengths = (len(times), len(sizes), len(fids))
+            if len(set(lengths)) != 1:
+                raise FrameCorruptError(f"BATCH column lengths {lengths} differ")
+            if times and (min(times) < 0 or min(sizes) <= 0):
+                raise FrameCorruptError(
+                    f"BATCH min time {min(times)}, min size {min(sizes)}"
+                )
+        except (CheckpointError, TypeError) as error:
+            raise FrameCorruptError(f"bad BATCH column: {error}") from error
+        groups.append((slot, times, sizes, fids))
+    return groups
 
 
 def read_frame(sock: socket.socket,
@@ -948,15 +964,15 @@ class ShardServer:
     def _apply_batch(self, payload) -> None:
         if self._host is None:
             raise FrameCorruptError("BATCH before assign")
-        times, sizes, fids = decode_batch(payload)
+        groups = decode_batch(payload, self._host.detectors)
         try:
-            self._host.observe(times, sizes, fids)
+            self._host.observe(groups)
         except Exception as error:
             if _is_invariant(error):
                 raise _InvariantSignal(error) from error
             raise
         self.batches_applied += 1
-        self.packets_processed += len(times)
+        self.packets_processed += sum(len(group[1]) for group in groups)
 
     def _apply_control(
         self, seq: int, payload
@@ -1063,7 +1079,6 @@ class ShardServer:
             config,
             payload["slot_ids"],
             payload.get("states") or {},
-            router=FlowRouter(StageHash(seed=seed, buckets=slots)),
             invariant_every=payload.get("invariant_every"),
         )
         return {"op": "assigned", "slots": sorted(self._host.detectors)}

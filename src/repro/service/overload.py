@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
 from ..model.packet import FlowId
 
@@ -340,28 +340,23 @@ class DegradationAccount:
             setattr(self, name, value)
 
 
-ItemT = TypeVar("ItemT")
-
-#: ``make_item(time_ns, size, fid) -> item`` — how a rung re-materializes
-#: a coalesced arrival in the engine's native packet representation
-#: (``Packet`` in-process, a ``(time, size, fid)`` tuple for the
-#: multiprocess engine's column staging).
-ItemFactory = Callable[[int, int, FlowId], ItemT]
+#: One packet as a rung buffer holds it: ``(time_ns, size, fid)``.
+Item = Tuple[int, int, FlowId]
 
 
-class ShardOverload(Generic[ItemT]):
+class ShardOverload:
     """Per-shard ladder state: controller, account and rung buffers.
 
     The engine drives it with three calls:
 
     - :meth:`observe` once per ingest batch (before admitting packets);
       any items it returns were pending in a rung buffer that the new
-      level no longer uses and **must be enqueued first**.
+      level no longer uses and **must be staged first**.
     - :meth:`admit` per packet; the returned items (possibly none, for a
       buffered packet; possibly many, for a buffer release) are what the
-      engine actually enqueues.  ``None`` means the packet was shed.
+      engine actually stages.  ``None`` means the packet was shed.
     - :meth:`on_batch_end` after the batch; returned items are
-      deadline-expired deferred packets to enqueue.
+      deadline-expired deferred packets to stage.
 
     :meth:`flush` releases everything pending (drain/snapshot/stop), so
     a graceful shutdown never strands buffered packets.
@@ -372,17 +367,12 @@ class ShardOverload(Generic[ItemT]):
     earlier than any packet already emitted.
     """
 
-    def __init__(
-        self,
-        policy: OverloadPolicy,
-        make_item: ItemFactory[ItemT],
-    ):
+    def __init__(self, policy: OverloadPolicy):
         self.policy = policy
         self.controller = AdmissionController(policy)
         self.account = DegradationAccount()
-        self._make_item = make_item
         # DEFERRED: coalescing buffer and its age in batches.
-        self._defer: List[ItemT] = []
+        self._defer: List[Item] = []
         self._defer_age = 0
         # AGGREGATED: fid -> [bytes, first_ts, packets]; epoch start ts.
         self._aggregates: Dict[FlowId, List[int]] = {}
@@ -398,21 +388,21 @@ class ShardOverload(Generic[ItemT]):
 
     @property
     def pending(self) -> int:
-        """Packets currently held in rung buffers (not yet enqueued)."""
+        """Packets currently held in rung buffers (not yet staged)."""
         return len(self._defer) + sum(
             entry[2] for entry in self._aggregates.values()
         )
 
     # -- the three engine hooks -------------------------------------------
 
-    def observe(self, depth: int, capacity: int) -> List[ItemT]:
+    def observe(self, depth: int, capacity: int) -> List[Item]:
         """Feed one occupancy sample; flush buffers a level change
-        orphans.  Returns items the engine must enqueue immediately."""
+        orphans.  Returns items the engine must stage immediately."""
         before = self.controller.level
         after = self.controller.observe(depth, capacity)
         if after is before:
             return []
-        released: List[ItemT] = []
+        released: List[Item] = []
         if before is DegradationLevel.DEFERRED and self._defer:
             released.extend(self._release_defer())
         if before is DegradationLevel.AGGREGATED and self._aggregates:
@@ -420,20 +410,20 @@ class ShardOverload(Generic[ItemT]):
         return released
 
     def admit(
-        self, time_ns: int, size: int, fid: FlowId, item: ItemT
-    ) -> Optional[List[ItemT]]:
+        self, time_ns: int, size: int, fid: FlowId
+    ) -> Optional[List[Item]]:
         """Admit one packet at the current level.
 
-        Returns the items to enqueue now (possibly empty while a buffer
+        Returns the items to stage now (possibly empty while a buffer
         fills), or ``None`` when the packet was shed.
         """
         level = self.controller.level
         self.account.admit(level, size, time_ns)
         self._last_time = time_ns
         if level is DegradationLevel.EXACT:
-            return [item]
+            return [(time_ns, size, fid)]
         if level is DegradationLevel.DEFERRED:
-            self._defer.append(item)
+            self._defer.append((time_ns, size, fid))
             if len(self._defer) > self.defer_high_water:
                 self.defer_high_water = len(self._defer)
             if len(self._defer) >= self.policy.defer_max_packets:
@@ -443,7 +433,7 @@ class ShardOverload(Generic[ItemT]):
             return self._aggregate(time_ns, size, fid)
         return None
 
-    def on_batch_end(self) -> List[ItemT]:
+    def on_batch_end(self) -> List[Item]:
         """Advance the deferred deadline clock; returns expired items."""
         if not self._defer:
             self._defer_age = 0
@@ -453,7 +443,7 @@ class ShardOverload(Generic[ItemT]):
             return self._release_defer()
         return []
 
-    def flush(self) -> List[ItemT]:
+    def flush(self) -> List[Item]:
         """Release everything pending (drain, snapshot, stop)."""
         released = self._release_defer()
         released.extend(self._flush_aggregates(self._last_time))
@@ -461,13 +451,13 @@ class ShardOverload(Generic[ItemT]):
 
     # -- rung internals ----------------------------------------------------
 
-    def _release_defer(self) -> List[ItemT]:
+    def _release_defer(self) -> List[Item]:
         released = self._defer
         self._defer = []
         self._defer_age = 0
         return released
 
-    def _aggregate(self, time_ns: int, size: int, fid: FlowId) -> List[ItemT]:
+    def _aggregate(self, time_ns: int, size: int, fid: FlowId) -> List[Item]:
         if self._epoch_start is None:
             self._epoch_start = time_ns
         entry = self._aggregates.get(fid)
@@ -485,13 +475,13 @@ class ShardOverload(Generic[ItemT]):
             return self._flush_aggregates(time_ns)
         return []
 
-    def _flush_aggregates(self, flush_ts: int) -> List[ItemT]:
+    def _flush_aggregates(self, flush_ts: int) -> List[Item]:
         if not self._aggregates:
             return []
-        released: List[ItemT] = []
+        released: List[Item] = []
         for fid, (total, first_ts, _count) in self._aggregates.items():
             self.account.note_widening(flush_ts - first_ts)
-            released.append(self._make_item(flush_ts, total, fid))
+            released.append((flush_ts, total, fid))
         self._aggregates = {}
         self._epoch_start = None
         return released
@@ -536,7 +526,7 @@ class ShardOverload(Generic[ItemT]):
 
 
 def build_overload_report(
-    states: List["ShardOverload[ItemT]"], rho: int
+    states: List[ShardOverload], rho: int
 ) -> Dict[str, object]:
     """Service-level overload summary shared by both engines.
 

@@ -5,13 +5,13 @@
 engine.InProcessEngine` is the reference, :class:`~repro.service.
 workers.MultiprocessEngine` the one-host throughput deployment): the
 shared routing side — memoized flow→slot hashing, slot→shard assignment,
-watcher tap, loss accounting, staging ``(times, sizes, fids)``
-columns — is the multiprocess parent's, but a full chunk ships as one
-exactly-once ``BATCH`` frame of packed columns over
-:mod:`repro.service.net` to :class:`~repro.service.net.ShardServer`
-processes that may live on other hosts (``eardet worker --listen``),
-each feeding the columns to the same :class:`~repro.service.engine.
-SlotHost` the other transports use, without building a ``Packet``.
+watcher tap, loss accounting, per-slot staging — is the multiprocess
+parent's, but a shard's staged slot groups ship as one exactly-once
+``BATCH`` frame of packed columns over :mod:`repro.service.net` to
+:class:`~repro.service.net.ShardServer` processes that may live on other
+hosts (``eardet worker --listen``), each feeding every group to its slot
+in the same :class:`~repro.service.engine.SlotHost` the other transports
+use — no ``Packet`` built, no flow hashed twice.
 
 Determinism is inherited: slots are independent and each processes its
 hash sub-stream in arrival order no matter which host serves it, so
@@ -31,10 +31,11 @@ envelope the service has had since PR 2:
   that budget replays the ring and nothing was ever lost.
 - Beyond either bound the shard's exactness envelope is **voided from
   the first unsendable packet**: that packet and every routed successor
-  during the outage is dead-lettered with reason ``"partition"`` and
-  counted (integer identity: every routed packet is either applied
-  exactly once by its server or accounted here).  Frames already in the
-  ring are *not* loss — they replay on reconnect.
+  during the outage is dead-lettered with reason ``"partition"``, in
+  arrival order and under the shard-local arrival index staged beside
+  it, and counted (integer identity: every routed packet is either
+  applied exactly once by its server or accounted here).  Frames
+  already in the ring are *not* loss — they replay on reconnect.
 
 Everything else — snapshots via control barriers at exact stream
 prefixes, the two-phase migration primitives, graceful drain — is the
@@ -151,6 +152,7 @@ class RemoteEngine(ShardedEngine):
             config, shards, seed, slots, fault_plan, dead_letter,
             invariant_every, None, watcher,
             backlog_capacity=mask_frame_limit,
+            ship_at=chunk_size,
         )
         self.chunk_size = chunk_size
         self.mask_deadline_s = mask_deadline_s
@@ -158,7 +160,6 @@ class RemoteEngine(ShardedEngine):
         self.connect_timeout_s = connect_timeout_s
         self.barrier_timeout_s = barrier_timeout_s
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self._final_snapshot: Optional[Dict[str, object]] = None
         # Partition-policy state: when the current outage began (None
         # while reachable) and how many outages each shard has seen.
         self._outage_since: List[Optional[float]] = [None] * shards
@@ -178,14 +179,10 @@ class RemoteEngine(ShardedEngine):
         return list(self._endpoints)
 
     def queue_depths(self) -> List[int]:
-        """Staged packets plus unacked in-flight frames per shard."""
-        depths = []
-        for index in range(self._shards):
-            depth = len(self._staged[index][0])
-            if self._connections is not None:
-                depth += self._connections[index].ring_depth
-            depths.append(depth)
-        return depths
+        """Unacked in-flight frames per shard."""
+        if self._connections is None:
+            return [0] * self._shards
+        return [conn.ring_depth for conn in self._connections[:self._shards]]
 
     # -- liveness ----------------------------------------------------------
 
@@ -273,14 +270,10 @@ class RemoteEngine(ShardedEngine):
                 shard=index,
             )
 
-    def close(self, drain: bool = False) -> Dict[str, object]:
-        """Graceful stop: flush, stop every shard server (collecting
-        final exact states), return the final engine snapshot.  With
-        ``drain=True`` CLI-run servers exit with the drain code."""
-        if self._final_snapshot is not None:
-            return self._final_snapshot
-        self._start()
-        self.flush()
+    def _stop(self, drain: bool) -> Dict[int, Dict]:
+        """Stop every shard server with a ``stop`` control barrier
+        (collecting final exact states); with ``drain=True`` CLI-run
+        servers exit with the drain code."""
         states: Dict[int, Dict] = {}
         for index in range(self._layout.shards):
             reply = self._control(index, {"op": "stop", "drain": drain})
@@ -292,9 +285,8 @@ class RemoteEngine(ShardedEngine):
                 int(slot): state
                 for slot, state in reply["states"].items()
             }
-        self._final_snapshot = self._assemble(states)
         self._teardown()
-        return self._final_snapshot
+        return states
 
     def terminate(self) -> None:
         """Drop every connection without stopping the servers (crash
@@ -314,23 +306,21 @@ class RemoteEngine(ShardedEngine):
     # -- ingest ------------------------------------------------------------
 
     def flush(self) -> None:
-        """Ship all staged partial chunks (and any reorder-stashed
-        frame).  Does not wait for acks — barriers prove the prefix."""
+        """Ship all staged packets (and any reorder-stashed frame).
+        Does not wait for acks — barriers prove the prefix."""
+        super().flush()
         if self._connections is None:
             return
-        for index in range(self._shards):
-            if self._staged[index][0]:
-                self._ship(index)
-            conn = self._connections[index]
+        for conn in self._connections[:self._shards]:
             if conn.connected:
                 conn.flush_stash()
                 conn.poll()
 
     def _ship(self, index: int) -> None:
-        """Send shard ``index``'s staged columns as one BATCH frame,
+        """Send shard ``index``'s staged slot groups as one BATCH frame,
         applying the partition policy when the endpoint is unreachable."""
-        columns = self._staged[index]
-        self._staged[index] = ([], [], [])
+        groups = self._slot_groups(index)
+        self._unstage(index)
         conn = self._connections[index]
         self._check_fatal(conn)
         if not conn.connected:
@@ -338,16 +328,28 @@ class RemoteEngine(ShardedEngine):
         if not conn.connected and not self._mask_allows(index):
             # The mask budget is gone: the envelope is void from this —
             # the first unsendable — packet onward, and the loss is
-            # accounted to the integer identity.
-            arrivals = self._arrivals(index, len(columns[0]))
-            for time_ns, size, fid, arrival in zip(*columns, arrivals):
+            # accounted to the integer identity, in arrival order.
+            lost = sorted(
+                (
+                    (arrival, slot, Packet(time_ns, size, fid))
+                    for slot, (times, sizes, fids, arrivals) in groups
+                    for time_ns, size, fid, arrival in zip(
+                        times, sizes, fids, arrivals
+                    )
+                ),
+                key=lambda entry: entry[0],
+            )
+            for arrival, slot, packet in lost:
                 self._record_loss(
-                    index, Packet(time_ns, size, fid), "partition",
-                    slot=self._route(fid), arrival=arrival,
+                    index, packet, "partition", slot=slot, arrival=arrival
                 )
             return
         try:
-            conn.send(FT_BATCH, tuple(map(pack_column, columns)))
+            conn.send(FT_BATCH, tuple(
+                (slot, pack_column(times), pack_column(sizes),
+                 pack_column(fids))
+                for slot, (times, sizes, fids, _) in groups
+            ))
             conn.poll()
             self._outage_since[index] = None
         except TransportError:
@@ -363,18 +365,6 @@ class RemoteEngine(ShardedEngine):
                 conn.wait_acks(self.mask_frame_limit, self.barrier_timeout_s)
             except TransportError:
                 self._note_outage(index)
-
-    def _arrivals(self, index: int, count: int) -> List[int]:
-        """Shard-local arrival indices of the ``count`` packets staged
-        on shard ``index``: its latest routed positions no injected drop
-        took (until its columns ship, every routed packet is one or the
-        other) — the positions a forensics replay re-injects."""
-        plan, position, arrivals = self._plan, self._routed[index], []
-        while len(arrivals) < count:
-            if plan is None or not plan.should_drop(index, position):
-                arrivals.append(position)
-            position -= 1
-        return arrivals[::-1]
 
     def _note_outage(self, index: int) -> None:
         if self._outage_since[index] is None:
@@ -471,13 +461,6 @@ class RemoteEngine(ShardedEngine):
     def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
         """An exactly-once ``reconfig`` control barrier per shard
         server."""
-        if self._final_snapshot is not None:
-            raise RuntimeError("engine already closed")
-        if self._connections is None:
-            self._reconfigure_staged(config)
-            return {}
-        self.check_workers()
-        self.flush()
         payload = {"op": "reconfig", "config": config_as_dict(config)}
         failures: Dict[int, str] = {}
         for index in range(self._layout.shards):
@@ -526,31 +509,23 @@ class RemoteEngine(ShardedEngine):
                 self._assign_shard(index)
 
     def _adopt(self, layout: ShardLayout, slot_states: List) -> None:
-        # Stage the states for the (not yet connected) servers.
-        if self._connections is not None or self._final_snapshot is not None:
-            raise RuntimeError("restore() must precede any ingestion")
         if layout.shards > len(self._endpoints):
             raise ValueError(
                 f"snapshot layout spans {layout.shards} shards but only "
                 f"{len(self._endpoints)} worker endpoints were provided"
             )
-        shards = layout.shards
-        self._outage_since = [None] * shards
-        self._outages = [0] * shards
-        self._slot_states = slot_states
+        super()._adopt(layout, slot_states)
+        self._outage_since = [None] * layout.shards
+        self._outages = [0] * layout.shards
 
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self) -> Dict[str, object]:
-        """Exact engine state via a control barrier on every shard."""
-        if self._final_snapshot is not None:
-            return self._final_snapshot
-        self._start()
-        self.flush()
-        return self._assemble({
+    def _collect_states(self) -> Dict[int, Dict]:
+        """A snapshot control barrier on every shard."""
+        return {
             index: self._control(index, {"op": "snapshot"})["states"]
             for index in range(self._layout.shards)
-        })
+        }
 
     # -- transport introspection ------------------------------------------
 

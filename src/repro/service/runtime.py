@@ -177,8 +177,8 @@ class DetectionService:
         Optional :class:`~repro.service.overload.OverloadPolicy`
         arming the degradation ladder on the engine (see
         :mod:`repro.service.overload`).  On the in-process engine the
-        serve loop additionally pumps each shard's queue under the
-        policy's ``drain_budget`` per batch.
+        serve loop additionally pumps each shard's staged packets under
+        the policy's ``drain_budget`` per batch.
     checkpoint_backoff:
         Optional :class:`~repro.service.backoff.BackoffPolicy` retrying
         transient checkpoint-write failures (``OSError``); None keeps
@@ -358,7 +358,9 @@ class DetectionService:
             from ..telemetry import ServiceInstruments
 
             self._instruments = ServiceInstruments(telemetry)
-            self._instruments.bind_shards(shards, queue_capacity)
+            self._instruments.bind_shards(
+                shards, self._engine.backlog_capacity
+            )
         if forensics is not None and self._instruments is not None:
             forensics.bind_instruments(self._instruments)
 
@@ -536,10 +538,7 @@ class DetectionService:
             # Re-bind per-shard channels if the migration grew the fleet,
             # then refresh the reshard gauges immediately.
             self._instruments.bind_shards(
-                self._engine.shard_count,
-                getattr(
-                    self._engine, "queue_capacity", DEFAULT_QUEUE_CAPACITY
-                ),
+                self._engine.shard_count, self._engine.backlog_capacity
             )
             self._instruments.sync_reshard(self._reshard_report())
         return report
@@ -819,13 +818,13 @@ class DetectionService:
         started = self._clock()
         served = 0
         next_boundary = self._next_boundary()
-        # Under an armed overload policy the in-process engine does not
-        # drain synchronously; the serve loop pumps each shard within the
-        # policy's drain budget once per batch (the capacity model).  An
-        # armed controller also needs a per-batch pump: its telemetry
+        # Under an armed overload policy the in-process engine applies
+        # nothing inside ingest; the serve loop pumps each shard within
+        # the policy's drain budget once per batch (the capacity model).
+        # An armed controller also needs a per-batch pump: its telemetry
         # scrape reads per-detector gauges (occupancy, evictions), which
-        # only move when the shard queues actually drain — without the
-        # pump the control loop would steer on stale zeros.
+        # only move when staged packets are actually applied — without
+        # the pump the control loop would steer on stale zeros.
         pump = (
             getattr(self._engine, "pump", None)
             if self.overload is not None or self._controller is not None

@@ -10,26 +10,26 @@ layout), consuming chunks from a **bounded** ``multiprocessing.Queue`` —
 when a shard falls behind, ``Queue.put`` blocks the parent, which
 therefore stops pulling from the source: backpressure end to end, memory
 bounded by ``shards * queue_capacity * chunk_size`` packets plus the
-parent's per-shard staging buffers.
+parent's staged packets.
 
 Scaling lives or dies on the *parent's* per-packet cost (it is the one
 serial stage), so the routing loop is aggressively cheap: slot lookup
 goes through the memoized :class:`~repro.service.engine.FlowRouter`
 rather than re-hashing every packet (the slot→shard step is a list
-index), and chunks travel as the ``(times, sizes, fids)`` column lists
-the shared staging loop (:meth:`~repro.service.engine.ShardedEngine.
-ingest`) builds — far cheaper to pickle than ``Packet`` instances or
-per-packet tuples — which the worker feeds straight to
-:meth:`~repro.core.eardet.EARDet.observe_batch`.  A worker hosting
-exactly one slot (the default layout) skips per-packet slot dispatch.
+index), and a chunk travels as the slot groups ``(slot, times, sizes,
+fids)`` the shared staging loop (:meth:`~repro.service.engine.
+ShardedEngine.ingest`) builds — far cheaper to pickle than ``Packet``
+instances or per-packet tuples.  The worker never routes: it feeds each
+group straight to its slot's :meth:`~repro.core.eardet.EARDet.
+observe_batch`.
 
-Exact snapshots use **in-band barrier markers**: after flushing its
-staging buffers the parent enqueues a snapshot request on every shard
+Exact snapshots use **in-band barrier markers**: after shipping its
+staged packets the parent enqueues a snapshot request on every shard
 queue.  Each worker replies with its state the moment it dequeues the
 marker — i.e. after processing exactly the packets routed before the
 marker and none after — so the assembled snapshot corresponds to an exact
-stream prefix, just like :meth:`InProcessEngine.snapshot`, and is the
-same schema (every engine's checkpoints are interchangeable).
+stream prefix, just like the in-process engine's, and is the same schema
+(every engine's checkpoints are interchangeable).
 
 Live migration rides the same in-band mechanism: an ``extract`` marker
 asks a worker to snapshot-and-detach the named slots *after* everything
@@ -57,8 +57,9 @@ Fault tolerance (see :mod:`repro.service.supervisor`):
   :class:`~repro.service.errors.ShardCrashError` (with the exit code)
   instead of a 2-minute timeout;
 - a :class:`~repro.service.faults.FaultPlan` can arm worker-side faults
-  (kill / stall at an exact shard-local packet index) and parent-side
-  injected drops, for deterministic chaos testing;
+  (kill / stall at an exact shard-local packet index, counted in the
+  order the worker processes: a chunk slot group by slot group) and
+  parent-side injected drops, for deterministic chaos testing;
 - a worker that cannot install migrated slot state exits with
   :data:`MIGRATION_ABORT_EXIT_CODE` after shipping the failure in-band,
   so the supervisor classifies the death correctly.
@@ -71,16 +72,13 @@ import os
 import queue as queue_module
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import EARDetConfig
-from ..detectors.hashing import StageHash
-from ..model.packet import Packet
-from .engine import FlowRouter, ShardedEngine, SlotHost
+from .engine import ShardedEngine, SlotHost
 from .errors import MigrationError, OverloadError, ShardCrashError, WorkerError
 from .health import DeadLetterSink
-from .overload import OverloadPolicy, ShardOverload
-from .reshard import ShardLayout
+from .overload import OverloadPolicy
 
 #: Packets per chunk shipped to a worker (amortizes queue/pickle costs).
 DEFAULT_CHUNK_SIZE = 2048
@@ -187,21 +185,23 @@ def _heartbeat_ticker(heartbeat, index, interval_s):
 
 
 def _shard_worker(
-    index, config, slots, seed, slot_ids, initial_states, in_queue,
-    out_queue, heartbeat, faults, invariant_every=None,
+    index, config, slot_ids, initial_states, in_queue, out_queue,
+    heartbeat, faults, invariant_every=None,
 ):
     """Worker loop: consume chunks until a stop message, answering
     snapshot / extract / install / reconfig barriers in stream order.
 
     The worker is a process shell around one
     :class:`~repro.service.engine.SlotHost` holding the assigned slots
-    (``slot_ids``; ``initial_states`` maps slot → restored state), with
-    its own flow→slot router (same ``seed``/``slots`` as the parent's,
-    so dispatch agrees).  The shell adds signals, the heartbeat, fault
-    injection and the exit codes.
+    (``slot_ids``; ``initial_states`` maps slot → restored state); a
+    chunk is a list of slot groups the parent already routed.  The shell
+    adds signals, the heartbeat, fault injection and the exit codes.
 
     ``faults`` is ``None`` or ``(kill_at, stall_at, stall_s)`` in
-    shard-local packet indices — the deterministic chaos hooks.  An
+    shard-local packet indices, counted in the order this worker
+    processes packets (each chunk group by group, so with several slots
+    hosted the N-th packet here need not be the shard's N-th arrival) —
+    the deterministic chaos hooks.  An
     injected kill uses ``os._exit`` so the parent sees a genuinely dead
     process (no cleanup, no in-band error message), exactly like a
     segfault or an OOM kill.
@@ -242,11 +242,7 @@ def _shard_worker(
         from .faults import KILL_EXIT_CODE
 
         host = SlotHost(
-            config,
-            slot_ids,
-            initial_states,
-            router=FlowRouter(StageHash(seed=seed, buckets=slots)),
-            invariant_every=invariant_every,
+            config, slot_ids, initial_states, invariant_every=invariant_every
         )
         # Shard-local packet position for fault triggers: packets this
         # worker's detectors have processed (resumes across restore).
@@ -261,20 +257,21 @@ def _shard_worker(
                 heartbeat[index] = time.monotonic()
             kind = message[0]
             if kind == "packets":
-                times, sizes, fids = message[1:]
+                groups = message[1]
                 if kill_at is None and stall_at is None:
-                    host.observe(times, sizes, fids)
-                    processed += len(times)
+                    host.observe(groups)
+                    processed += sum(len(group[1]) for group in groups)
                 else:
-                    for time_ns, size, fid in zip(times, sizes, fids):
-                        position = processed + 1
-                        if stall_at is not None and position >= stall_at:
-                            stall_at = None
-                            time.sleep(stall_s)
-                        if kill_at is not None and position >= kill_at:
-                            os._exit(KILL_EXIT_CODE)
-                        host.observe((time_ns,), (size,), (fid,))
-                        processed += 1
+                    for slot, times, sizes, fids in groups:
+                        for time_ns, size, fid in zip(times, sizes, fids):
+                            position = processed + 1
+                            if stall_at is not None and position >= stall_at:
+                                stall_at = None
+                                time.sleep(stall_s)
+                            if kill_at is not None and position >= kill_at:
+                                os._exit(KILL_EXIT_CODE)
+                            host.observe([(slot, (time_ns,), (size,), (fid,))])
+                            processed += 1
             elif kind == "snapshot":
                 out_queue.put(("snapshot", index, message[1], host.snapshot()))
             elif kind == "extract":
@@ -347,8 +344,8 @@ class MultiprocessEngine(ShardedEngine):
 
     Workers start lazily on first ingestion; :meth:`restore` must
     therefore be called (if at all) before any packet is ingested.
-    :meth:`close` performs the graceful drain: staging buffers are
-    flushed, every worker finishes its queue, returns its final exact
+    :meth:`close` performs the graceful drain: staged packets are
+    shipped, every worker finishes its queue, returns its final exact
     state, and exits.
     """
 
@@ -388,21 +385,18 @@ class MultiprocessEngine(ShardedEngine):
             config, shards, seed, slots, fault_plan, dead_letter,
             invariant_every, overload, watcher,
             backlog_capacity=queue_capacity,
+            ship_at=chunk_size,
         )
         self.chunk_size = chunk_size
         self.queue_capacity = queue_capacity
         self.terminate_grace_s = terminate_grace_s
         self.put_timeout_s = put_timeout_s
         self._barrier_token = 0
-        self._final_snapshot: Optional[Dict[str, object]] = None
         self._context = multiprocessing.get_context()
         self._queues = None
         self._results = None
         self._processes = None
         self._heartbeats = None
-
-    def _new_ladder(self) -> ShardOverload:
-        return ShardOverload(self.overload_policy, lambda *item: item)
 
     # -- introspection -----------------------------------------------------
 
@@ -411,12 +405,8 @@ class MultiprocessEngine(ShardedEngine):
         return self._processes is not None
 
     def queue_depths(self) -> List[int]:
-        """Staged packets plus in-flight chunks per shard (parent-side
-        view; no barrier)."""
-        return [
-            len(self._staged[index][0]) + self._in_flight(index)
-            for index in range(self._shards)
-        ]
+        """In-flight chunks per shard (parent-side view; no barrier)."""
+        return [self._in_flight(index) for index in range(self._shards)]
 
     def _in_flight(self, index: int) -> int:
         """Chunks queued to shard ``index`` and not yet taken by its
@@ -542,8 +532,6 @@ class MultiprocessEngine(ShardedEngine):
             args=(
                 index,
                 self.config,
-                self._layout.slots,
-                self._hash.seed,
                 slot_ids,
                 self._staged_states(slot_ids),
                 self._queues[index],
@@ -591,114 +579,41 @@ class MultiprocessEngine(ShardedEngine):
                         queue_capacity=self.queue_capacity,
                     )
 
-    def _ingest_overload(self, batch: List[Packet]) -> None:
-        """Ladder-mediated ingest: one occupancy observation per shard
-        per batch, each packet admitted at its shard's current rung,
-        deferred-deadline clock advanced at the end.
-
-        Occupancy is measured in packets — staged packets plus in-flight
-        chunks times the chunk size — against ``queue_capacity *
-        chunk_size``.  On platforms without ``Queue.qsize`` (macOS) only
-        the staging depth is visible, so the ladder under-escalates
-        there; the blocking/``put_timeout_s`` backstop still bounds
-        memory.
-        """
-        states = self._overload
-        assert states is not None
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        last_ts = self._last_packet_ts
-        plan = self._plan
-        watcher = self.watcher
-        capacity = self.queue_capacity * self.chunk_size
-        for index, state in enumerate(states):
-            for item in state.observe(self._depth_packets(index), capacity):
-                self._stage(index, item)
-        for packet in batch:
-            fid = packet.fid
-            slot = route(fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                watcher.observe(packet, slot)
-            if plan is not None and plan.should_drop(index, routed[index]):
-                self._record_loss(index, packet, "injected-drop", slot=slot)
-                continue
-            emitted = states[index].admit(
-                packet.time, packet.size, fid, (packet.time, packet.size, fid)
-            )
-            if emitted is None:
-                self._record_loss(index, packet, "overload-shed", slot=slot)
-                continue
-            for item in emitted:
-                self._stage(index, item)
-        for index, state in enumerate(states):
-            for item in state.on_batch_end():
-                self._stage(index, item)
-
-    def _depth_packets(self, index: int) -> int:
-        """Parent-visible shard backlog in packets (staging + in-flight)."""
-        return len(self._staged[index][0]) + (
-            self._in_flight(index) * self.chunk_size
+    def _ladder_load(self, index: int) -> Tuple[int, int]:
+        """Staged packets plus in-flight chunks times the chunk size,
+        against ``queue_capacity * chunk_size``.  On platforms without
+        ``Queue.qsize`` (macOS) only the staged count is visible, so the
+        ladder under-escalates there; the blocking/``put_timeout_s``
+        backstop still bounds memory."""
+        chunk = self.chunk_size
+        return (
+            self._staged[index] + self._in_flight(index) * chunk,
+            self.queue_capacity * chunk,
         )
 
     def _ship(self, index: int) -> None:
-        """Put shard ``index``'s staged columns on its queue as one
+        """Put shard ``index``'s staged slot groups on its queue as one
         chunk, then sample the in-flight chunk count — the only moment
-        the parent-side depth can grow (same unit as ``queue_depth``;
-        the staging buffer is empty at this point).  The columns stay
-        staged until the put succeeds."""
-        self._put(index, ("packets", *self._staged[index]))
-        self._staged[index] = ([], [], [])
+        it can grow.  The packets stay staged until the put succeeds."""
+        groups = self._slot_groups(index)
+        self._put(
+            index, ("packets", [(slot, *group[:3]) for slot, group in groups])
+        )
+        self._unstage(index)
         self._note_depth(index, self._in_flight(index))
 
-    def flush(self) -> None:
-        """Ship all staged partial chunks to the workers.
-
-        Unlike the in-process engine this does *not* wait for workers to
-        finish processing; :meth:`snapshot` and :meth:`close` insert
-        barriers when a processed-up-to-here point is needed.
-        """
-        if self._processes is None:
-            return
-        if self._overload is not None:
-            for index, state in enumerate(self._overload):
-                for item in state.flush():
-                    self._stage(index, item)
-        for index, (times, _, _) in enumerate(self._staged):
-            if times:
-                self._ship(index)
-
-    def close(self, drain: bool = False) -> Dict[str, object]:
-        """Graceful drain: flush (including any ladder rung buffers),
-        stop every worker, collect final exact states; returns the final
-        engine snapshot.  With ``drain=True`` workers exit with
-        :data:`DRAIN_EXIT_CODE` instead of 0, marking a requested drain
-        rather than source exhaustion."""
-        if self._final_snapshot is not None:
-            return self._final_snapshot
-        if self._processes is None:
-            # Never started: state is just the initial (possibly restored)
-            # per-shard states.
-            self._start()
-        self.flush()
+    def _stop(self, drain: bool) -> Dict[int, Dict[str, object]]:
+        """Stop every worker with an in-band ``stop`` marker; with
+        ``drain=True`` workers exit with :data:`DRAIN_EXIT_CODE` instead
+        of 0, marking a requested drain rather than source exhaustion."""
         stop = ("stop", "drain") if drain else ("stop",)
         for index in range(self._shards):
             self._put(index, stop)
         states = self._collect("done")
         for process in self._processes:
             process.join(timeout=REPLY_TIMEOUT_S)
-        for queue in self._queues:
-            queue.close()
-        self._results.close()
-        self._processes = None
-        self._queues = None
-        self._results = None
-        self._heartbeats = None
-        self._final_snapshot = self._assemble(states)
-        return self._final_snapshot
+        self._release()
+        return states
 
     def terminate(self) -> None:
         """Hard-kill workers (crash recovery / emergency shutdown);
@@ -720,6 +635,10 @@ class MultiprocessEngine(ShardedEngine):
             if process.is_alive():
                 process.kill()
                 process.join(timeout=REPLY_TIMEOUT_S)
+        self._release()
+
+    def _release(self) -> None:
+        """Close the fleet's queues and forget it (workers are gone)."""
         for queue in self._queues:
             queue.close()
         if self._results is not None:
@@ -733,13 +652,6 @@ class MultiprocessEngine(ShardedEngine):
 
     def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
         """An in-band ``reconfig`` barrier on every shard queue."""
-        if self._final_snapshot is not None:
-            raise RuntimeError("engine already closed")
-        if self._processes is None:
-            self._reconfigure_staged(config)
-            return {}
-        self.check_workers()
-        self.flush()
         token = self._next_token()
         for index in range(self._shards):
             self._put(index, ("reconfig", config, token))
@@ -795,24 +707,14 @@ class MultiprocessEngine(ShardedEngine):
                 )
                 self._spawn_worker(index)
 
-    def _adopt(self, layout: ShardLayout, slot_states: List) -> None:
-        # Stage the states for the (not yet started) workers.
-        if self._processes is not None or self._final_snapshot is not None:
-            raise RuntimeError("restore() must precede any ingestion")
-        self._slot_states = slot_states
-
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self) -> Dict[str, object]:
-        """Exact engine state via an in-band barrier on every shard."""
-        if self._final_snapshot is not None:
-            return self._final_snapshot
-        self._start()
-        self.flush()
+    def _collect_states(self) -> Dict[int, Dict[int, Dict[str, object]]]:
+        """An in-band snapshot barrier on every shard."""
         token = self._next_token()
         for index in range(self._shards):
             self._put(index, ("snapshot", token))
-        return self._assemble(self._collect("snapshot", token))
+        return self._collect("snapshot", token)
 
     def _next_token(self) -> int:
         self._barrier_token += 1

@@ -127,10 +127,12 @@ def remote_engine(servers, **kwargs):
     return RemoteEngine(CONFIG, endpoints_of(servers), **kwargs)
 
 
-def batch_payload(*packets):
-    """The BATCH payload for ``(time, size, fid)`` packets: their three
-    columns in :func:`pack_column` form."""
-    return tuple(pack_column(list(column)) for column in zip(*packets))
+def batch_payload(*packets, slot=0):
+    """The BATCH payload for ``(time, size, fid)`` packets of one slot:
+    a single slot group, its three columns in :func:`pack_column`
+    form."""
+    columns = (pack_column(list(column)) for column in zip(*packets))
+    return ((slot, *columns),)
 
 
 #: An ``assign`` control payload for a one-slot shard under CONFIG.
@@ -146,15 +148,29 @@ ASSIGN = {
 }
 
 #: One malformed BATCH payload per check the server makes in place of
-#: ``Packet`` construction.
+#: ``Packet`` construction and routing (ASSIGN hosts slot 0 only).  The
+#: column checks apply to every group, not just the first.
 BAD_BATCHES = {
-    "two-columns": (pack_column([1]), pack_column([64])),
+    "two-columns": ((0, pack_column([1]), pack_column([64])),),
     "v1-tuple-list": [(1, 64, "flow")],
-    "ragged-packed-column": (b"\x00" * 12, pack_column([64]), ["f"]),
-    "unequal-lengths": (pack_column([1, 2]), pack_column([64]), ["f", "g"]),
+    "v2-columns": (pack_column([1]), pack_column([64]), ["f"]),
+    "group-not-a-tuple": ([0, pack_column([1]), pack_column([64]), ["f"]],),
+    "slot-not-int": (("0", pack_column([1]), pack_column([64]), ["f"]),),
+    "slot-is-bool": ((False, pack_column([1]), pack_column([64]), ["f"]),),
+    "unhosted-slot": batch_payload((1, 64, "f"), slot=1),
+    "ragged-packed-column": (
+        (0, b"\x00" * 12, pack_column([64]), ["f"]),
+    ),
+    "unequal-lengths": (
+        (0, pack_column([1, 2]), pack_column([64]), ["f", "g"]),
+    ),
     "negative-time": batch_payload((5, 64, 7), (-1, 64, 7)),
     "zero-size": batch_payload((1, 64, 7), (2, 0, 7)),
     "negative-size": batch_payload((1, -64, "f")),
+    "bad-second-group": (
+        batch_payload((1, 64, "f"))[0],
+        (0, pack_column([2]), pack_column([0]), ["g"]),
+    ),
 }
 
 
@@ -185,7 +201,8 @@ class TestFrameCodec:
         payload = batch_payload(
             (1, 64, 5), (2, 1518, True), (3, 40, big), (4, 40, "f"),
         )
-        times, sizes, fids = payload
+        ((slot, times, sizes, fids),) = payload
+        assert slot == 0
         assert times == struct.pack("<4q", 1, 2, 3, 4)
         assert sizes == struct.pack("<4q", 64, 1518, 40, 40)
         assert fids == [5, True, big, "f"]
@@ -194,19 +211,22 @@ class TestFrameCodec:
             "0000000000000080" "ffffffffffffff7f"
         )
         _, _, decoded = decode_frame(encode_frame(FT_BATCH, 1, payload))
-        assert [list(column) for column in decode_batch(decoded)] == [
+        ((slot, *columns),) = decode_batch(decoded)
+        assert slot == 0
+        assert [list(column) for column in columns] == [
             [1, 2, 3, 4], [64, 1518, 40, 40], [5, True, big, "f"],
         ]
-        assert type(decode_batch(decoded)[2][1]) is bool
+        assert type(columns[2][1]) is bool
 
     @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
     def test_malformed_batch_rejected(self, case):
-        """The server builds no ``Packet``, so the batch decoder makes
-        its checks: a bad payload raises FrameCorruptError, both from
-        :func:`decode_batch` and from the server applying it."""
+        """The server builds no ``Packet`` and routes nothing, so the
+        batch decoder makes its checks: a bad payload raises
+        FrameCorruptError, both from :func:`decode_batch` (given the
+        hosted slots) and from the server applying it."""
         payload = BAD_BATCHES[case]
         with pytest.raises(FrameCorruptError):
-            decode_batch(payload)
+            decode_batch(payload, ASSIGN["slot_ids"])
         server = ShardServer()
         try:
             server._apply_control(1, ASSIGN)
@@ -375,18 +395,28 @@ class TestHandshake:
                 time.sleep(0.01)
             assert server.exit_code == TRANSPORT_ABORT_EXIT_CODE
 
-    def test_version_1_hello_refused(self):
-        """A coordinator still speaking protocol 1 (per-packet tuple
-        batches) is refused permanently, never fed column-less frames."""
-        assert NET_PROTOCOL_VERSION == 2
+    @staticmethod
+    def assert_refused(proto):
         with fleet(1) as (server,):
             conn = ShardConnection(0, server.host, server.port, backoff=FAST)
-            with pytest.raises(HandshakeError, match="protocol 1"):
-                conn.connect(hello_extra={"proto": 1, "session": 1})
+            with pytest.raises(HandshakeError, match=f"protocol {proto}"):
+                conn.connect(hello_extra={"proto": proto, "session": 1})
             deadline = time.monotonic() + 5.0
             while server.exit_code is None and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert server.exit_code == TRANSPORT_ABORT_EXIT_CODE
+
+    def test_version_1_hello_refused(self):
+        """A coordinator still speaking protocol 1 (per-packet tuple
+        batches) is refused permanently, never fed column-less frames."""
+        assert NET_PROTOCOL_VERSION == 3
+        self.assert_refused(1)
+
+    def test_version_2_hello_refused(self):
+        """A coordinator speaking protocol 2 (one shard's unrouted
+        columns per batch) is refused permanently: its servers would
+        have to hash every flow again."""
+        self.assert_refused(2)
 
     def test_non_hello_first_frame_rejected(self):
         with fleet(1) as (server,):

@@ -316,7 +316,7 @@ def shard_overload(policy=None) -> ShardOverload:
         defer_max_packets=4, defer_deadline_batches=2,
         aggregate_window_ns=1_000, cooldown=1,
     )
-    return ShardOverload(policy, Packet)
+    return ShardOverload(policy)
 
 
 def force_level(state: ShardOverload, level: DegradationLevel) -> None:
@@ -329,44 +329,40 @@ def force_level(state: ShardOverload, level: DegradationLevel) -> None:
 class TestShardOverload:
     def test_exact_is_a_passthrough(self):
         state = shard_overload()
-        packet = Packet(time=10, size=100, fid="a")
-        assert state.admit(10, 100, "a", packet) == [packet]
+        assert state.admit(10, 100, "a") == [(10, 100, "a")]
         assert state.pending == 0
 
     def test_deferred_buffers_then_releases_in_order(self):
         state = shard_overload()
         force_level(state, DegradationLevel.DEFERRED)
-        packets = [Packet(time=i, size=10, fid="a") for i in range(4)]
-        assert state.admit(0, 10, "a", packets[0]) == []
-        assert state.admit(1, 10, "a", packets[1]) == []
-        assert state.admit(2, 10, "a", packets[2]) == []
+        packets = [(i, 10, "a") for i in range(4)]
+        assert state.admit(*packets[0]) == []
+        assert state.admit(*packets[1]) == []
+        assert state.admit(*packets[2]) == []
         assert state.pending == 3
         # The fourth hits defer_max_packets: one in-order burst.
-        assert state.admit(3, 10, "a", packets[3]) == packets
+        assert state.admit(*packets[3]) == packets
         assert state.pending == 0
         assert state.defer_high_water == 4
 
     def test_deferred_deadline_releases_a_partial_buffer(self):
         state = shard_overload()
         force_level(state, DegradationLevel.DEFERRED)
-        packet = Packet(time=0, size=10, fid="a")
-        state.admit(0, 10, "a", packet)
-        assert state.on_batch_end() == []       # age 1 of 2
-        assert state.on_batch_end() == [packet]  # deadline
+        state.admit(0, 10, "a")
+        assert state.on_batch_end() == []              # age 1 of 2
+        assert state.on_batch_end() == [(0, 10, "a")]  # deadline
         assert state.pending == 0
 
     def test_aggregation_is_byte_exact_and_restamped(self):
         state = shard_overload()
         force_level(state, DegradationLevel.AGGREGATED)
-        assert state.admit(0, 100, "a", Packet(0, 100, "a")) == []
-        assert state.admit(10, 50, "b", Packet(10, 50, "b")) == []
-        assert state.admit(20, 7, "a", Packet(20, 7, "a")) == []
+        assert state.admit(0, 100, "a") == []
+        assert state.admit(10, 50, "b") == []
+        assert state.admit(20, 7, "a") == []
         # Window is 1000ns: this flushes every aggregate, stamped "now".
-        released = state.admit(1_000, 1, "a", Packet(1_000, 1, "a"))
-        by_fid = {p.fid: p for p in released}
-        assert by_fid["a"].size == 100 + 7 + 1
-        assert by_fid["b"].size == 50
-        assert all(p.time == 1_000 for p in released)
+        released = state.admit(1_000, 1, "a")
+        by_fid = {fid: (time_ns, size) for time_ns, size, fid in released}
+        assert by_fid == {"a": (1_000, 100 + 7 + 1), "b": (1_000, 50)}
         assert state.account.max_widening_ns == 1_000  # flow a, first at 0
         assert state.pending == 0
 
@@ -375,45 +371,44 @@ class TestShardOverload:
                                 aggregate_max_flows=3)
         state = shard_overload(policy)
         force_level(state, DegradationLevel.AGGREGATED)
-        assert state.admit(0, 1, "a", Packet(0, 1, "a")) == []
-        assert state.admit(1, 1, "b", Packet(1, 1, "b")) == []
-        released = state.admit(2, 1, "c", Packet(2, 1, "c"))
-        assert {p.fid for p in released} == {"a", "b", "c"}
+        assert state.admit(0, 1, "a") == []
+        assert state.admit(1, 1, "b") == []
+        released = state.admit(2, 1, "c")
+        assert {fid for _, _, fid in released} == {"a", "b", "c"}
         assert state.aggregate_flows_high_water == 3
 
     def test_shedding_returns_none_and_accounts(self):
         state = shard_overload()
         force_level(state, DegradationLevel.SHEDDING)
-        assert state.admit(5, 100, "a", Packet(5, 100, "a")) is None
+        assert state.admit(5, 100, "a") is None
         assert state.account.shed_packets == 1
         assert state.account.first_shed_ts == 5
 
     def test_level_change_flushes_the_orphaned_buffer(self):
         state = shard_overload()
         force_level(state, DegradationLevel.DEFERRED)
-        packet = Packet(time=0, size=10, fid="a")
-        state.admit(0, 10, "a", packet)
+        state.admit(0, 10, "a")
         # High occupancy escalates DEFERRED -> AGGREGATED; the deferred
         # buffer no longer belongs to the new rung and comes back.
         released = state.observe(100, 100)
-        assert released == [packet]
+        assert released == [(0, 10, "a")]
         assert state.level is DegradationLevel.AGGREGATED
         assert state.pending == 0
 
     def test_flush_releases_every_rung_buffer(self):
         state = shard_overload()
         force_level(state, DegradationLevel.DEFERRED)
-        state.admit(0, 10, "a", Packet(0, 10, "a"))
+        state.admit(0, 10, "a")
         force_level(state, DegradationLevel.AGGREGATED)
-        state.admit(5, 20, "b", Packet(5, 20, "b"))
+        state.admit(5, 20, "b")
         released = state.flush()
-        assert {p.fid for p in released} == {"a", "b"}
+        assert {fid for _, _, fid in released} == {"a", "b"}
         assert state.pending == 0
 
     def test_snapshot_requires_empty_buffers(self):
         state = shard_overload()
         force_level(state, DegradationLevel.DEFERRED)
-        state.admit(0, 10, "a", Packet(0, 10, "a"))
+        state.admit(0, 10, "a")
         with pytest.raises(RuntimeError):
             state.snapshot()
         state.flush()

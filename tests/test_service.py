@@ -6,10 +6,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.core.config import EARDetConfig
 from repro.core.parallel import ParallelEARDet
+from repro.core.virtual import is_virtual_fid
 from repro.model.packet import Packet
 from repro.model.stream import PacketStream
 from repro.service import (
@@ -28,6 +30,7 @@ from repro.service import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.service.engine import FlowRouter
 
 from conftest import FID_KINDS, with_fid_kind
 
@@ -52,6 +55,24 @@ def make_packets(count=5000, heavy_share=0.1, seed=7, flows=50):
             Packet(time=time, size=rng.randint(40, 1518), fid=fid)
         )
     return packets
+
+
+def without_virtual_ids(snapshot):
+    """An engine snapshot with each slot store's virtual-flow entries
+    reduced to their sorted values.  Virtual flow ids come from one
+    process-wide counter, so they depend on what else minted ids in the
+    same process — another engine, or other slots one host holds —
+    never on the stream; everything else must match exactly."""
+    states = []
+    for state in snapshot["shards"]:
+        entries = state["store"]["entries"]
+        store = dict(
+            state["store"],
+            entries=[e for e in entries if not is_virtual_fid(e[0])],
+            virtual=sorted(v for fid, v in entries if is_virtual_fid(fid)),
+        )
+        states.append(dict(state, store=store))
+    return dict(snapshot, shards=states)
 
 
 # ---------------------------------------------------------------- sources
@@ -390,17 +411,26 @@ class TestMultiprocessEngine:
             mp_engine.close()
 
 
+#: Parity layouts over 2 shards: one slot per shard (the original ids)
+#: and two, where every shipped chunk carries several slot groups.
+PARITY_CASES = [
+    pytest.param(kind, slots, id=kind if slots == 2 else f"{kind}-4slots")
+    for slots in (2, 4)
+    for kind in FID_KINDS
+]
+
+
 @pytest.mark.slow
 class TestTransportParity:
-    @pytest.mark.parametrize("fid_kind", FID_KINDS)
-    def test_one_snapshot_schema_under_injected_drops(self, fid_kind):
+    @pytest.mark.parametrize("fid_kind, slots", PARITY_CASES)
+    def test_one_snapshot_schema_under_injected_drops(self, fid_kind, slots):
         """The three transports share one routing side: serving the same
         stream under the same drop window, their snapshots agree on every
-        key — ``accepted`` counts only packets that entered a shard
-        queue or staging buffer, never the injected drops.  The one
-        exception is ``queue_high_water``, whose unit is the
-        transport's own (packets, chunks, frames).  Every flow-ID kind
-        agrees, whichever column encoding its IDs take."""
+        key — ``accepted`` counts only packets staged on their slot,
+        never the injected drops.  The one exception is
+        ``queue_high_water``, whose unit is the transport's own
+        (packets, chunks, frames).  Every flow-ID kind agrees, whichever
+        column encoding its IDs take, in both layouts."""
         packets = with_fid_kind(make_packets(3000), fid_kind)
         servers = [ShardServer().start() for _ in range(2)]
         workers = [(server.host, server.port) for server in servers]
@@ -415,8 +445,8 @@ class TestTransportParity:
                     [ShardFault("drop", shard=0, at=5, count=20)]
                 )
                 service = DetectionService(
-                    CONFIG, shards=2, engine=kind, fault_plan=plan,
-                    engine_options=options,
+                    CONFIG, shards=2, slots=slots, engine=kind,
+                    fault_plan=plan, engine_options=options,
                 )
                 try:
                     service.serve(StreamSource(packets))
@@ -428,10 +458,101 @@ class TestTransportParity:
                 server.stop()
         for snapshot in snapshots.values():
             del snapshot["queue_high_water"]
+        if slots > 2:
+            # In process every slot shares one virtual-id counter; each
+            # worker has its own: compare virtual values, not ids.
+            snapshots = {
+                kind: without_virtual_ids(snapshot)
+                for kind, snapshot in snapshots.items()
+            }
         assert snapshots["inprocess"]["accepted"] == len(packets) - 20
         assert snapshots["inprocess"]["dropped"][0] == 20
         assert snapshots["multiprocess"] == snapshots["inprocess"]
         assert snapshots["remote"] == snapshots["inprocess"]
+
+    @pytest.mark.parametrize("kind", ["inprocess", "remote"])
+    def test_each_packet_is_routed_once(self, kind, monkeypatch):
+        """Only the staging loop routes: with several slots per shard no
+        slot host hashes a flow again — counted on the class, so the
+        loopback ``ShardServer`` threads' calls would count too."""
+        calls = []
+        route = FlowRouter.__call__
+
+        def counting_route(router, fid):
+            calls.append(fid)
+            return route(router, fid)
+
+        monkeypatch.setattr(FlowRouter, "__call__", counting_route)
+        packets = make_packets(3000)
+        servers = [
+            ShardServer().start() for _ in range(2 if kind == "remote" else 0)
+        ]
+        options = (
+            {"workers": [(s.host, s.port) for s in servers]} if servers
+            else None
+        )
+        try:
+            service = DetectionService(
+                CONFIG, shards=2, slots=4, engine=kind,
+                engine_options=options,
+            )
+            try:
+                report = service.serve(StreamSource(packets))
+                routed = sum(service.engine.routed)
+            finally:
+                service.shutdown()
+        finally:
+            for server in servers:
+                server.stop()
+        assert report.detections
+        assert routed == len(packets)
+        assert len(calls) == routed
+
+
+class TestStagingDifferential:
+    """The in-process engine's staging is invisible to detection: any
+    capacity, any split into batches and any interleaving of partial
+    pumps ends in the state of one batch staged whole."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_capacity_batching_and_pumps_are_invisible(self, data):
+        shards = data.draw(st.integers(1, 3), label="shards")
+        slots = data.draw(st.integers(shards, 2 * shards), label="slots")
+        capacity = data.draw(st.integers(1, 64), label="capacity")
+        packets = make_packets(
+            300, seed=data.draw(st.integers(0, 3), label="seed"), flows=12
+        )
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(packets)), max_size=6), label="cuts"
+        ))
+        engine = InProcessEngine(
+            CONFIG, shards=shards, slots=slots, queue_capacity=capacity
+        )
+        for start, end in zip([0, *cuts], [*cuts, len(packets)]):
+            engine.ingest(packets[start:end])
+            assert max(engine.queue_depths()) <= capacity
+            budgets = data.draw(
+                st.lists(st.integers(0, 2 * capacity), max_size=2),
+                label="pumps",
+            )
+            for budget in budgets:
+                staged = engine.queue_depths()
+                applied = engine.pump(budget)
+                assert applied == sum(min(budget, n) for n in staged)
+                assert engine.queue_depths() == [
+                    n - min(budget, n) for n in staged
+                ]
+        reference = InProcessEngine(
+            CONFIG, shards=shards, slots=slots,
+            queue_capacity=len(packets) + 1,
+        )
+        reference.ingest(packets)
+        state = without_virtual_ids(engine.snapshot())
+        expected = without_virtual_ids(reference.snapshot())
+        del state["queue_high_water"], expected["queue_high_water"]
+        assert state == expected
+        assert engine.detections() == reference.detections()
 
 
 # ---------------------------------------------------------------- the CLI

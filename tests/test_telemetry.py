@@ -9,7 +9,12 @@ import pytest
 
 from repro.core.config import EARDetConfig
 from repro.model.packet import Packet
-from repro.service import DetectionService, FaultPlan, StreamSource
+from repro.service import (
+    DetectionService,
+    FaultPlan,
+    ShardServer,
+    StreamSource,
+)
 from repro.service.health import ShardHealth
 from repro.telemetry import (
     CONTENT_TYPE_JSON,
@@ -448,6 +453,58 @@ class TestServiceTelemetry:
             "size-range": 0,
             "fid-invalid": 0,
         }
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "kind", ["inprocess", "multiprocess", "remote"]
+    )
+    def test_queue_gauges_agree_with_health(self, kind):
+        """The per-shard queue gauges use the transport's own unit —
+        staged packets, in-flight chunks, unacked frames — against the
+        capacity :meth:`health` reports for that unit."""
+        servers = [
+            ShardServer().start() for _ in range(2 if kind == "remote" else 0)
+        ]
+        options = (
+            {"workers": [(s.host, s.port) for s in servers]} if servers
+            else None
+        )
+        telemetry = Telemetry()
+        samples = []
+
+        def sample(service):
+            registry = telemetry.registry
+            depth = registry.get("eardet_shard_queue_depth")
+            capacity = registry.get("eardet_shard_queue_capacity")
+            samples.append([
+                (
+                    depth.labels(str(h.shard)).value,
+                    capacity.labels(str(h.shard)).value,
+                    h.queue_capacity,
+                )
+                for h in service.engine.health()
+            ])
+
+        try:
+            service = DetectionService(
+                CONFIG, shards=2, batch_size=1000, engine=kind,
+                telemetry=telemetry, engine_options=options,
+            )
+            try:
+                service.serve(
+                    StreamSource(make_packets(3000)), on_progress=sample
+                )
+            finally:
+                service.shutdown()
+        finally:
+            for server in servers:
+                server.stop()
+        assert len(samples) == 3
+        for shards in samples:
+            assert len(shards) == 2
+            for depth, capacity, health_capacity in shards:
+                assert depth <= capacity
+                assert capacity == health_capacity
 
     def test_disabled_telemetry_is_inert(self):
         telemetry = Telemetry.disabled()
