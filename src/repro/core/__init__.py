@@ -13,6 +13,7 @@ from .counters import (
     CounterStoreError,
     HeapCounterStore,
     ReferenceCounterStore,
+    VirtualUnit,
 )
 from .eardet import EARDet, EARDetStats
 from .parallel import ParallelEARDet
@@ -21,8 +22,6 @@ from .virtual import (
     apply_virtual_traffic,
     apply_virtual_traffic_reference,
     apply_virtual_unit,
-    ensure_virtual_sequence_above,
-    is_virtual_fid,
     iter_units,
 )
 from . import theory, window_bridge
@@ -40,14 +39,13 @@ __all__ = [
     "ParallelEARDet",
     "ReferenceCounterStore",
     "ReportSink",
+    "VirtualUnit",
     "apply_virtual_traffic",
     "apply_virtual_traffic_reference",
     "apply_virtual_unit",
     "beta_delta_bounds",
     "engineer",
-    "ensure_virtual_sequence_above",
     "feasible_counter_range",
-    "is_virtual_fid",
     "iter_units",
     "theory",
     "window_bridge",

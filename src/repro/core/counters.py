@@ -48,6 +48,21 @@ class CounterStoreError(RuntimeError):
     """Raised on misuse of the counter-store API (bug in the caller)."""
 
 
+class VirtualUnit:
+    """The key of one virtual counter (paper Section 3.2).
+
+    Every unit of virtual traffic is processed as a brand-new flow that
+    never appears again, so its counter needs a value but no name.  A
+    fresh instance hashes by identity, so it never equals a stored flow,
+    and snapshots write virtual counters as plain values.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<virtual>"
+
+
 class CounterStore(ABC):
     """Abstract interface shared by the reference and optimized stores.
 
@@ -146,23 +161,34 @@ class CounterStore(ABC):
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Serializable logical state: capacity plus ``(fid, value)`` pairs.
+        """Serializable logical state: capacity, the real flows'
+        ``(fid, value)`` pairs and the virtual counters' values.
 
         The snapshot captures the *logical* counter values — the only state
         the algorithm's behaviour depends on — so it is interchangeable
         between store implementations: a snapshot taken from a
         :class:`HeapCounterStore` restores into a
         :class:`ReferenceCounterStore` and vice versa.  Entries are sorted
-        by a deterministic key so identical logical states serialize to
-        identical bytes (checkpoint files are reproducible).
+        by a deterministic key and virtual values ascending, so identical
+        logical states serialize to identical bytes (checkpoint files are
+        reproducible).
         """
         from ..detectors.hashing import canonical_key
 
-        entries = sorted(self.items(), key=lambda item: canonical_key(item[0]))
-        return {"capacity": self.capacity, "entries": entries}
+        entries = []
+        virtual = []
+        for fid, value in self.items():
+            if type(fid) is VirtualUnit:
+                virtual.append(value)
+            else:
+                entries.append((fid, value))
+        entries.sort(key=lambda item: canonical_key(item[0]))
+        virtual.sort()
+        return {"capacity": self.capacity, "entries": entries, "virtual": virtual}
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Replace this store's contents with a :meth:`snapshot`'s.
+        """Replace this store's contents with a :meth:`snapshot`'s, each
+        virtual value under a fresh :class:`VirtualUnit`.
 
         The restored store is behaviourally identical to the snapshotted
         one: every query and mutation sequence produces the same results.
@@ -173,14 +199,18 @@ class CounterStore(ABC):
                 f"snapshot capacity {capacity} != store capacity {self.capacity}"
             )
         entries = state["entries"]
-        if len(entries) > self.capacity:
+        virtual = state["virtual"]
+        held = len(entries) + len(virtual)
+        if held > self.capacity:
             raise CounterStoreError(
-                f"snapshot holds {len(entries)} entries for {self.capacity} slots"
+                f"snapshot holds {held} counters for {self.capacity} slots"
             )
         self.reset()
         for fid, value in entries:
             fid = tuple(fid) if isinstance(fid, list) else fid
             self.insert(fid, value)
+        for value in virtual:
+            self.insert(VirtualUnit(), value)
 
     # -- shared helpers ----------------------------------------------------
 

@@ -57,11 +57,11 @@ def reconfigure_state(
     restore into a detector built with ``config``.
 
     Almost everything in a snapshot is config-independent — counters are
-    ``(fid, bytes)`` pairs, the carryover is an exact byte-nanosecond
-    numerator, the blacklist is a fid set.  Two fields depend on the
-    configuration and get rewritten here (the hot-reconfiguration path:
-    retune at a batch boundary, adapt the frozen snapshot, restore into a
-    detector built with the new config):
+    ``(fid, bytes)`` pairs plus virtual byte values, the carryover is an
+    exact byte-nanosecond numerator, the blacklist is a fid set.  Two
+    fields depend on the configuration and get rewritten here (the
+    hot-reconfiguration path: retune at a batch boundary, adapt the frozen
+    snapshot, restore into a detector built with the new config):
 
     - the store's embedded ``capacity``, which
       :meth:`~repro.core.counters.CounterStore.restore` checks strictly,
@@ -89,7 +89,8 @@ def reconfigure_state(
             f"snapshot has no store section to adapt: {type(store_state).__name__}"
         )
     entries = store_state.get("entries", [])
-    occupancy = len(entries)  # type: ignore[arg-type]
+    virtual = store_state.get("virtual", [])
+    occupancy = len(entries) + len(virtual)  # type: ignore[arg-type]
     if occupancy > config.n:
         raise ReconfigurationError(
             f"snapshot holds {occupancy} live counters but the new "
@@ -105,6 +106,7 @@ def reconfigure_state(
         "entries": [
             (fid, min(value, ceiling)) for fid, value in entries
         ],
+        "virtual": [min(value, ceiling) for value in virtual],
     }
     return adapted
 
@@ -288,7 +290,7 @@ class EARDet(Detector):
     @property
     def counters(self) -> Dict[FlowId, int]:
         """Snapshot of the current non-zero counters (includes leftover
-        virtual-flow counters)."""
+        virtual counters, keyed by :class:`~repro.core.counters.VirtualUnit`)."""
         return self._store.as_dict()
 
     @property
@@ -336,7 +338,7 @@ class EARDet(Detector):
     # -- checkpointing -----------------------------------------------------
 
     #: Version of the EARDet snapshot schema; bump on incompatible change.
-    SNAPSHOT_FORMAT = 1
+    SNAPSHOT_FORMAT = 2
 
     def snapshot(self) -> Dict[str, object]:
         """Capture the complete detector state as plain Python data.
@@ -364,20 +366,30 @@ class EARDet(Detector):
     def restore(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`snapshot`, replacing all current state.
 
-        Also advances the process-global virtual-flow sequence past any
-        virtual fid held in the snapshot, so a restore in a fresh process
-        can never mint a "new" virtual flow that collides with a stored
-        one.
+        Format-1 snapshots still restore: their virtual counters were
+        ``("__virtual__", i)`` entries (tuple or list), which move into
+        the store's ``virtual`` values.
         """
-        from .virtual import ensure_virtual_sequence_above, is_virtual_fid
-
         fmt = state.get("format")
-        if fmt != self.SNAPSHOT_FORMAT:
+        if fmt not in (1, self.SNAPSHOT_FORMAT):
             raise ValueError(
                 f"unsupported EARDet snapshot format {fmt!r} "
-                f"(this build reads format {self.SNAPSHOT_FORMAT})"
+                f"(this build reads formats 1 and {self.SNAPSHOT_FORMAT})"
             )
-        self._store.restore(state["store"])
+        store_state = state["store"]
+        if fmt == 1:
+            entries, virtual = [], []
+            for fid, value in store_state["entries"]:
+                if (
+                    isinstance(fid, (tuple, list))
+                    and len(fid) == 2
+                    and fid[0] == "__virtual__"
+                ):
+                    virtual.append(value)
+                else:
+                    entries.append((fid, value))
+            store_state = {**store_state, "entries": entries, "virtual": virtual}
+        self._store.restore(store_state)
         self._blacklist.restore(state["blacklist"])
         self._carryover.restore(state["carryover"])
         self._last_time = state["last_time"]
@@ -385,9 +397,6 @@ class EARDet(Detector):
         self._started = state["started"]
         self.stats.restore(state["stats"])
         self.sink.restore(state["sink"])
-        for fid, _ in self._store.items():
-            if is_virtual_fid(fid):
-                ensure_virtual_sequence_above(fid[1])
         if self.checker is not None:
             # Restored state is a discontinuous jump (possibly backward in
             # time); the monitor's trackers must restart from it.

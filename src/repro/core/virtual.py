@@ -23,54 +23,18 @@ Three pieces live here:
   once the store drains) so that long idle periods cost O(n) work rather
   than O(idle volume / unit size).  Property tests verify equivalence with
   the reference on randomized states.
+
+A unit that is not absorbed by the decrement leaves a counter keyed by a
+fresh :class:`~repro.core.counters.VirtualUnit`: the unit is never seen
+again, so its counter needs a value but no name.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Iterator
 
 from ..model.units import NS_PER_S
-from .counters import CounterStore
-
-#: Flow-ID prefix for virtual flows.  Each virtual unit gets a fresh ID so
-#: it is never treated as a stored flow on a later unit.
-_VIRTUAL_PREFIX = "__virtual__"
-
-#: Next virtual-flow index.  A plain module-level int (not itertools.count)
-#: so checkpoint restore can advance it past indices already stored in a
-#: snapshot taken by an earlier process — see
-#: :func:`ensure_virtual_sequence_above`.
-_next_virtual_index = 0
-
-
-def _fresh_virtual_fid() -> tuple:
-    """A flow ID no real flow can collide with, unique per unit."""
-    global _next_virtual_index
-    index = _next_virtual_index
-    _next_virtual_index += 1
-    return (_VIRTUAL_PREFIX, index)
-
-
-def is_virtual_fid(fid: Hashable) -> bool:
-    """Whether a flow ID was minted by :func:`_fresh_virtual_fid`."""
-    return (
-        isinstance(fid, tuple) and len(fid) == 2 and fid[0] == _VIRTUAL_PREFIX
-    )
-
-
-def ensure_virtual_sequence_above(index: int) -> None:
-    """Guarantee that future virtual fids use indices strictly above
-    ``index``.
-
-    Restoring a snapshot in a fresh process would otherwise reset the
-    sequence to zero while the restored counter store still holds virtual
-    fids with low indices — a later "fresh" unit could collide with a
-    stored one and corrupt the Misra-Gries update.  Called by
-    :meth:`repro.core.eardet.EARDet.restore`.
-    """
-    global _next_virtual_index
-    if index >= _next_virtual_index:
-        _next_virtual_index = index + 1
+from .counters import CounterStore, VirtualUnit
 
 
 class Carryover:
@@ -144,12 +108,12 @@ def iter_units(volume: int, unit_size: int) -> Iterator[int]:
 
 def apply_virtual_unit(store: CounterStore, unit: int) -> None:
     """Process one virtual unit as a brand-new flow (Algorithm 1, lines
-    10-17 applied to a fresh flow ID)."""
+    10-17 applied to a fresh key)."""
     if unit <= 0:
         return
     leftover = store.admit(unit)
     if leftover > 0:
-        store.insert(_fresh_virtual_fid(), leftover)
+        store.insert(VirtualUnit(), leftover)
 
 
 def apply_virtual_traffic_reference(
@@ -163,15 +127,16 @@ def apply_virtual_traffic_reference(
 def _state_key(store: CounterStore):
     """A canonical snapshot of the store for cycle detection.
 
-    Virtual flows are interchangeable (each has a fresh ID that is never
-    referenced again), so they contribute only their value multiset; real
-    flows contribute (fid, value) pairs.  Two stores with equal keys
-    evolve identically under further virtual traffic.
+    Virtual counters are interchangeable (each is keyed by a fresh
+    :class:`~repro.core.counters.VirtualUnit` that is never referenced
+    again), so they contribute only their value multiset; real flows
+    contribute (fid, value) pairs.  Two stores with equal keys evolve
+    identically under further virtual traffic.
     """
     virtual_values = []
     real_entries = []
     for fid, value in store.items():
-        if is_virtual_fid(fid):
+        if type(fid) is VirtualUnit:
             virtual_values.append(value)
         else:
             real_entries.append((fid, value))
@@ -241,7 +206,7 @@ def apply_virtual_traffic(
             # Final partial cycle: fill up to n slots with full units...
             full_units = min(volume // unit_size, n)
             for _ in range(full_units):
-                store.insert(_fresh_virtual_fid(), unit_size)
+                store.insert(VirtualUnit(), unit_size)
             volume -= full_units * unit_size
             # ... then place or absorb the remainder (< unit_size, or a
             # full unit arriving with every slot taken).
@@ -266,4 +231,4 @@ def apply_virtual_traffic(
         volume -= unit
         leftover = store.admit(unit)
         if leftover > 0:
-            store.insert(_fresh_virtual_fid(), leftover)
+            store.insert(VirtualUnit(), leftover)

@@ -50,8 +50,9 @@ class StepRecord:
     packet: Tuple[int, int, object]  # (time_ns, size, fid)
     slot: int
     shard: int
-    #: ``{fid: (before, after)}`` for every counter the packet changed
-    #: (virtual-flow counters included).
+    #: ``{fid: (before, after)}`` for every counter the packet changed;
+    #: the slot's virtual counters count as one ``"<virtual>"`` counter
+    #: holding their total bytes.
     counter_deltas: Dict[str, Tuple[Optional[int], Optional[int]]] = field(
         default_factory=dict
     )
@@ -388,10 +389,9 @@ def _ingest_stepped(engine, batch, pump, base_index, steps) -> None:
 
 
 def _counter_view(detector) -> Dict[str, int]:
-    """The slot detector's live counter table keyed by rendered fid."""
-    snapshot = detector.snapshot()
-    store = snapshot.get("store") or {}
-    return {
-        str(_normalize_fid(fid)): value
-        for fid, value in store.get("entries") or []
-    }
+    """The slot detector's live counter table keyed by rendered fid, its
+    virtual counters summed under ``"<virtual>"``."""
+    store = detector.snapshot()["store"]
+    view = {str(_normalize_fid(fid)): value for fid, value in store["entries"]}
+    view["<virtual>"] = sum(store["virtual"])
+    return view

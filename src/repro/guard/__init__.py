@@ -4,9 +4,8 @@ The paper's headline guarantees — no-FN above ``TH_h``, no-FP below
 ``TH_l``, exactness outside the ambiguity region — are deterministic
 invariants *of the algorithm state*, but they are conditional on sane
 input: a trace with non-monotonic timestamps, out-of-range sizes, or
-flow IDs that collide with the detector's internal virtual-flow
-namespace can drive EARDet into states where the guarantees are void
-with no signal to the operator.  This package closes both gaps:
+unusable flow IDs can drive EARDet into states where the guarantees
+are void with no signal to the operator.  This package closes both gaps:
 
 - :mod:`repro.guard.validator` hardens the ingest boundary.  A
   :class:`StreamValidator` wraps any packet iterable and enforces

@@ -15,8 +15,7 @@ violation class           what it means
 ``negative-time``         arrival time below zero
 ``time-regression``       packet arrives before its predecessor
 ``size-range``            size outside ``[min_size, max_size]``
-``fid-invalid``           flow ID is None, unhashable, or spoofs
-                          the internal virtual-flow namespace
+``fid-invalid``           flow ID is None or unhashable
 ========================  =======================================
 
 Policies per class: ``reject`` (raise :class:`StreamViolationError` with
@@ -42,7 +41,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.virtual import is_virtual_fid
 from ..model.packet import MAX_PACKET_SIZE, MIN_PACKET_SIZE, FlowId, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -368,9 +366,9 @@ class StreamValidator:
         max_size = policy.max_size
         for index, packet in enumerate(packets):
             stats.examined += 1
-            # Fast path: int/str flow IDs are always hashable and can
-            # never spoof the (tuple-typed) virtual namespace, so a
-            # packet with one and clean time/size needs no screening.
+            # Fast path: int/str flow IDs are never None and always
+            # hashable, so a packet with one and clean time/size needs no
+            # screening.
             fid_type = type(packet.fid)
             if (
                 (fid_type is int or fid_type is str)
@@ -481,11 +479,6 @@ class StreamValidator:
             hash(fid)
         except TypeError:
             return f"unhashable flow ID of type {type(fid).__name__}"
-        if is_virtual_fid(fid):
-            return (
-                "flow ID spoofs the detector's internal virtual-flow "
-                "namespace"
-            )
         return None
 
     def __repr__(self) -> str:

@@ -581,6 +581,7 @@ def summarize_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
             state = slot_states[slot]
             store = state.get("store", {})
             entries = store.get("entries", [])
+            in_use = len(entries) + len(store.get("virtual", []))
             capacity = store.get("capacity", 0)
             blacklist = len(state.get("blacklist", []))
             detections = len(state.get("sink", []))
@@ -590,7 +591,7 @@ def summarize_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
                 if slot < len(watcher_states)
                 else 0
             )
-            row["counters_in_use"] += len(entries)
+            row["counters_in_use"] += in_use
             row["counter_capacity"] += capacity or 0
             row["blacklist"] += blacklist
             row["detections"] += detections
@@ -599,7 +600,7 @@ def summarize_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
             row["per_slot"].append(
                 {
                     "slot": slot,
-                    "counters_in_use": len(entries),
+                    "counters_in_use": in_use,
                     "counter_capacity": capacity,
                     "blacklist": blacklist,
                     "detections": detections,

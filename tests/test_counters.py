@@ -8,6 +8,7 @@ from repro.core.counters import (
     CounterStoreError,
     HeapCounterStore,
     ReferenceCounterStore,
+    VirtualUnit,
 )
 
 STORES = [ReferenceCounterStore, HeapCounterStore]
@@ -122,11 +123,11 @@ def test_heap_store_rebase_preserves_values():
 
 
 def test_heap_store_rebase_with_tied_values_of_mixed_fid_types():
-    # Equal values must not fall back to comparing flow IDs, which may be
-    # of unorderable types (real string fids beside virtual tuple fids).
+    # Equal values must not fall back to comparing keys, which may be of
+    # unorderable types (real str and int fids beside virtual units).
     store = HeapCounterStore(3)
     store.insert("a", 5)
-    store.insert(("__virtual__", 1), 5)
+    store.insert(VirtualUnit(), 5)
     store.insert(7, 5)
     store.rebase()
     assert store.min_value() == 5

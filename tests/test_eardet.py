@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import virtual as virtual_module
 from repro.core.config import EARDetConfig, engineer
 from repro.core.counters import ReferenceCounterStore
 from repro.core.eardet import EARDet
@@ -213,7 +212,7 @@ class TestVirtualTrafficAccounting:
         for packet in packets:
             fast.observe(packet)
             slow.observe(packet)
-        assert sorted(fast.counters.values()) == sorted(slow.counters.values())
+        assert fast.snapshot() == slow.snapshot()
         assert fast.detected == slow.detected
 
 
@@ -246,10 +245,7 @@ class TestModesAndLifecycle:
         assert optimized.detected == reference.detected
         assert stats == reference.stats.snapshot()
         assert optimized.store_evictions == reference.store_evictions
-        # Virtual fids differ between the runs; the values must not.
-        assert sorted(optimized.counters.values()) == sorted(
-            reference.counters.values()
-        )
+        assert optimized.snapshot() == reference.snapshot()
 
     def test_blacklisted_consumes_link_mode(self):
         config = make_config()
@@ -319,30 +315,21 @@ class _TripChecker(InvariantChecker):
 
 def fed_detector(config, packets, chunk=None, checker=None):
     """An EARDet fed ``packets`` per packet through ``observe`` (``chunk``
-    None) or in ``chunk``-packet column slices through ``observe_batch``.
-    Virtual flow ids come from a process-global sequence, so each run
-    starts it at 0 for the two runs' snapshots to be comparable."""
+    None) or in ``chunk``-packet column slices through ``observe_batch``."""
     detector = EARDet(config)
     if checker is not None:
         detector.attach_checker(checker)
-    previous = virtual_module._next_virtual_index
-    virtual_module._next_virtual_index = 0
-    try:
-        if chunk is None:
-            for packet in packets:
-                detector.observe(packet)
-        else:
-            for start in range(0, len(packets), chunk):
-                part = packets[start:start + chunk]
-                detector.observe_batch(
-                    [p.time for p in part],
-                    [p.size for p in part],
-                    [p.fid for p in part],
-                )
-    finally:
-        virtual_module._next_virtual_index = max(
-            previous, virtual_module._next_virtual_index
-        )
+    if chunk is None:
+        for packet in packets:
+            detector.observe(packet)
+    else:
+        for start in range(0, len(packets), chunk):
+            part = packets[start:start + chunk]
+            detector.observe_batch(
+                [p.time for p in part],
+                [p.size for p in part],
+                [p.fid for p in part],
+            )
     return detector
 
 

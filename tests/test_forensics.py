@@ -54,14 +54,18 @@ CONFIG = EARDetConfig(
 )
 
 
-def make_packets(count=5000, heavy_share=0.1, seed=7, flows=50):
+def make_packets(
+    count=5000, heavy_share=0.1, seed=7, flows=50, max_gap_ns=40_000
+):
     """Same mixed stream as tests/test_service.py: many small flows plus
-    one flow heavy enough to be detected."""
+    one flow heavy enough to be detected.  A ``max_gap_ns`` in the
+    milliseconds idles the link, which leaves virtual counters in the
+    stores."""
     rng = random.Random(seed)
     packets = []
     time = 0
     for _ in range(count):
-        time += rng.randint(100, 40_000)
+        time += rng.randint(100, max_gap_ns)
         if rng.random() < heavy_share:
             fid = "heavy"
         else:
@@ -352,6 +356,27 @@ class TestForensicServe:
         result = replay_bundle(str(path))
         assert result.exact
         assert result.observed == record.payload["time_ns"]
+
+    def test_stepped_replay_is_repeatable(self, tmp_path):
+        """Two stepped replays of one bundle in one process record the
+        same steps; the slot's virtual counters show as one
+        ``"<virtual>"`` counter holding their total bytes."""
+        packets = make_packets(3000, heavy_share=0.3, max_gap_ns=3_000_000)
+        report, lab = forensic_serve(tmp_path, packets, batch_size=256)
+        record = next(
+            r for r in lab.store.records if r.incident_class == "detection"
+        )
+        first = replay_bundle(record.bundle, step=True)
+        second = replay_bundle(record.bundle, step=True)
+        assert first.exact and second.exact
+        assert first.steps == second.steps
+        virtual = [
+            step.counter_deltas["<virtual>"]
+            for step in first.steps
+            if "<virtual>" in step.counter_deltas
+        ]
+        assert virtual, "test needs virtual counters in the window"
+        assert all(before != after for before, after in virtual)
 
     def test_injected_drops_replay_through_the_skip_list(self, tmp_path):
         """Positional losses inside the capture window are re-injected

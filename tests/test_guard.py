@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.config import EARDetConfig
 from repro.core.eardet import EARDet
-from repro.core.virtual import _VIRTUAL_PREFIX
 from repro.detectors.exact import ExactLeakyBucketDetector
 from repro.guard import (
     CLAMP,
@@ -126,15 +125,35 @@ def test_strict_rejects_time_regression():
 
 
 @pytest.mark.parametrize(
-    "fid",
-    [None, ["unhashable"], (_VIRTUAL_PREFIX, 3)],
-    ids=["none", "unhashable", "virtual-spoof"],
+    "fid", [None, ["unhashable"]], ids=["none", "unhashable"]
 )
 def test_strict_rejects_invalid_fids(fid):
     bad = SimpleNamespace(time=0, size=600, fid=fid)
     with pytest.raises(StreamViolationError) as excinfo:
         validate_stream([bad])
     assert excinfo.value.violation == FID_INVALID
+
+
+def test_virtual_prefixed_fid_is_an_ordinary_flow():
+    """Virtual counters carry no flow ID, so ``("__virtual__", 3)`` names
+    a real flow: strict validation passes it and, as a flooder, EARDet
+    detects it exactly when it detects the same flood under a plain ID."""
+    times = []
+    for flooder in (("__virtual__", 3), "flooder"):
+        packets = [
+            Packet(time=i * 1_000_000, size=1_500, fid=flooder if i % 2 else i)
+            for i in range(40)
+        ]
+        stream, stats = validate_stream(packets)
+        assert stats.total_violations == 0
+        assert stats.emitted == len(packets)
+        detector = EARDet(CONFIG)
+        for packet in stream:
+            detector.observe(packet)
+        detected = detector.detected
+        assert list(detected) == [flooder]
+        times.append(detected[flooder])
+    assert times[0] == times[1]
 
 
 def test_strict_rejects_negative_time_from_foreign_objects():

@@ -123,7 +123,7 @@ def test_implementations_agree_exactly(scenario):
         config, store_factory=ReferenceCounterStore, reference_virtual=True
     ).observe_stream(stream)
     assert fast.detected == slow.detected
-    assert sorted(fast.counters.values()) == sorted(slow.counters.values())
+    assert fast.snapshot() == slow.snapshot()
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.core.config import EARDetConfig
 from repro.core.parallel import ParallelEARDet
-from repro.core.virtual import is_virtual_fid
 from repro.model.packet import Packet
 from repro.model.stream import PacketStream
 from repro.service import (
@@ -30,6 +29,7 @@ from repro.service import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.service.checkpoint import summarize_checkpoint
 from repro.service.engine import FlowRouter
 
 from conftest import FID_KINDS, with_fid_kind
@@ -39,14 +39,17 @@ CONFIG = EARDetConfig(
 )
 
 
-def make_packets(count=5000, heavy_share=0.1, seed=7, flows=50):
+def make_packets(
+    count=5000, heavy_share=0.1, seed=7, flows=50, max_gap_ns=40_000
+):
     """A mixed stream: many small flows plus one flow heavy enough to be
-    detected."""
+    detected.  A ``max_gap_ns`` in the milliseconds idles the link, which
+    leaves virtual counters in the stores."""
     rng = random.Random(seed)
     packets = []
     time = 0
     for _ in range(count):
-        time += rng.randint(100, 40_000)
+        time += rng.randint(100, max_gap_ns)
         if rng.random() < heavy_share:
             fid = "heavy"
         else:
@@ -55,24 +58,6 @@ def make_packets(count=5000, heavy_share=0.1, seed=7, flows=50):
             Packet(time=time, size=rng.randint(40, 1518), fid=fid)
         )
     return packets
-
-
-def without_virtual_ids(snapshot):
-    """An engine snapshot with each slot store's virtual-flow entries
-    reduced to their sorted values.  Virtual flow ids come from one
-    process-wide counter, so they depend on what else minted ids in the
-    same process — another engine, or other slots one host holds —
-    never on the stream; everything else must match exactly."""
-    states = []
-    for state in snapshot["shards"]:
-        entries = state["store"]["entries"]
-        store = dict(
-            state["store"],
-            entries=[e for e in entries if not is_virtual_fid(e[0])],
-            virtual=sorted(v for fid, v in entries if is_virtual_fid(fid)),
-        )
-        states.append(dict(state, store=store))
-    return dict(snapshot, shards=states)
 
 
 # ---------------------------------------------------------------- sources
@@ -322,6 +307,82 @@ class TestCrashRecovery:
             DetectionService.resume(str(tmp_path / "nope.ckpt"))
 
 
+class TestVirtualCountersInCheckpoints:
+    """Snapshots carry virtual counters as a ``virtual`` value list; the
+    readers of a checkpoint's store section count them, and a format-1
+    checkpoint, whose virtual counters were ``("__virtual__", i)``
+    entries, still resumes exactly."""
+
+    IDLE = make_packets(4000, max_gap_ns=3_000_000)
+
+    def test_summary_counts_virtual_counters(self, tmp_path):
+        path = tmp_path / "svc.ckpt"
+        service = DetectionService(
+            CONFIG, shards=2, slots=4, checkpoint_path=str(path)
+        )
+        try:
+            service.serve(StreamSource(self.IDLE))
+            detectors = service.engine.slot_host.detectors
+            layout = service.engine.layout
+            payload = read_checkpoint(path)
+            rows = summarize_checkpoint(payload)["shards"]
+            assert [row["counters_in_use"] for row in rows] == [
+                sum(detectors[slot].counters_in_use
+                    for slot in layout.slots_of(shard))
+                for shard in range(2)
+            ]
+            for row in rows:
+                for slot_row in row["per_slot"]:
+                    assert slot_row["counters_in_use"] == (
+                        detectors[slot_row["slot"]].counters_in_use
+                    )
+        finally:
+            service.shutdown()
+        assert any(
+            state["store"]["virtual"] for state in payload["engine"]["shards"]
+        )
+
+    def test_format_1_checkpoint_resumes_exactly(self, tmp_path):
+        uninterrupted = DetectionService(CONFIG, shards=2, slots=4)
+        reference = uninterrupted.serve(StreamSource(self.IDLE))
+        expected = uninterrupted.engine.snapshot()["shards"]
+        uninterrupted.shutdown()
+
+        path = tmp_path / "svc.ckpt"
+        crashing = DetectionService(
+            CONFIG, shards=2, slots=4, checkpoint_path=str(path),
+            checkpoint_every=1000,
+        )
+        crashing.serve(
+            StreamSource(self.IDLE), max_packets=2500, final_checkpoint=False
+        )
+        crashing.shutdown()
+        payload = read_checkpoint(path)
+        saved = read_checkpoint(path)["engine"]["shards"]
+        legacy = 0
+        for state in payload["engine"]["shards"]:
+            store = state["store"]
+            for index, value in enumerate(store.pop("virtual")):
+                # Sparse indices, tuple and list forms alike.
+                fid = ("__virtual__", 7 + 5 * legacy)
+                store["entries"].append(
+                    (list(fid) if index % 2 else fid, value)
+                )
+                legacy += 1
+            state["format"] = 1
+        assert legacy, "test needs virtual counters in the checkpoint"
+        write_checkpoint(path, payload)
+
+        recovered = DetectionService.resume(str(path))
+        try:
+            assert recovered.engine.snapshot()["shards"] == saved
+            report = recovered.serve(StreamSource(self.IDLE))
+            assert report.detections == reference.detections
+            assert recovered.engine.snapshot()["shards"] == expected
+        finally:
+            recovered.shutdown()
+
+
 # ---------------------------------------------------------------- service
 
 
@@ -458,13 +519,6 @@ class TestTransportParity:
                 server.stop()
         for snapshot in snapshots.values():
             del snapshot["queue_high_water"]
-        if slots > 2:
-            # In process every slot shares one virtual-id counter; each
-            # worker has its own: compare virtual values, not ids.
-            snapshots = {
-                kind: without_virtual_ids(snapshot)
-                for kind, snapshot in snapshots.items()
-            }
         assert snapshots["inprocess"]["accepted"] == len(packets) - 20
         assert snapshots["inprocess"]["dropped"][0] == 20
         assert snapshots["multiprocess"] == snapshots["inprocess"]
@@ -548,8 +602,8 @@ class TestStagingDifferential:
             queue_capacity=len(packets) + 1,
         )
         reference.ingest(packets)
-        state = without_virtual_ids(engine.snapshot())
-        expected = without_virtual_ids(reference.snapshot())
+        state = engine.snapshot()
+        expected = reference.snapshot()
         del state["queue_high_water"], expected["queue_high_water"]
         assert state == expected
         assert engine.detections() == reference.detections()

@@ -54,14 +54,18 @@ CONFIG = EARDetConfig(
 CHAOS_SEED = int(os.environ.get("EARDET_CHAOS_SEED", "7"))
 
 
-def make_packets(count=5000, heavy_share=0.1, seed=CHAOS_SEED, flows=50):
+def make_packets(
+    count=5000, heavy_share=0.1, seed=CHAOS_SEED, flows=50, max_gap_ns=40_000
+):
     """Same mixed stream as tests/test_service.py: many small flows plus
-    one heavy flow, seeded for reproducible chaos."""
+    one heavy flow, seeded for reproducible chaos.  A ``max_gap_ns`` in
+    the milliseconds idles the link, which leaves virtual counters in
+    the stores."""
     rng = random.Random(seed)
     packets = []
     time = 0
     for _ in range(count):
-        time += rng.randint(100, 40_000)
+        time += rng.randint(100, max_gap_ns)
         if rng.random() < heavy_share:
             fid = "heavy"
         else:
@@ -331,7 +335,9 @@ class TestSupervisedRecovery:
         """The acceptance chaos test: kill a shard mid-stream; the
         supervisor restarts from the last checkpoint and replays the
         suffix; detections (flow ids AND timestamps) match the unfailed
-        run exactly and the envelope stays exact."""
+        run exactly and the envelope stays exact.  On an idle link, whose
+        virtual counters survive to the end, the final checkpoint file is
+        byte-identical to an unfailed supervised run's."""
         packets = make_packets(5000)
         reference = baseline_report(packets)
         supervisor = quiet_supervisor(
@@ -348,6 +354,28 @@ class TestSupervisedRecovery:
         assert all(entry.exact for entry in report.envelope)
         assert any("recovered from checkpoint" in i for i in report.incidents)
         assert report.packets == len(packets)
+
+        idle = make_packets(5000, max_gap_ns=3_000_000)
+        final = {}
+        for run, plan in (
+            ("unfailed", FaultPlan()),
+            ("killed", FaultPlan.parse("kill:shard=1,at=1200")),
+        ):
+            path = tmp_path / f"idle-{run}.ckpt"
+            supervisor = quiet_supervisor(
+                shards=2,
+                checkpoint_path=str(path),
+                checkpoint_every=1000,
+                batch_size=256,
+                fault_plan=plan,
+            )
+            final[run] = supervisor.run(StreamSource(idle)), path.read_bytes()
+        (unfailed, unfailed_bytes), (killed, killed_bytes) = final.values()
+        assert killed.restarts == 1
+        assert killed.detections == unfailed.detections
+        assert killed_bytes == unfailed_bytes
+        engine = read_checkpoint(path)["engine"]
+        assert any(state["store"]["virtual"] for state in engine["shards"])
 
     def test_kill_without_checkpoint_replays_from_scratch(self):
         packets = make_packets(4000)

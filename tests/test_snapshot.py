@@ -6,21 +6,25 @@ uninterrupted run."""
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import virtual as virtual_module
 from repro.core.blacklist import Blacklist, ReportSink
 from repro.core.config import EARDetConfig
 from repro.core.counters import (
     CounterStoreError,
     HeapCounterStore,
     ReferenceCounterStore,
+    VirtualUnit,
 )
-from repro.core.eardet import EARDet
+from repro.core.eardet import EARDet, ReconfigurationError, reconfigure_state
 from repro.core.parallel import ParallelEARDet
-from repro.core.virtual import Carryover, is_virtual_fid
+from repro.core.virtual import Carryover
+from repro.model.packet import Packet
 from repro.service.checkpoint import Encoded, dumps, loads
 
 from conftest import packet_lists
@@ -33,33 +37,11 @@ SMALL_CONFIG = EARDetConfig(
 )
 
 
-def canonical_counters(detector: EARDet):
-    """Counter state up to virtual-flow renaming.
-
-    Virtual fids are fresh-per-unit and never referenced again, so two
-    detectors whose real entries match and whose virtual *values* match as
-    a multiset are behaviourally identical; the sequence numbers inside
-    virtual fids legitimately differ between an uninterrupted run and a
-    snapshot/restore run (both draw from a process-global sequence).
-    """
-    real = {}
-    virtual_values = []
-    for fid, value in detector.counters.items():
-        if is_virtual_fid(fid):
-            virtual_values.append(value)
-        else:
-            real[fid] = value
-    return real, sorted(virtual_values)
-
-
 def assert_equivalent(left: EARDet, right: EARDet) -> None:
+    """One logical state: equal detections and byte-identical snapshots
+    (counters, virtual values, blacklist, carryover, link clock, stats)."""
     assert left.detected == right.detected
-    assert left.stats.snapshot() == right.stats.snapshot()
-    assert canonical_counters(left) == canonical_counters(right)
-    assert set(left.blacklist) == set(right.blacklist)
-    assert left.carryover_bytes == right.carryover_bytes
-    assert left._last_time == right._last_time
-    assert left._last_size == right._last_size
+    assert dumps(left.snapshot()) == dumps(right.snapshot())
 
 
 # ---------------------------------------------------------------- components
@@ -130,6 +112,19 @@ class TestComponentRoundTrips:
         reference = ReferenceCounterStore(3)
         reference.restore(heap.snapshot())
         assert reference.as_dict() == heap.as_dict()
+
+    def test_counter_store_snapshot_is_canonical(self):
+        """One logical state, one snapshot: virtual counters are written
+        as sorted values, whatever order they were stored in."""
+        heap, reference = HeapCounterStore(4), ReferenceCounterStore(4)
+        heap.insert("a", 2)
+        for value in (5, 3, 9):
+            heap.insert(VirtualUnit(), value)
+        for value in (9, 5, 3):
+            reference.insert(VirtualUnit(), value)
+        reference.insert("a", 2)
+        assert heap.snapshot()["virtual"] == [3, 5, 9]
+        assert dumps(heap.snapshot()) == dumps(reference.snapshot())
 
     def test_counter_store_capacity_mismatch_rejected(self):
         store = HeapCounterStore(4)
@@ -273,6 +268,57 @@ class TestSnapshotReplayProperty:
         assert_equivalent(reference, resumed)
 
 
+def idle_packets(count, seed, flows):
+    """A seeded stream with gaps of up to 3 ms on SMALL_CONFIG's 1 MB/s
+    link: idle enough to leave virtual counters in the store."""
+    rng = random.Random(seed)
+    packets, time = [], 0
+    for _ in range(count):
+        time += rng.randint(100, 3_000_000)
+        packets.append(
+            Packet(time, rng.randint(40, 100), rng.randint(0, flows - 1))
+        )
+    return packets
+
+
+def test_one_stream_one_snapshot():
+    """Two detectors fed one stream in one process serialize to the same
+    bytes: virtual counters are values, not names drawn from a sequence
+    the first detector already advanced."""
+    packets = idle_packets(50, seed=7, flows=6)
+    first, second = EARDet(SMALL_CONFIG), EARDet(SMALL_CONFIG)
+    for detector in (first, second):
+        for packet in packets:
+            detector.observe(packet)
+    assert dumps(first.snapshot()) == dumps(second.snapshot())
+    assert first.snapshot()["store"]["virtual"], "test needs virtual counters"
+
+
+def test_reconfigure_counts_virtual_counters():
+    """``reconfigure_state`` counts real and virtual counters against the
+    new ``n``: one slot too few refuses, and exactly enough restores and
+    continues identically to the uninterrupted detector."""
+    packets = idle_packets(400, seed=11, flows=10)
+    n = SMALL_CONFIG.n
+    detector = EARDet(SMALL_CONFIG)
+    for split, packet in enumerate(packets, start=1):
+        detector.observe(packet)
+        state = detector.snapshot()
+        store = state["store"]
+        if store["entries"] and store["virtual"] and len(detector.counters) == n:
+            break
+    else:
+        pytest.fail("test needs a full store of real and virtual counters")
+    with pytest.raises(ReconfigurationError):
+        reconfigure_state(state, dataclasses.replace(SMALL_CONFIG, n=n - 1))
+    resumed = EARDet(SMALL_CONFIG)
+    resumed.restore(reconfigure_state(state, SMALL_CONFIG))
+    for packet in packets[split:]:
+        detector.observe(packet)
+        resumed.observe(packet)
+    assert_equivalent(detector, resumed)
+
+
 class TestRestoreSafety:
     def test_format_version_checked(self, small_config):
         detector = EARDet(small_config)
@@ -291,34 +337,24 @@ class TestRestoreSafety:
         with pytest.raises(ValueError, match="shards"):
             ParallelEARDet(small_config, shards=3).restore(state)
 
-    def test_fresh_process_virtual_fids_cannot_collide(self, small_config):
-        """Restoring in a 'fresh process' (virtual sequence rewound to 0)
-        must not mint virtual fids colliding with stored ones."""
+    def test_restored_virtual_counters_continue_identically(
+        self, small_config
+    ):
+        """Virtual counters restore under fresh keys: a detector restored
+        through the codec and served more idle time ends in the
+        uninterrupted detector's state."""
+        packets = [
+            Packet(time=time, size=100, fid="a")
+            for time in (0, 1_000_000, 2_000_000)
+        ]
         detector = EARDet(small_config)
+        for packet in packets[:2]:
+            detector.observe(packet)
         # Long idle gaps leave virtual counters in the store.
-        from repro.model.packet import Packet
-
-        detector.observe(Packet(time=0, size=100, fid="a"))
-        detector.observe(Packet(time=1_000_000, size=100, fid="a"))
         state = detector.snapshot()
-        assert any(
-            is_virtual_fid(fid) for fid, _ in state["store"]["entries"]
-        ), "test needs virtual counters in the snapshot"
-
-        previous = virtual_module._next_virtual_index
-        try:
-            virtual_module._next_virtual_index = 0  # simulate a new process
-            resumed = EARDet(small_config)
-            resumed.restore(state)
-            stored_max = max(
-                fid[1]
-                for fid, _ in state["store"]["entries"]
-                if is_virtual_fid(fid)
-            )
-            assert virtual_module._next_virtual_index > stored_max
-            # Replaying more idle time must not raise (no fid collisions).
-            resumed.observe(Packet(time=2_000_000, size=100, fid="a"))
-        finally:
-            virtual_module._next_virtual_index = max(
-                previous, virtual_module._next_virtual_index
-            )
+        assert state["store"]["virtual"], "test needs virtual counters"
+        resumed = EARDet(small_config)
+        resumed.restore(loads(dumps(state)))
+        for twin in (detector, resumed):
+            twin.observe(packets[2])
+        assert_equivalent(detector, resumed)
