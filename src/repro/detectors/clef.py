@@ -25,6 +25,15 @@ deterministic :func:`~repro.detectors.hashing.splitmix64` mix, and
 ``snapshot``/``restore`` capture the complete state, so RLFD-based
 watchers survive checkpoint/restore bit-identically.
 
+A level's hash salt depends only on the seed, the epoch and the level,
+so each RLFD keeps the current epoch's ``depth`` salts in a table that
+is rebuilt the first time it is read after the epoch moves (a restart,
+an idle fast-forward, a restore or a reset).  A packet then costs one
+``canonical_key`` and one splitmix64 round per level it is hashed at.
+:meth:`TwinRLFD.observe_batch` computes that key once per packet for
+both twins and runs each twin's column kernel over it; the per-packet
+``observe`` path is the reference the kernel is tested against.
+
 Three classes:
 
 - :class:`RecursiveLargeFlowDetector` — one RLFD instance.
@@ -40,7 +49,7 @@ Three classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.config import EARDetConfig
 from ..model.packet import FlowId, Packet
@@ -152,15 +161,28 @@ class RecursiveLargeFlowDetector(Detector):
         self.threshold = threshold
         self.seed = seed
         self.stats = RLFDStats()
+        # The epoch the salt table was built for (None: not built yet).
+        self._salt_epoch: Optional[int] = None
+        self._salt_table: List[int] = []
         self._reset_state()
 
     # -- tree bookkeeping ---------------------------------------------------
 
-    def _branch(self, fid: FlowId, level: int) -> int:
-        """The counter index a flow hashes to at a tree level, salted by
-        the current epoch so restarts regroup flows."""
-        salt = splitmix64(splitmix64(self.seed ^ self._epoch) + level)
-        return splitmix64(canonical_key(fid) ^ salt) % self.counters
+    def _salts(self) -> List[int]:
+        """The current epoch's salt of every tree level, rebuilt only
+        when the epoch has moved since the table was built."""
+        if self._salt_epoch != self._epoch:
+            base = splitmix64(self.seed ^ self._epoch)
+            self._salt_table = [
+                splitmix64(base + level) for level in range(self.depth)
+            ]
+            self._salt_epoch = self._epoch
+        return self._salt_table
+
+    def _branch(self, key: int, level: int) -> int:
+        """The counter index a flow's canonical key hashes to at a tree
+        level, salted by the current epoch so restarts regroup flows."""
+        return splitmix64(key ^ self._salts()[level]) % self.counters
 
     def _end_period(self) -> None:
         """Close the current period: descend into the largest branch, or
@@ -216,13 +238,13 @@ class RecursiveLargeFlowDetector(Detector):
     def _update(self, packet: Packet) -> bool:
         self.stats.packets += 1
         self._advance_time(packet.time)
-        fid = packet.fid
+        key = canonical_key(packet.fid)
         for level, chosen in enumerate(self._path):
-            if self._branch(fid, level) != chosen:
+            if self._branch(key, level) != chosen:
                 self.stats.off_path_packets += 1
                 return False
         self.stats.counted_packets += 1
-        index = self._branch(fid, self._level)
+        index = self._branch(key, self._level)
         self._counts[index] += packet.size
         if (
             self._level == self.depth - 1
@@ -231,6 +253,73 @@ class RecursiveLargeFlowDetector(Detector):
             self.stats.flags += 1
             return True
         return False
+
+    def _kernel_locals(self):
+        """What :meth:`_observe_keys` holds in locals between period
+        boundaries: the counter array, the ``(salt, chosen branch)`` of
+        every level above the current one, the current level's salt,
+        whether it is the bottom level, and the next boundary."""
+        salts = self._salts()
+        return (
+            self._counts,
+            list(zip(salts, self._path)),
+            salts[self._level],
+            self._level == self.depth - 1,
+            self._period_start + self.period_ns,
+        )
+
+    def _observe_keys(
+        self, times: Sequence[int], sizes: Sequence[int], keys: Sequence[int]
+    ) -> List[int]:
+        """Run parallel packet columns through the detector, ``keys``
+        holding each packet's ``canonical_key(fid)``; return the
+        positions of the packets it flags.
+
+        Per packet this is exactly :meth:`_update`, with the state held
+        in locals: the period boundary is tested inline and only a
+        crossing calls :meth:`_advance_time` (the locals are reloaded
+        after it), the splitmix64 round is inlined, and ``stats`` is
+        written once per call.  Reporting flagged packets to a sink is
+        the caller's job, as is the invariant checker."""
+        flagged: List[int] = []
+        if times and not self._started:
+            self._advance_time(times[0])
+        counts, above, salt, at_bottom, boundary = self._kernel_locals()
+        counters = self.counters
+        threshold = self.threshold
+        mask = 0xFFFFFFFFFFFFFFFF
+        counted = 0
+        position = -1
+        for now, size, key in zip(times, sizes, keys):
+            position += 1
+            if now >= boundary:
+                self._advance_time(now)
+                counts, above, salt, at_bottom, boundary = (
+                    self._kernel_locals()
+                )
+            # splitmix64(key ^ salt) % counters, inlined, per level.
+            for level_salt, chosen in above:
+                mixed = ((key ^ level_salt) + 0x9E3779B97F4A7C15) & mask
+                mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & mask
+                if (mixed ^ (mixed >> 31)) % counters != chosen:
+                    break
+            else:
+                counted += 1
+                mixed = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
+                mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & mask
+                index = (mixed ^ (mixed >> 31)) % counters
+                total = counts[index] = counts[index] + size
+                if at_bottom and total > threshold:
+                    flagged.append(position)
+        packets = position + 1
+        stats = self.stats
+        stats.packets += packets
+        stats.counted_packets += counted
+        stats.off_path_packets += packets - counted
+        stats.flags += len(flagged)
+        return flagged
 
     def _reset_state(self) -> None:
         self._counts: List[int] = [0] * self.counters
@@ -286,10 +375,29 @@ class RecursiveLargeFlowDetector(Detector):
                 f"snapshot has {len(counts)} counters, detector has "
                 f"{self.counters}"
             )
+        path = list(state["path"])  # type: ignore[arg-type]
+        level = state["level"]
+        epoch = state["epoch"]
+        if not 0 <= level < self.depth:  # type: ignore[operator]
+            raise ValueError(
+                f"snapshot level {level} is outside this detector's "
+                f"depth {self.depth}"
+            )
+        if len(path) != level:
+            raise ValueError(
+                f"snapshot path {path} does not lead to level {level}"
+            )
+        if any(not 0 <= chosen < self.counters for chosen in path):
+            raise ValueError(
+                f"snapshot path {path} names a branch outside "
+                f"[0, {self.counters})"
+            )
+        if epoch < 0:  # type: ignore[operator]
+            raise ValueError(f"snapshot epoch {epoch} is negative")
         self._counts = counts
-        self._path = list(state["path"])  # type: ignore[arg-type]
-        self._level = state["level"]  # type: ignore[assignment]
-        self._epoch = state["epoch"]  # type: ignore[assignment]
+        self._path = path
+        self._level = level  # type: ignore[assignment]
+        self._epoch = epoch  # type: ignore[assignment]
         self._period_start = state["period_start"]  # type: ignore[assignment]
         self._started = state["started"]  # type: ignore[assignment]
         self.stats.restore(state["stats"])  # type: ignore[arg-type]
@@ -357,6 +465,39 @@ class TwinRLFD(Detector):
         in_fast = self.fast.observe(packet)
         in_slow = self.slow.observe(packet)
         return in_fast or in_slow
+
+    def observe_batch(
+        self,
+        times: Sequence[int],
+        sizes: Sequence[int],
+        fids: Sequence[FlowId],
+    ) -> None:
+        """Process parallel packet columns in order, without building a
+        :class:`~repro.model.packet.Packet`; the sinks and states end
+        exactly as per-packet :meth:`observe` leaves them.
+
+        Each packet's ``canonical_key`` is computed once and both twins'
+        column kernels run over the key column.  A twin's flagged
+        packets go to its own sink, and every packet either twin flagged
+        goes to this sink in packet order: per packet, a flow enters
+        this sink exactly at the packet where either twin first flags
+        it.  With an invariant checker attached anywhere the batch runs
+        through :meth:`observe`, since a checker audits every packet."""
+        fast, slow = self.fast, self.slow
+        if any(d.checker is not None for d in (self, fast, slow)):
+            for now, size, fid in zip(times, sizes, fids):
+                self.observe(Packet(now, size, fid))
+            return
+        keys = [canonical_key(fid) for fid in fids]
+        flagged_fast = fast._observe_keys(times, sizes, keys)
+        flagged_slow = slow._observe_keys(times, sizes, keys)
+        for twin, flagged in ((fast, flagged_fast), (slow, flagged_slow)):
+            report = twin.sink.report
+            for position in flagged:
+                report(fids[position], times[position])
+        report = self.sink.report
+        for position in sorted({*flagged_fast, *flagged_slow}):
+            report(fids[position], times[position])
 
     def _reset_state(self) -> None:
         self.fast.reset()

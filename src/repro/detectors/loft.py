@@ -31,12 +31,19 @@ The implementation here keeps the scheme's two-tier structure:
 All arithmetic is integer-exact (bytes, nanoseconds, scaled byte-ns
 levels); hashing is the deterministic splitmix64 mix; ``snapshot`` /
 ``restore`` capture complete state for bit-identical crash recovery.
+
+A stage's hash salt depends only on the seed, the epoch index and the
+stage, so the current epoch's ``stages`` salts live in a table that is
+rebuilt the first time it is read after the epoch index moves, and a
+sketch packet costs one ``canonical_key`` and one splitmix64 round per
+stage.  :meth:`LOFT.observe` and :meth:`LOFT.observe_batch` run the same
+per-packet body, :meth:`LOFT._step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import EARDetConfig
 from ..model.packet import FlowId, Packet
@@ -139,6 +146,9 @@ class LOFT(Detector):
         # byte-ns units so the comparison against estimates is exact.
         self._budget_scaled = gamma * epoch_ns + beta * NS_PER_S
         self.stats = LOFTStats()
+        # The epoch the salt table was built for (None: not built yet).
+        self._salt_epoch: Optional[int] = None
+        self._salt_table: List[int] = []
         self._reset_state()
 
     @classmethod
@@ -167,17 +177,26 @@ class LOFT(Detector):
 
     # -- hashing ------------------------------------------------------------
 
-    def _stage_index(self, fid: FlowId, stage: int) -> int:
-        salt = splitmix64(splitmix64(self.seed ^ self._epoch_index) + stage)
-        return splitmix64(canonical_key(fid) ^ salt) % self.aggregates
+    def _salts(self) -> List[int]:
+        """The current epoch's salt of every sketch stage, rebuilt only
+        when the epoch index has moved since the table was built."""
+        if self._salt_epoch != self._epoch_index:
+            base = splitmix64(self.seed ^ self._epoch_index)
+            self._salt_table = [
+                splitmix64(base + stage) for stage in range(self.stages)
+            ]
+            self._salt_epoch = self._epoch_index
+        return self._salt_table
 
     # -- epoch machinery ----------------------------------------------------
 
     def _estimate(self, fid: FlowId) -> int:
         """Minimum-over-stages byte estimate for a flow this epoch."""
+        key = canonical_key(fid)
+        aggregates = self.aggregates
         return min(
-            self._sketch[stage][self._stage_index(fid, stage)]
-            for stage in range(self.stages)
+            row[splitmix64(key ^ salt) % aggregates]
+            for row, salt in zip(self._sketch, self._salts())
         )
 
     def _drain_to(self, bucket: LeakyBucket, time_ns: int) -> int:
@@ -262,25 +281,52 @@ class LOFT(Detector):
     # -- Detector interface -------------------------------------------------
 
     def _update(self, packet: Packet) -> bool:
-        self.stats.packets += 1
-        self._advance_time(packet.time)
-        fid = packet.fid
+        return self._step(packet.time, packet.size, packet.fid)
+
+    def observe_batch(
+        self,
+        times: Iterable[int],
+        sizes: Iterable[int],
+        fids: Iterable[FlowId],
+    ) -> None:
+        """Process parallel packet columns in order, without building a
+        :class:`~repro.model.packet.Packet`.  Per packet this is exactly
+        :meth:`observe`: :meth:`_step`, a sink report when the packet is
+        flagged, and the invariant checker."""
+        step = self._step
+        report = self.sink.report
+        checker = self.checker
+        for now, size, fid in zip(times, sizes, fids):
+            if step(now, size, fid):
+                report(fid, now)
+            if checker is not None:
+                checker.after_packet(self)
+
+    def _step(self, now: int, size: int, fid: FlowId) -> bool:
+        """One packet; True when it flags its flow.  The one body both
+        :meth:`observe` and :meth:`observe_batch` run."""
+        stats = self.stats
+        stats.packets += 1
+        if not self._started or now - self._epoch_start >= self.epoch_ns:
+            self._advance_time(now)
         bucket = self._watch.get(fid)
         if bucket is not None:
-            self.stats.watch_packets += 1
-            level = bucket.add(packet.time, packet.size)
-            if level > self._beta_scaled:
-                self.stats.flags += 1
+            stats.watch_packets += 1
+            if bucket.add(now, size) > self._beta_scaled:
+                stats.flags += 1
                 return True
             return False
-        self.stats.sketch_packets += 1
-        for stage in range(self.stages):
-            self._sketch[stage][self._stage_index(fid, stage)] += packet.size
-        if fid not in self._tracked:
-            if len(self._tracked) < self.flow_limit:
-                self._tracked[fid] = None
+        stats.sketch_packets += 1
+        key = canonical_key(fid)
+        aggregates = self.aggregates
+        for row, salt in zip(self._sketch, self._salts()):
+            row[splitmix64(key ^ salt) % aggregates] += size
+        tracked = self._tracked
+        if fid not in tracked:
+            if len(tracked) < self.flow_limit:
+                tracked[fid] = None
             else:
-                self.stats.untracked_packets += 1
+                stats.untracked_packets += 1
         return False
 
     def _reset_state(self) -> None:
@@ -345,11 +391,15 @@ class LOFT(Detector):
             len(row) != self.aggregates for row in sketch
         ):
             raise ValueError("snapshot sketch shape does not match detector")
-        self._sketch = sketch
-        self._tracked = {
+        tracked: Dict[FlowId, None] = {
             self._revive_fid(fid): None
             for fid in state["tracked"]  # type: ignore[union-attr]
         }
+        if len(tracked) > self.flow_limit:
+            raise ValueError(
+                f"snapshot tracks {len(tracked)} flows, detector tracks at "
+                f"most {self.flow_limit}"
+            )
         watch: Dict[FlowId, LeakyBucket] = {}
         for fid, level, peak, last in state["watch"]:  # type: ignore[misc]
             bucket = LeakyBucket(self.gamma)
@@ -357,8 +407,18 @@ class LOFT(Detector):
             bucket.peak_scaled = peak
             bucket.last_time = last
             watch[self._revive_fid(fid)] = bucket
+        if len(watch) > self.watchlist:
+            raise ValueError(
+                f"snapshot watches {len(watch)} flows, detector watches at "
+                f"most {self.watchlist}"
+            )
+        epoch_index = state["epoch_index"]
+        if epoch_index < 0:  # type: ignore[operator]
+            raise ValueError(f"snapshot epoch index {epoch_index} is negative")
+        self._sketch = sketch
+        self._tracked = tracked
         self._watch = watch
-        self._epoch_index = state["epoch_index"]  # type: ignore[assignment]
+        self._epoch_index = epoch_index  # type: ignore[assignment]
         self._epoch_start = state["epoch_start"]  # type: ignore[assignment]
         self._started = state["started"]  # type: ignore[assignment]
         self.stats.restore(state["stats"])  # type: ignore[arg-type]

@@ -318,6 +318,11 @@ class ShardedEngine:
         # accounting, keeps observing while a shard is full or being
         # restarted, and never physically moves during a migration.
         self.watcher = watcher
+        #: The watcher tap: each slot's ``(times, sizes, fids)`` routed
+        #: in the current batch (None with no watcher armed).
+        self._tap = (
+            None if watcher is None else [([], [], []) for _ in range(slots)]
+        )
         self._plan = fault_plan
         self._dead_letter = dead_letter
         self._backlog_capacity = backlog_capacity
@@ -364,49 +369,75 @@ class ShardedEngine:
         An armed overload policy goes through :meth:`_ingest_overload`."""
         self._start()
         self.check_workers()
-        if self._overload is not None:
-            self._ingest_overload(batch)
-        else:
-            staging = self._staging
-            staged = self._staged
-            route = self._route
-            assignment = self._assignment
-            routed = self._routed
-            last_ts = self._last_packet_ts
-            ship_at = self._ship_at
-            plan = self._plan
-            watcher = self.watcher
-            accepted = 0
-            for packet in batch:
-                fid = packet.fid
-                slot = route(fid)
-                index = assignment[slot]
-                arrival = routed[index] = routed[index] + 1
-                last_ts[index] = packet.time
-                if watcher is not None:
-                    # Stage-2 tap at the routing point: sees the wire
-                    # stream before staging/overflow/faults can lose it.
-                    # Slot-keyed, so the tap is invariant under resharding.
-                    watcher.observe(packet, slot)
-                if plan is not None and self._fault(index, packet, slot):
-                    continue
-                if staged[index] >= ship_at:
-                    if self._sheds_when_full:
-                        self._record_loss(
-                            index, packet, "queue-overflow", slot=slot
-                        )
-                        continue
-                    self._ship(index)
-                times, sizes, fids, arrivals = staging[slot]
-                times.append(packet.time)
-                sizes.append(packet.size)
-                fids.append(fid)
-                arrivals.append(arrival)
-                staged[index] += 1
-                accepted += 1
-            self._accepted += accepted
+        try:
+            if self._overload is not None:
+                self._ingest_overload(batch)
+            else:
+                self._ingest_plain(batch)
+        finally:
+            if self._tap is not None:
+                self._feed_watcher()
         for index, depth in enumerate(self.queue_depths()):
             self._note_depth(index, depth)
+
+    def _ingest_plain(self, batch: List[Packet]) -> None:
+        """The staging loop with no ladder armed."""
+        staging = self._staging
+        staged = self._staged
+        route = self._route
+        assignment = self._assignment
+        routed = self._routed
+        last_ts = self._last_packet_ts
+        ship_at = self._ship_at
+        plan = self._plan
+        tap = self._tap
+        accepted = 0
+        for packet in batch:
+            fid = packet.fid
+            now = packet.time
+            size = packet.size
+            slot = route(fid)
+            index = assignment[slot]
+            arrival = routed[index] = routed[index] + 1
+            last_ts[index] = now
+            if tap is not None:
+                # Stage-2 tap at the routing point: sees the wire stream
+                # before staging/overflow/faults can lose it.  Slot-keyed,
+                # so the tap is invariant under resharding.
+                times, sizes, fids = tap[slot]
+                times.append(now)
+                sizes.append(size)
+                fids.append(fid)
+            if plan is not None and self._fault(index, packet, slot):
+                continue
+            if staged[index] >= ship_at:
+                if self._sheds_when_full:
+                    self._record_loss(
+                        index, packet, "queue-overflow", slot=slot
+                    )
+                    continue
+                self._ship(index)
+            times, sizes, fids, arrivals = staging[slot]
+            times.append(now)
+            sizes.append(size)
+            fids.append(fid)
+            arrivals.append(arrival)
+            staged[index] += 1
+            accepted += 1
+        self._accepted += accepted
+
+    def _feed_watcher(self) -> None:
+        """Hand each slot's tapped columns to the watcher stage and empty
+        the tap.  :meth:`ingest` runs this once per batch, also when the
+        batch raises part-way (an injected kill, a dead worker), so the
+        watchers have seen exactly the packets routed so far."""
+        tap = self._tap
+        assert tap is not None and self.watcher is not None
+        observe = self.watcher.observe
+        for slot, columns in enumerate(tap):
+            if columns[0]:
+                tap[slot] = ([], [], [])
+                observe(slot, *columns)
 
     def _ingest_overload(self, batch: List[Packet]) -> None:
         """Ladder-mediated ingest: observe each shard's load once per
@@ -430,7 +461,7 @@ class ShardedEngine:
         last_ts = self._last_packet_ts
         ship_at = self._ship_at
         plan = self._plan
-        watcher = self.watcher
+        tap = self._tap
         # Inlined EXACT rung (admit + _stage without the calls): the
         # level is fixed for the whole batch (only ``observe`` moves
         # it), so an EXACT shard's packet costs one byte-count bump,
@@ -444,30 +475,35 @@ class ShardedEngine:
         accepted = 0
         for packet in batch:
             fid = packet.fid
+            now = packet.time
+            size = packet.size
             slot = route(fid)
             index = assignment[slot]
             arrival = routed[index] = routed[index] + 1
-            last_ts[index] = packet.time
-            if watcher is not None:
+            last_ts[index] = now
+            if tap is not None:
                 # The watcher taps ahead of the ladder: it keeps seeing
                 # in-region traffic even while this shard sheds load.
-                watcher.observe(packet, slot)
+                times, sizes, fids = tap[slot]
+                times.append(now)
+                sizes.append(size)
+                fids.append(fid)
             if plan is not None and self._fault(index, packet, slot):
                 continue
             account = exact[index]
             if account is not None:
-                account.exact_bytes += packet.size
+                account.exact_bytes += size
                 if staged[index] >= ship_at:
                     self._ship(index)
                 times, sizes, fids, arrivals = staging[slot]
-                times.append(packet.time)
-                sizes.append(packet.size)
+                times.append(now)
+                sizes.append(size)
                 fids.append(fid)
                 arrivals.append(arrival)
                 staged[index] += 1
                 accepted += 1
                 continue
-            emitted = states[index].admit(packet.time, packet.size, fid)
+            emitted = states[index].admit(now, size, fid)
             if emitted is None:
                 self._record_loss(index, packet, "overload-shed", slot=slot)
                 continue

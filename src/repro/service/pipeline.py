@@ -12,12 +12,16 @@ Stage separation is a hard semantic boundary, mirroring how the
 exactness envelope refuses to launder lost packets:
 
 - The watcher **taps the stream at the routing point**, before queueing,
-  overflow, fault injection, or the overload ladder touch it.  It never
-  feeds the EARDet shards and never consumes from their queues, so
-  enabling a watcher leaves exact detections bit-identical — and the
-  watcher keeps seeing in-region traffic even while the ladder sheds the
-  exact stage's load (which is precisely when the ambiguity region
-  widens and watching it matters most).
+  overflow, fault injection, or the overload ladder touch it: the
+  engine appends each routed packet to its slot's tap columns there and
+  hands every non-empty slot's ``(times, sizes, fids)`` to
+  :meth:`WatcherStage.observe` once per batch — also when the batch
+  raises part-way, so the watchers have seen exactly the packets routed
+  so far.  It never feeds the EARDet shards and never consumes from
+  their queues, so enabling a watcher leaves exact detections
+  bit-identical — and the watcher keeps seeing in-region traffic even
+  while the ladder sheds the exact stage's load (which is precisely when
+  the ambiguity region widens and watching it matters most).
 - Watcher verdicts are **probabilistic** and are carried in their own
   :class:`ServiceReport` section.  Nothing in this module ever merges
   them into ``ServiceReport.detections`` or the exactness envelope.
@@ -30,16 +34,18 @@ checkpoints simply have no watcher state and restore a fresh stage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Union
 
 from ..core.config import EARDetConfig
-from ..detectors.base import Detector
 from ..detectors.clef import TwinRLFD
 from ..detectors.loft import LOFT
-from ..model.packet import FlowId, Packet
+from ..model.packet import FlowId
 
 #: Watcher kinds the service can arm ("none" is expressed as no policy).
 WATCHER_KINDS = ("clef", "loft")
+
+#: A built watcher: both kinds take per-slot columns via ``observe_batch``.
+Watcher = Union[TwinRLFD, LOFT]
 
 #: Default sizing: small enough to be an obviously-cheap sidecar next to
 #: an EARDet shard, large enough to localize a handful of in-region
@@ -81,7 +87,7 @@ class WatcherPolicy:
                 f"{self.kind!r}"
             )
 
-    def build(self, config: EARDetConfig, shard: int) -> Detector:
+    def build(self, config: EARDetConfig, shard: int) -> Watcher:
         """Instantiate this policy's watcher for one shard (seeds are
         salted per shard so shards group flows independently)."""
         shard_seed = (self.seed * 0x1000003) ^ (shard + 1)
@@ -133,11 +139,12 @@ class WatcherPolicy:
 class WatcherStage:
     """Per-shard ambiguity-region watchers riding next to the engine.
 
-    The engine calls :meth:`observe` for every packet at its routing
-    point; everything else here is reporting and checkpointing.  The
-    stage never returns verdicts into the ingest path — a probabilistic
-    verdict must be *read out* of the watcher section, never folded into
-    the exact detection set.
+    The engine calls :meth:`observe` once per batch for every slot it
+    routed packets to, with that slot's packets as columns; everything
+    else here is reporting and checkpointing.  The stage never returns
+    verdicts into the ingest path — a probabilistic verdict must be
+    *read out* of the watcher section, never folded into the exact
+    detection set.
     """
 
     #: Version of the stage snapshot schema; bump on incompatible change.
@@ -150,17 +157,24 @@ class WatcherStage:
             raise ValueError(f"need at least 1 shard, got {shards}")
         self.policy = policy
         self.config = config
-        self._watchers: List[Detector] = [
+        self._watchers: List[Watcher] = [
             policy.build(config, shard) for shard in range(shards)
         ]
 
     # -- hot path ----------------------------------------------------------
 
-    def observe(self, packet: Packet, shard: int) -> None:
-        """Feed one routed packet to its shard's watcher.  The verdict
-        (if any) lands in the watcher's own sink; nothing is returned to
-        the caller's ingest path by design."""
-        self._watchers[shard].observe(packet)
+    def observe(
+        self,
+        slot: int,
+        times: Sequence[int],
+        sizes: Sequence[int],
+        fids: Sequence[FlowId],
+    ) -> None:
+        """Feed one slot's routed packets, as parallel columns in arrival
+        order, to that slot's watcher.  Verdicts land in the watcher's
+        own sink; nothing is returned to the caller's ingest path by
+        design."""
+        self._watchers[slot].observe_batch(times, sizes, fids)
 
     # -- introspection -----------------------------------------------------
 
@@ -172,7 +186,7 @@ class WatcherStage:
     def kind(self) -> str:
         return self.policy.kind
 
-    def watcher(self, shard: int) -> Detector:
+    def watcher(self, shard: int) -> Watcher:
         """The underlying detector of one shard (tests, telemetry)."""
         return self._watchers[shard]
 

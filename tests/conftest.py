@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -124,3 +125,50 @@ def with_fid_kind(packets, kind: str):
         fid = index if kind == "int" else _mixed_fid(index)
         rewritten.append(Packet(time=packet.time, size=packet.size, fid=fid))
     return rewritten
+
+
+# ------------------------------------------------------ watcher columns
+
+
+def watcher_stream(rng: random.Random, count: int, idle_ns: int):
+    """``count`` packets over eight ``str`` flows, one of them heavy:
+    gaps of up to 200 us (equal times included) and, now and then, an
+    idle gap of up to ``idle_ns``.  Gaps are whole multiples of 25 us,
+    so packets land exactly on millisecond period boundaries too.
+    Rewrite the ids with :func:`with_fid_kind`."""
+    packets, time = [], 0
+    for _ in range(count):
+        if rng.random() < 0.05:
+            time += rng.randint(0, idle_ns // 25_000) * 25_000
+        else:
+            time += rng.randint(0, 8) * 25_000
+        index = 0 if rng.random() < 0.4 else rng.randint(1, 7)
+        packets.append(
+            Packet(time=time, size=rng.randint(1, 1500), fid=f"f{index}")
+        )
+    return packets
+
+
+def feed_columns(detector, packets, rng: random.Random) -> None:
+    """Feed ``packets`` to ``detector.observe_batch`` as ``(times, sizes,
+    fids)`` chunks of random lengths, empty chunks included."""
+    start = 0
+    while start < len(packets):
+        chunk = packets[start:start + rng.randint(0, 40)]
+        detector.observe_batch(
+            [p.time for p in chunk],
+            [p.size for p in chunk],
+            [p.fid for p in chunk],
+        )
+        start += len(chunk)
+
+
+def codec_round_trip(state):
+    """``state`` through JSON, or through the checkpoint codec when JSON
+    cannot carry its flow ids (``FiveTuple``, ``bytes``)."""
+    try:
+        return json.loads(json.dumps(state))
+    except TypeError:
+        from repro.service.checkpoint import dumps, loads
+
+        return loads(dumps(state))

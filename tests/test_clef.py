@@ -3,15 +3,28 @@
 Covers the in-core behaviours the service pipeline leans on: in-region
 flows are localized and flagged, benign small flows stay clean, long
 idle gaps fast-forward arithmetically to the same state as explicit
-boundary crossings, and snapshot/restore replays bit-identically.
+boundary crossings, snapshot/restore replays bit-identically, and the
+column path (``TwinRLFD.observe_batch``) ends exactly where per-packet
+``observe`` does.
+
+The CI ambiguity-corpus job sweeps ``EARDET_PIPELINE_SEED`` (see
+.github/workflows/ci.yml), which salts the column-path property.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
+from conftest import (
+    FID_KINDS,
+    codec_round_trip,
+    feed_columns,
+    watcher_stream,
+    with_fid_kind,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EARDetConfig
@@ -29,6 +42,9 @@ CONFIG = EARDetConfig(
 )
 
 PERIOD_NS = 50_000_000
+
+#: The CI ambiguity-corpus job sweeps this (see .github/workflows/ci.yml).
+PIPELINE_SEED = int(os.environ.get("EARDET_PIPELINE_SEED", "7"))
 
 
 def make_rlfd(counters=16, depth=2, period_ns=PERIOD_NS, seed=0):
@@ -149,10 +165,28 @@ class TestRLFDSnapshot:
         with pytest.raises(ValueError):
             make_rlfd().restore({"format": 99})
 
-    def test_rejects_wrong_counter_count(self):
-        state = make_rlfd(counters=8).snapshot()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"counts": [0] * 8}, id="counter-count"),
+            pytest.param(
+                {"level": 5, "path": [9, 9, 9]}, id="level-past-depth"
+            ),
+            pytest.param({"level": -1}, id="negative-level"),
+            pytest.param({"level": 1, "path": []}, id="path-short-of-level"),
+            pytest.param({"level": 1, "path": [9]}, id="branch-past-counters"),
+            pytest.param({"level": 1, "path": [-1]}, id="negative-branch"),
+            pytest.param({"epoch": -1}, id="negative-epoch"),
+        ],
+    )
+    def test_rejects_wrong_counter_count(self, overrides):
+        """Restore checks the state's shape against the receiving
+        detector (m=4, d=2): its counter count, a level inside the tree,
+        a path that leads to that level through existing branches, and
+        a non-negative epoch."""
+        state = {**make_rlfd(counters=4, depth=2).snapshot(), **overrides}
         with pytest.raises(ValueError):
-            make_rlfd(counters=16).restore(state)
+            make_rlfd(counters=4, depth=2).restore(state)
 
 
 class TestTwinRLFD:
@@ -255,3 +289,45 @@ def test_rlfd_restore_replay_property(seed, cut):
     for p in packets[cut:]:
         assert a.observe(p) == b.observe(p)
     assert a.snapshot() == b.snapshot()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=400),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    kind=st.sampled_from(FID_KINDS),
+)
+def test_twin_observe_batch_equals_per_packet_observe(seed, count, cut, kind):
+    """The column path is the per-packet path.  Over random column
+    splits, idle gaps of up to 1 s (hundreds of periods, epochs and tree
+    restarts at 1 ms periods), a codec restore at a random cut, and
+    int, str, tuple, FiveTuple and bytes ids, ``observe_batch`` leaves
+    the twin and both RLFDs with per-packet ``observe``'s snapshots and
+    detections, in insertion order."""
+    rng = random.Random(seed ^ PIPELINE_SEED)
+    packets = with_fid_kind(watcher_stream(rng, count, NS_PER_S), kind)
+    cut = int(cut * len(packets))
+
+    def make():
+        return TwinRLFD.for_config(
+            CONFIG, counters=4, depth=3, fast_period_ns=1_000_000,
+            slow_period_ns=4_000_000, seed=seed,
+        )
+
+    def run(feed):
+        first = make()
+        feed(first, packets[:cut])
+        second = make()
+        second.restore(codec_round_trip(first.snapshot()))
+        feed(second, packets[cut:])
+        return second
+
+    reference = run(lambda twin, part: twin.observe_stream(part))
+    batched = run(lambda twin, part: feed_columns(twin, part, rng))
+    assert batched.snapshot() == reference.snapshot()
+    for name in ("fast", "slow"):
+        assert list(getattr(batched, name).detected.items()) == list(
+            getattr(reference, name).detected.items()
+        )
+    assert list(batched.detected.items()) == list(reference.detected.items())

@@ -2,16 +2,29 @@
 
 The behaviours the pipeline depends on: in-region flows are promoted
 and flagged on *exact* post-promotion evidence, sketch collisions alone
-never flag anyone, the watchlist stays bounded under churn, and
-snapshot/restore replays bit-identically through JSON.
+never flag anyone, the watchlist stays bounded under churn,
+snapshot/restore replays bit-identically through JSON, and the column
+path (``LOFT.observe_batch``) ends exactly where per-packet ``observe``
+does.
+
+The CI ambiguity-corpus job sweeps ``EARDET_PIPELINE_SEED`` (see
+.github/workflows/ci.yml), which salts the column-path property.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
+from conftest import (
+    FID_KINDS,
+    codec_round_trip,
+    feed_columns,
+    watcher_stream,
+    with_fid_kind,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EARDetConfig
@@ -24,6 +37,9 @@ CONFIG = EARDetConfig(
 )
 
 EPOCH_NS = 100_000_000
+
+#: The CI ambiguity-corpus job sweeps this (see .github/workflows/ci.yml).
+PIPELINE_SEED = int(os.environ.get("EARDET_PIPELINE_SEED", "7"))
 
 
 def make_loft(**overrides):
@@ -186,10 +202,31 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             make_loft().restore({"format": 99})
 
-    def test_rejects_wrong_sketch_shape(self):
-        state = make_loft(aggregates=8).snapshot()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"sketch": [[0] * 8] * 2}, id="aggregates"),
+            pytest.param({"sketch": [[0] * 32]}, id="stages"),
+            pytest.param(
+                {"watch": [[f"w{i}", 0, 0, 0] for i in range(5)]},
+                id="watch-past-watchlist",
+            ),
+            pytest.param(
+                {"tracked": [f"t{i}" for i in range(10)]},
+                id="tracked-past-flow-limit",
+            ),
+            pytest.param({"epoch_index": -1}, id="negative-epoch-index"),
+        ],
+    )
+    def test_rejects_wrong_sketch_shape(self, overrides):
+        """Restore checks the state's shape against the receiving
+        detector (32 aggregates x 2 stages, watchlist 2, flow limit 3):
+        the sketch, at most ``watchlist`` watched and ``flow_limit``
+        tracked flows, and a non-negative epoch index."""
+        make = lambda: make_loft(aggregates=32, watchlist=2, flow_limit=3)
+        state = {**make().snapshot(), **overrides}
         with pytest.raises(ValueError):
-            make_loft(aggregates=32).restore(state)
+            make().restore(state)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,3 +254,41 @@ def test_loft_restore_replay_property(seed, cut):
     for p in packets[cut:]:
         assert a.observe(p) == b.observe(p)
     assert a.snapshot() == b.snapshot()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=400),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    kind=st.sampled_from(FID_KINDS),
+)
+def test_observe_batch_equals_per_packet_observe(seed, count, cut, kind):
+    """The column path is the per-packet path.  Over random column
+    splits, idle gaps of up to 1 s (hundreds of 2 ms epochs: promotions,
+    evictions, demotions, untracked packets), a codec restore at a
+    random cut, and int, str, tuple, FiveTuple and bytes ids,
+    ``observe_batch`` leaves per-packet ``observe``'s snapshot and
+    detections, in insertion order."""
+    rng = random.Random(seed ^ PIPELINE_SEED)
+    packets = with_fid_kind(watcher_stream(rng, count, NS_PER_S), kind)
+    cut = int(cut * len(packets))
+
+    def make():
+        return make_loft(
+            aggregates=4, epoch_ns=2_000_000, watchlist=2, flow_limit=4,
+            seed=seed,
+        )
+
+    def run(feed):
+        first = make()
+        feed(first, packets[:cut])
+        second = make()
+        second.restore(codec_round_trip(first.snapshot()))
+        feed(second, packets[cut:])
+        return second
+
+    reference = run(lambda loft, part: loft.observe_stream(part))
+    batched = run(lambda loft, part: feed_columns(loft, part, rng))
+    assert batched.snapshot() == reference.snapshot()
+    assert list(batched.detected.items()) == list(reference.detected.items())

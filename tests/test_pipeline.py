@@ -29,7 +29,11 @@ from repro.core.config import EARDetConfig
 from repro.model.packet import Packet
 from repro.service import (
     DetectionService,
+    FaultPlan,
     InProcessEngine,
+    OverloadPolicy,
+    ShardCrashError,
+    ShardFault,
     StreamSource,
     WatcherPolicy,
     WatcherStage,
@@ -215,6 +219,67 @@ class TestEngineParity:
         assert all(
             shard.watcher_occupancy > 0 for shard in report.shard_health
         )
+
+
+class TestEngineTap:
+    """The engine hands each slot's tapped columns to the stage once per
+    batch, yet the watchers see the wire stream exactly as a per-packet
+    tap would: every routed packet, in arrival order, ahead of overflow,
+    injected drops and the ladder, and a batch that raises part-way has
+    still delivered the packets routed before the raise."""
+
+    BATCH = 256
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+    @pytest.mark.parametrize(
+        "overload",
+        [None, OverloadPolicy(high_watermark=0.5, low_watermark=0.25)],
+        ids=["plain", "ladder"],
+    )
+    def test_stage_sees_the_routed_stream(self, policy, overload):
+        packets = make_packets(count=3000)
+        stage = WatcherStage(policy, CONFIG, shards=4)
+        engine = InProcessEngine(
+            CONFIG, shards=2, slots=4, queue_capacity=16, overflow="drop",
+            overload=overload, watcher=stage,
+            fault_plan=FaultPlan([
+                ShardFault("drop", shard=0, at=40, count=25),
+                ShardFault("kill", shard=1, at=700),
+            ]),
+        )
+        # The kill fires at shard 1's 700th routed packet: that packet
+        # is routed (and tapped), the rest of its batch is not.
+        arrivals = [0, 0]
+        for killed, packet in enumerate(packets):
+            arrivals[engine.shard_of(packet.fid)] += 1
+            if arrivals[1] == 700:
+                break
+        routed = killed + 1
+        assert routed % self.BATCH, "the kill must land mid-batch"
+
+        def reference(prefix):
+            ref = WatcherStage(policy, CONFIG, shards=4)
+            for packet in prefix:
+                ref.watcher(engine.slot_of(packet.fid)).observe(packet)
+            return ref
+
+        start = 0
+        with pytest.raises(ShardCrashError):
+            while start < len(packets):
+                engine.ingest(packets[start:start + self.BATCH])
+                start += self.BATCH
+        assert engine.dropped >= 25
+        assert stage.snapshot() == reference(packets[:routed]).snapshot()
+        # The tap was emptied by the raise: the rest of the stream adds
+        # each packet once.
+        for start in range(routed, len(packets), self.BATCH):
+            engine.ingest(packets[start:start + self.BATCH])
+        expected = reference(packets)
+        assert stage.snapshot() == expected.snapshot()
+        for slot in range(4):
+            assert list(stage.watcher(slot).detected.items()) == list(
+                expected.watcher(slot).detected.items()
+            )
 
 
 @st.composite
