@@ -1192,6 +1192,30 @@ def run_serve(args: argparse.Namespace) -> int:
     forensics = _forensics_lab(args)
     if forensics is not None and not args.json:
         print(f"forensics: incident log at {forensics.store.path}")
+    # The options every entry point takes; fresh services (a supervisor's
+    # too) add the keywords a resume reads from the checkpoint.
+    options = dict(
+        checkpoint_every=args.checkpoint_every,
+        batch_size=args.batch_size,
+        queue_capacity=args.queue_capacity,
+        overflow=args.overflow,
+        fault_plan=fault_plan,
+        invariant_every=args.invariant_every,
+        telemetry=telemetry,
+        overload=overload,
+        watcher=watcher,
+        coordinator=coordinator,
+        engine_options=engine_options,
+        forensics=forensics,
+        controller=controller,
+    )
+    fresh = dict(
+        shards=args.shards,
+        engine=args.engine or "inprocess",
+        seed=args.seed or 0,
+        checkpoint_path=args.checkpoint,
+        slots=args.slots,
+    )
 
     if args.supervise:
         if args.resume:
@@ -1204,26 +1228,10 @@ def run_serve(args: argparse.Namespace) -> int:
         config = _serve_config(args)
         supervisor = Supervisor(
             config,
-            shards=args.shards,
-            engine=args.engine or "inprocess",
-            seed=args.seed or 0,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            overflow=args.overflow,
             policy=RestartPolicy(max_restarts=args.max_restarts),
-            fault_plan=fault_plan,
             heartbeat_timeout_s=args.heartbeat_timeout,
-            invariant_every=args.invariant_every,
-            telemetry=telemetry,
-            overload=overload,
-            watcher=watcher,
-            slots=args.slots,
-            coordinator=coordinator,
-            engine_options=engine_options,
-            forensics=forensics,
-            controller=controller,
+            **fresh,
+            **options,
         )
         if not args.json:
             print(config.describe())
@@ -1254,21 +1262,7 @@ def run_serve(args: argparse.Namespace) -> int:
 
         try:
             service = DetectionService.resume(
-                args.checkpoint,
-                engine=args.engine,
-                checkpoint_every=args.checkpoint_every,
-                batch_size=args.batch_size,
-                queue_capacity=args.queue_capacity,
-                overflow=args.overflow,
-                fault_plan=fault_plan,
-                invariant_every=args.invariant_every,
-                telemetry=telemetry,
-                overload=overload,
-                watcher=watcher,
-                coordinator=coordinator,
-                engine_options=engine_options,
-                forensics=forensics,
-                controller=controller,
+                args.checkpoint, engine=args.engine, **options
             )
         except (CheckpointError, FileNotFoundError) as error:
             raise SystemExit(f"cannot resume from {args.checkpoint}: {error}")
@@ -1277,28 +1271,7 @@ def run_serve(args: argparse.Namespace) -> int:
             f"({service.shards} shards, {service.engine_kind})"
         )
     else:
-        config = _serve_config(args)
-        service = DetectionService(
-            config,
-            shards=args.shards,
-            engine=args.engine or "inprocess",
-            seed=args.seed or 0,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            overflow=args.overflow,
-            fault_plan=fault_plan,
-            invariant_every=args.invariant_every,
-            telemetry=telemetry,
-            overload=overload,
-            watcher=watcher,
-            slots=args.slots,
-            coordinator=coordinator,
-            engine_options=engine_options,
-            forensics=forensics,
-            controller=controller,
-        )
+        service = DetectionService(_serve_config(args), **fresh, **options)
     if not args.json:
         print(service.config.describe())
     handlers = _install_drain_handlers(service.request_drain)

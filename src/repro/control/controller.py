@@ -51,7 +51,7 @@ from ..core.config import (
 )
 from .retune import RetunePlan
 from .scrape import ControlSample, scrape_registry
-from .slo import SLOAlert, SLOEvaluator, SLOPolicy
+from .slo import SLOAlert, SLOEvaluator
 
 __all__ = [
     "ControlPolicy",

@@ -35,23 +35,17 @@ The five-phase protocol
    rebuilt from the *post-apply* snapshot: only a state that provably
    satisfies the new config's invariants is ever committed;
 5. **commit** — the epoch increments (the service owns the counter)
-   and the measured freeze→commit pause is reported.
+   and the measured pause — from the start of the freeze action to the
+   end of commit — is reported.
 
 Any failure or per-phase timeout triggers **rollback**:
 ``engine.apply_config(old)``, which is always feasible because
 rebuilding never changes a store's entry count — state that fitted the
-old ``n`` before the attempt still fits it after.  Failures retry under
-a :class:`~repro.service.backoff.BackoffPolicy`; the terminal failure
-is a typed :class:`~repro.service.errors.RetuneError`.  Worker crashes
-(:class:`~repro.service.errors.ShardCrashError`, including injected
-``tune:...,mode=kill`` faults) propagate un-rolled-back — the
-supervisor's checkpoint restore carries the checkpoint's own config
-epoch, which is exact by construction.
-
-Fault injection mirrors the migration protocol: ``tune:phase=...,
-mode=fail|stall|kill,at=N`` clauses in the fault DSL
-(:mod:`repro.service.faults`) fire once at the named phase boundary of
-the ``N``-th retune.
+old ``n`` before the attempt still fits it after.  Fault gates
+(``tune:`` clauses), the time budget, retries, worker-crash passthrough
+and the typed terminal :class:`~repro.service.errors.RetuneError` come
+from the guarded-transition executor live migration shares
+(:mod:`repro.service.transition`).
 """
 
 from __future__ import annotations
@@ -64,8 +58,9 @@ from typing import Callable, Dict, Optional
 from ..core.config import EARDetConfig, config_as_dict
 from ..core.eardet import EARDet
 from ..guard.invariants import InvariantChecker
-from ..service.backoff import DEFAULT_BACKOFF, BackoffPolicy
-from ..service.errors import RetuneError, ShardCrashError
+from ..service.backoff import BackoffPolicy
+from ..service.errors import RetuneError
+from ..service.transition import RETUNE_PHASES, TransitionReport, run_transition
 
 __all__ = [
     "RETUNE_PHASES",
@@ -75,10 +70,6 @@ __all__ = [
     "execute_retune",
     "verify_plan",
 ]
-
-#: The protocol's fault-injectable phase boundaries, in order (must
-#: match ``repro.service.faults.TUNE_FAULT_PHASES``).
-RETUNE_PHASES = ("propose", "freeze", "apply", "verify", "commit")
 
 
 @dataclass(frozen=True)
@@ -127,43 +118,11 @@ class RetunePlan:
 
 
 @dataclass
-class RetuneReport:
+class RetuneReport(TransitionReport):
     """What one :func:`execute_retune` call did."""
 
-    plan: str
-    committed: bool
-    attempts: int
-    phase_reached: str
-    rolled_back: bool = False
-    from_epoch: int = 0
-    to_epoch: int = 0
     old_config: Dict[str, object] = field(default_factory=dict)
     new_config: Dict[str, object] = field(default_factory=dict)
-    pause_ns: int = 0
-    error: Optional[str] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "plan": self.plan,
-            "committed": self.committed,
-            "attempts": self.attempts,
-            "phase_reached": self.phase_reached,
-            "rolled_back": self.rolled_back,
-            "from_epoch": self.from_epoch,
-            "to_epoch": self.to_epoch,
-            "old_config": dict(self.old_config),
-            "new_config": dict(self.new_config),
-            "pause_ns": self.pause_ns,
-            "error": self.error,
-        }
-
-
-class _InjectedRetuneFailure(Exception):
-    """A ``tune:...,mode=fail`` fault fired (transient by construction)."""
-
-
-class _RetuneTimeout(Exception):
-    """The retune exceeded its time budget at a phase boundary."""
 
 
 def verify_plan(plan: RetunePlan, current: EARDetConfig) -> None:
@@ -194,39 +153,6 @@ def verify_plan(plan: RetunePlan, current: EARDetConfig) -> None:
             f"new config breaks Theorem 4 coverage: R_NFN="
             f"{float(new.rnfn):.1f} exceeds the required catch rate "
             f"gamma_h={gamma_h}"
-        )
-
-
-def _fault_gate(fault_plan, phase, retune_index, sleep) -> None:
-    """Consult the fault plan at a phase boundary (deterministic chaos:
-    faults are positional on the retune index, and fire once)."""
-    if fault_plan is None:
-        return
-    take = getattr(fault_plan, "take_tune", None)
-    if take is None:
-        return
-    fault = take(phase, retune_index)
-    if fault is None:
-        return
-    if fault.mode == "stall":
-        sleep(fault.duration_s)
-        return
-    if fault.mode == "kill":
-        raise ShardCrashError(
-            f"injected kill during retune {retune_index} at the "
-            f"{phase} boundary",
-            shard=None,
-        )
-    raise _InjectedRetuneFailure(
-        f"injected failure during retune {retune_index} at the "
-        f"{phase} boundary"
-    )
-
-
-def _check_deadline(clock, deadline, phase) -> None:
-    if deadline is not None and clock() > deadline:
-        raise _RetuneTimeout(
-            f"retune exceeded its time budget at the {phase} boundary"
         )
 
 
@@ -268,10 +194,6 @@ def execute_retune(
     supervisor's checkpoint restore, whose recorded config epoch is
     authoritative.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
     # Soundness is checked before anything is touched: a stale or
     # theory-breaking plan raises here with no rollback needed (and
     # rollback below can safely target plan.old_config, which is known
@@ -281,81 +203,33 @@ def execute_retune(
         plan=plan.describe(),
         committed=False,
         attempts=0,
-        phase_reached="propose",
+        phase_reached=RETUNE_PHASES[0],
         from_epoch=from_epoch,
         to_epoch=from_epoch,
         old_config=config_as_dict(plan.old_config),
         new_config=config_as_dict(plan.new_config),
     )
-    last_error: Optional[BaseException] = None
-    for attempt in range(attempts):
-        report.attempts = attempt + 1
-        started = clock()
-        deadline = None if timeout_s is None else started + timeout_s
-        phase = report.phase_reached = "propose"
-        try:
-            _fault_gate(fault_plan, "propose", retune_index, sleep)
-            # Re-checked per attempt: a previous attempt's rollback must
-            # have restored exactly the config the plan expects.
-            verify_plan(plan, engine.config)
-            _check_deadline(clock, deadline, "propose")
-
-            phase = report.phase_reached = "freeze"
-            _fault_gate(fault_plan, "freeze", retune_index, sleep)
-            started_ns = time.monotonic_ns()
-            engine.flush()
-            _check_deadline(clock, deadline, "freeze")
-
-            phase = report.phase_reached = "apply"
-            _fault_gate(fault_plan, "apply", retune_index, sleep)
-            engine.apply_config(plan.new_config)
-            _check_deadline(clock, deadline, "apply")
-
-            phase = report.phase_reached = "verify"
-            _fault_gate(fault_plan, "verify", retune_index, sleep)
-            _verify_restored_state(engine, plan.new_config)
-            _check_deadline(clock, deadline, "verify")
-
-            phase = report.phase_reached = "commit"
-            _fault_gate(fault_plan, "commit", retune_index, sleep)
-
-            report.committed = True
-            report.rolled_back = False
-            report.to_epoch = from_epoch + 1
-            report.pause_ns = time.monotonic_ns() - started_ns
-            return report
-        except ShardCrashError:
-            # A worker died mid-retune (real or injected kill): the
-            # supervisor owns recovery — its checkpoint restore carries
-            # the checkpoint's own config epoch, so no rollback here.
-            raise
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            last_error = error
-            try:
-                engine.apply_config(plan.old_config)
-                report.rolled_back = True
-            except Exception as rollback_error:
-                raise RetuneError(
-                    f"retune failed in the {phase} phase AND rollback "
-                    f"failed ({rollback_error}); configuration is suspect "
-                    "— restore from checkpoint",
-                    phase=phase,
-                    plan=plan.describe(),
-                    rolled_back=False,
-                    attempts=attempt + 1,
-                ) from error
-            if attempt + 1 < attempts:
-                sleep(backoff.delay_s(attempt))
-                continue
-    report.error = str(last_error)
-    raise RetuneError(
-        f"retune failed after {attempts} attempt(s) in the "
-        f"{report.phase_reached} phase ({last_error}); rolled back to the "
-        f"pre-retune configuration (epoch {from_epoch})",
-        phase=report.phase_reached,
-        plan=plan.describe(),
-        rolled_back=True,
+    actions = (
+        # Re-checked per attempt: a previous attempt's rollback must
+        # have restored exactly the config the plan expects.
+        lambda scratch: verify_plan(plan, engine.config),
+        lambda scratch: engine.flush(),
+        lambda scratch: engine.apply_config(plan.new_config),
+        lambda scratch: _verify_restored_state(engine, plan.new_config),
+        lambda scratch: None,  # commit: the service advances the epoch
+    )
+    run_transition(
+        RetuneError,
+        zip(RETUNE_PHASES, actions),
+        lambda scratch: engine.apply_config(plan.old_config),
+        report,
         attempts=attempts,
-    ) from last_error
+        backoff=backoff,
+        timeout_s=timeout_s,
+        fault_plan=fault_plan,
+        index=retune_index,
+        clock=clock,
+        sleep=sleep,
+    )
+    report.to_epoch = from_epoch + 1
+    return report

@@ -81,9 +81,8 @@ class ForensicsLab:
         self._overload_levels: List[str] = []
         self._voided: Set[int] = set()
         self._migrations = 0
-        self._rollbacks = 0
         self._retunes = 0
-        self._retune_rollbacks = 0
+        self._rollbacks: Dict[str, int] = {}
         self._retune_infeasibles = 0
         self._violations = 0
         # Identity of the service the migration/rollback cursors are
@@ -150,11 +149,8 @@ class ForensicsLab:
         if bound is not service:
             self._bound_service = weakref.ref(service)
             self._migrations = service._migrations
-            self._rollbacks = service._rollbacks
             self._retunes = getattr(service, "_retunes", 0)
-            self._retune_rollbacks = getattr(
-                service, "_retune_rollbacks", 0
-            )
+            self._rollbacks = dict(service._rollbacks)
             self._retune_infeasibles = getattr(
                 service, "_retune_infeasibles", 0
             )
@@ -360,25 +356,6 @@ class ForensicsLab:
                     },
                 )
             )
-        if service._rollbacks > self._rollbacks:
-            delta = service._rollbacks - self._rollbacks
-            self._rollbacks = service._rollbacks
-            detail = self._last_rollback_event(service)
-            emitted.append(
-                self.store.append(
-                    "migration-rollback",
-                    f"migration rolled back in phase "
-                    f"{detail.get('phase', '?')}: "
-                    f"{detail.get('error', 'unknown error')}",
-                    severity="error",
-                    packet_index=index,
-                    payload={
-                        "rollbacks": service._rollbacks,
-                        "delta": delta,
-                        **detail,
-                    },
-                )
-            )
 
         retunes = getattr(service, "_retunes", 0)
         if retunes > self._retunes:
@@ -412,26 +389,29 @@ class ForensicsLab:
                     payload={"retunes": retunes, "delta": delta, **detail},
                 )
             )
-        retune_rollbacks = getattr(service, "_retune_rollbacks", 0)
-        if retune_rollbacks > self._retune_rollbacks:
-            delta = retune_rollbacks - self._retune_rollbacks
-            self._retune_rollbacks = retune_rollbacks
-            detail = self._last_event(service, "retune-rollback")
-            emitted.append(
-                self.store.append(
-                    "retune-rollback",
-                    f"retune rolled back in phase "
-                    f"{detail.get('phase', '?')}: "
-                    f"{detail.get('error', 'unknown error')}",
-                    severity="error",
-                    packet_index=index,
-                    payload={
-                        "rollbacks": retune_rollbacks,
-                        "delta": delta,
-                        **detail,
-                    },
+        # One incident per terminal rollback of each guarded transition
+        # kind the service counts (migration, retune).
+        for kind, rollbacks in service._rollbacks.items():
+            seen = self._rollbacks.get(kind, 0)
+            if rollbacks > seen:
+                delta = rollbacks - seen
+                self._rollbacks[kind] = rollbacks
+                detail = self._last_event(service, f"{kind}-rollback")
+                emitted.append(
+                    self.store.append(
+                        f"{kind}-rollback",
+                        f"{kind} rolled back in phase "
+                        f"{detail.get('phase', '?')}: "
+                        f"{detail.get('error', 'unknown error')}",
+                        severity="error",
+                        packet_index=index,
+                        payload={
+                            "rollbacks": rollbacks,
+                            "delta": delta,
+                            **detail,
+                        },
+                    )
                 )
-            )
         retune_infeasibles = getattr(service, "_retune_infeasibles", 0)
         if retune_infeasibles > self._retune_infeasibles:
             delta = retune_infeasibles - self._retune_infeasibles
@@ -508,10 +488,6 @@ class ForensicsLab:
         from ..service.sources import validation_stats
 
         return validation_stats(source)
-
-    @staticmethod
-    def _last_rollback_event(service) -> Dict[str, object]:
-        return ForensicsLab._last_event(service, "migration-rollback")
 
     @staticmethod
     def _last_event(service, kind: str) -> Dict[str, object]:

@@ -67,6 +67,7 @@ from .errors import (
     ShardCrashError,
     SourceError,
     TransientSourceError,
+    TransitionError,
     TransportError,
 )
 from .faults import (
@@ -194,6 +195,7 @@ __all__ = [
     "TRANSPORT_ABORT_EXIT_CODE",
     "TraceFileSource",
     "TransientSourceError",
+    "TransitionError",
     "TransportError",
     "TuneFault",
     "WATCHER_KINDS",

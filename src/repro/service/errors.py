@@ -16,8 +16,9 @@ Hierarchy::
     │   │   └── WorkerError            (a shard host's in-band error reply)
     │   ├── QueueStallError            (heartbeat went stale)
     │   ├── OverloadError              (shard queue full past the put timeout)
-    │   ├── MigrationError             (a reshard migration failed; rolled back)
-    │   ├── RetuneError                (a hot reconfiguration failed; rolled back)
+    │   ├── TransitionError            (a guarded live transition failed)
+    │   │   ├── MigrationError         (a reshard migration failed; rolled back)
+    │   │   └── RetuneError            (a hot reconfiguration failed; rolled back)
     │   ├── TransportError             (a remote shard connection failed)
     │   │   └── FrameCorruptError      (a frame failed CRC/length/magic checks)
     │   └── TransientSourceError       (retryable source failure)
@@ -66,6 +67,7 @@ __all__ = [
     "ShardCrashError",
     "SourceError",
     "TransientSourceError",
+    "TransitionError",
     "TransportError",
     "WorkerError",
 ]
@@ -147,49 +149,22 @@ class OverloadError(RecoverableServiceError):
         self.queue_capacity = queue_capacity
 
 
-class MigrationError(RecoverableServiceError):
-    """A live shard migration failed.
+class TransitionError(RecoverableServiceError):
+    """A guarded live transition failed (see
+    :mod:`repro.service.transition`).
 
-    ``phase`` names the two-phase-protocol step that failed (``freeze``,
-    ``extract``, ``install`` or ``cutover``); ``plan`` is the human-
-    readable plan description; ``rolled_back`` states whether the engine
-    was returned to the pre-migration layout (the normal outcome — a
-    half-applied plan must never exist).  ``rolled_back=False`` means the
-    rollback itself failed, so the engine's layout is suspect: the
-    supervisor treats this like any recoverable error and restores from
-    the last checkpoint, which is exact regardless of layout (detections
-    are invariant under the slot assignment).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        phase: Optional[str] = None,
-        plan: Optional[str] = None,
-        rolled_back: bool = True,
-        attempts: int = 0,
-    ):
-        super().__init__(message)
-        self.phase = phase
-        self.plan = plan
-        self.rolled_back = rolled_back
-        self.attempts = attempts
-
-
-class RetuneError(RecoverableServiceError):
-    """A guarded hot reconfiguration (retune) failed.
-
-    ``phase`` names the five-phase-protocol step that failed
-    (``propose``, ``freeze``, ``apply``, ``verify`` or ``commit``);
+    ``phase`` names the protocol step the last attempt failed in;
     ``plan`` is the human-readable plan description; ``rolled_back``
-    states whether the engine was returned to the pre-retune
-    configuration (the normal outcome — a rolled-back retune leaves
-    detections bit-identical to never having attempted it).
-    ``rolled_back=False`` means the rollback itself failed, so the
-    engine's configuration is suspect: the supervisor treats this like
-    any recoverable error and restores from the last checkpoint, whose
-    recorded config epoch is authoritative.
+    states whether the engine was returned to its pre-transition
+    ``state`` (the normal outcome).  ``rolled_back=False`` means the
+    rollback itself failed, so that state is suspect: the supervisor
+    treats this like any recoverable error and restores from the last
+    checkpoint.  Subclasses name their ``kind`` and ``state`` for the
+    executor's messages.
     """
+
+    kind = "transition"
+    state = "state"
 
     def __init__(
         self,
@@ -204,6 +179,25 @@ class RetuneError(RecoverableServiceError):
         self.plan = plan
         self.rolled_back = rolled_back
         self.attempts = attempts
+
+
+class MigrationError(TransitionError):
+    """A live shard migration failed.  Rolled back, the engine is on the
+    pre-migration layout; after a failed rollback the checkpoint restore
+    is exact regardless of layout."""
+
+    kind = "migration"
+    state = "layout"
+
+
+class RetuneError(TransitionError):
+    """A guarded hot reconfiguration (retune) failed.  Rolled back,
+    detections are bit-identical to never having attempted it; after a
+    failed rollback the checkpoint's recorded config epoch is
+    authoritative."""
+
+    kind = "retune"
+    state = "configuration"
 
 
 class TransportError(RecoverableServiceError):

@@ -46,18 +46,13 @@ Semantics that make recovery testable:
   fire once (a retry succeeds), permanent ones fire on every attempt.
 - **Checkpoint faults** damage the file right after the Nth successful
   write, exercising the corrupt-checkpoint recovery path.
-- **Migration faults** fire at a two-phase-protocol phase boundary of
-  the ``at``-th migration attempted in the run (1-based, fire-once):
+- **Migration and tune faults** (:class:`PhaseFault`) fire at a phase
+  boundary of the ``at``-th migration or retune attempted in the run
+  (1-based, fire-once; see :mod:`repro.service.transition`):
   ``mode=fail`` injects a transient failure (exercising rollback and
-  retry), ``mode=stall`` sleeps ``secs`` there (exercising the
-  migration timeout), ``mode=kill`` raises a worker death (exercising
-  supervised restart-from-checkpoint mid-migration).
-- **Tune faults** mirror migration faults for the retune protocol: they
-  fire at a phase boundary (``propose``/``freeze``/``apply``/``verify``/
-  ``commit``) of the ``at``-th retune attempted in the run (1-based,
-  fire-once) — ``mode=fail`` exercises automatic rollback, ``mode=stall``
-  the retune deadline, ``mode=kill`` supervised restart-from-checkpoint
-  mid-reconfiguration.
+  retry), ``mode=stall`` sleeps ``secs`` there (exercising the time
+  budget), ``mode=kill`` raises a worker death (exercising supervised
+  restart-from-checkpoint mid-transition).
 - **Net faults** fire at an exact *frame send index* on one remote
   shard connection (1-based, counting every frame the transport
   attempts to put on the wire, replays included) and fire once —
@@ -69,16 +64,13 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, List, Optional, Tuple, Union
 
 from ..model.packet import Packet
-from .errors import (
-    PermanentSourceError,
-    ShardCrashError,
-    TransientSourceError,
-)
+from .errors import PermanentSourceError, TransientSourceError
 from .sources import PacketSource
+from .transition import MIGRATION_PHASES, RETUNE_PHASES
 
 #: Exit code an injected worker kill uses (visible in ShardCrashError).
 KILL_EXIT_CODE = 70
@@ -86,10 +78,7 @@ KILL_EXIT_CODE = 70
 SHARD_FAULT_KINDS = ("kill", "stall", "drop")
 SOURCE_FAULT_KINDS = ("transient", "permanent")
 CHECKPOINT_FAULT_MODES = ("flip", "truncate", "zero")
-MIGRATION_FAULT_MODES = ("fail", "stall", "kill")
-MIGRATION_FAULT_PHASES = ("freeze", "extract", "install", "cutover")
-TUNE_FAULT_MODES = ("fail", "stall", "kill")
-TUNE_FAULT_PHASES = ("propose", "freeze", "apply", "verify", "commit")
+PHASE_FAULT_MODES = ("fail", "stall", "kill")
 NET_FAULT_KINDS = ("drop", "dup", "reorder", "delay", "partition", "halfopen")
 
 
@@ -155,53 +144,57 @@ class CheckpointFault:
 
 
 @dataclass
-class MigrationFault:
+class PhaseFault:
+    """A fault fired at a phase boundary of the ``at``-th guarded
+    transition (see :mod:`repro.service.transition`).  Subclasses name
+    the transition ``kind``, their DSL ``prefix``, the ``label`` their
+    messages use and the protocol's ``phases``."""
+
+    phase: str
+    mode: str = "fail"  # fail | stall | kill
+    at: int = 1  # 1-based index of the transition in the run
+    duration_s: float = 0.1  # stall sleep
+    fired: bool = False
+
+    kind: ClassVar[str]
+    prefix: ClassVar[str]
+    label: ClassVar[str]
+    phases: ClassVar[Tuple[str, ...]]
+
+    def __post_init__(self):
+        if self.phase not in self.phases:
+            raise ValueError(
+                f"{self.label} fault phase must be one of {self.phases}, "
+                f"got {self.phase!r}"
+            )
+        if self.mode not in PHASE_FAULT_MODES:
+            raise ValueError(
+                f"{self.label} fault mode must be one of "
+                f"{PHASE_FAULT_MODES}, got {self.mode!r}"
+            )
+        if self.at < 1:
+            raise ValueError(f"{self.kind} index must be >= 1, got {self.at}")
+
+    def describe(self) -> str:
+        extra = f",secs={self.duration_s:g}" if self.mode == "stall" else ""
+        return (
+            f"{self.prefix}:phase={self.phase},mode={self.mode},"
+            f"at={self.at}{extra}" + (" (fired)" if self.fired else "")
+        )
+
+
+class MigrationFault(PhaseFault):
     """A fault fired at a phase boundary of the ``at``-th migration."""
 
-    phase: str  # freeze | extract | install | cutover
-    mode: str = "fail"  # fail | stall | kill
-    at: int = 1  # 1-based migration index in the run
-    duration_s: float = 0.1  # stall sleep
-    fired: bool = False
-
-    def __post_init__(self):
-        if self.phase not in MIGRATION_FAULT_PHASES:
-            raise ValueError(
-                f"migration fault phase must be one of "
-                f"{MIGRATION_FAULT_PHASES}, got {self.phase!r}"
-            )
-        if self.mode not in MIGRATION_FAULT_MODES:
-            raise ValueError(
-                f"migration fault mode must be one of "
-                f"{MIGRATION_FAULT_MODES}, got {self.mode!r}"
-            )
-        if self.at < 1:
-            raise ValueError(f"migration index must be >= 1, got {self.at}")
+    kind, prefix, label, phases = (
+        "migration", "mig", "migration", MIGRATION_PHASES,
+    )
 
 
-@dataclass
-class TuneFault:
+class TuneFault(PhaseFault):
     """A fault fired at a phase boundary of the ``at``-th retune."""
 
-    phase: str  # propose | freeze | apply | verify | commit
-    mode: str = "fail"  # fail | stall | kill
-    at: int = 1  # 1-based retune index in the run
-    duration_s: float = 0.1  # stall sleep
-    fired: bool = False
-
-    def __post_init__(self):
-        if self.phase not in TUNE_FAULT_PHASES:
-            raise ValueError(
-                f"tune fault phase must be one of "
-                f"{TUNE_FAULT_PHASES}, got {self.phase!r}"
-            )
-        if self.mode not in TUNE_FAULT_MODES:
-            raise ValueError(
-                f"tune fault mode must be one of "
-                f"{TUNE_FAULT_MODES}, got {self.mode!r}"
-            )
-        if self.at < 1:
-            raise ValueError(f"retune index must be >= 1, got {self.at}")
+    kind, prefix, label, phases = "retune", "tune", "tune", RETUNE_PHASES
 
 
 @dataclass
@@ -354,20 +347,14 @@ class FaultPlan:
             return CheckpointFault(
                 after=int(fields["after"]), mode=fields.get("mode", "flip")
             )
-        if kind == "mig":
-            return MigrationFault(
-                phase=fields["phase"],
-                mode=fields.get("mode", "fail"),
-                at=int(fields.get("at", 1)),
-                duration_s=float(fields.get("secs", 0.1)),
-            )
-        if kind == "tune":
-            return TuneFault(
-                phase=fields["phase"],
-                mode=fields.get("mode", "fail"),
-                at=int(fields.get("at", 1)),
-                duration_s=float(fields.get("secs", 0.1)),
-            )
+        for phase_fault in (MigrationFault, TuneFault):
+            if kind == phase_fault.prefix:
+                return phase_fault(
+                    phase=fields["phase"],
+                    mode=fields.get("mode", "fail"),
+                    at=int(fields.get("at", 1)),
+                    duration_s=float(fields.get("secs", 0.1)),
+                )
         if kind == "net":
             return NetFault(
                 kind=fields["kind"],
@@ -400,22 +387,10 @@ class FaultPlan:
                 f"ckpt:after={fault.after},mode={fault.mode}"
                 + (" (fired)" if fault.fired else "")
             )
-        for fault in self.migration_faults:
-            extra = (
-                f",secs={fault.duration_s:g}" if fault.mode == "stall" else ""
-            )
-            parts.append(
-                f"mig:phase={fault.phase},mode={fault.mode},at={fault.at}"
-                f"{extra}" + (" (fired)" if fault.fired else "")
-            )
-        for fault in self.tune_faults:
-            extra = (
-                f",secs={fault.duration_s:g}" if fault.mode == "stall" else ""
-            )
-            parts.append(
-                f"tune:phase={fault.phase},mode={fault.mode},at={fault.at}"
-                f"{extra}" + (" (fired)" if fault.fired else "")
-            )
+        parts += [
+            fault.describe()
+            for fault in self.migration_faults + self.tune_faults
+        ]
         for fault in self.net_faults:
             extra = ""
             if fault.kind == "drop" and fault.count > 1:
@@ -491,36 +466,21 @@ class FaultPlan:
                 return True
         return False
 
-    # -- migration-fault queries (the reshard executor calls this) ---------
+    # -- phase-fault queries (the transition executor calls this) ----------
 
-    def take_migration(
-        self, phase: str, migration_index: int
-    ) -> Optional[MigrationFault]:
+    def take_phase(
+        self, kind: str, phase: str, index: int
+    ) -> Optional[PhaseFault]:
         """The fault (if any) armed for this phase boundary of the
-        ``migration_index``-th migration.  Fire-once: a rolled-back
-        migration's retry attempts do not re-trip the same fault, so
-        chaos runs converge instead of crash-looping."""
-        for fault in self.migration_faults:
+        ``index``-th transition of ``kind`` (``"migration"`` or
+        ``"retune"``).  Fire-once: a rolled-back transition's retry
+        attempts do not re-trip the same fault, so chaos runs converge
+        instead of crash-looping."""
+        for fault in self.migration_faults + self.tune_faults:
             if (
-                fault.phase == phase
-                and fault.at == migration_index
-                and not fault.fired
-            ):
-                fault.fired = True
-                return fault
-        return None
-
-    # -- tune-fault queries (the retune executor calls this) ---------------
-
-    def take_tune(self, phase: str, retune_index: int) -> Optional[TuneFault]:
-        """The fault (if any) armed for this phase boundary of the
-        ``retune_index``-th retune.  Fire-once, like migration faults: a
-        rolled-back retune's retry attempts do not re-trip the same
-        fault, so control-plane chaos runs converge."""
-        for fault in self.tune_faults:
-            if (
-                fault.phase == phase
-                and fault.at == retune_index
+                fault.kind == kind
+                and fault.phase == phase
+                and fault.at == index
                 and not fault.fired
             ):
                 fault.fired = True

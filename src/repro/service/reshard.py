@@ -46,16 +46,11 @@ boundary:
 
 Any failure before cutover triggers **rollback**: partially installed
 copies are discarded and the extracted states are reinstalled under the
-pre-migration layout, so a half-applied plan can never exist.  Failures
-retry under a :class:`~repro.service.backoff.BackoffPolicy` up to
-``attempts`` times (each attempt starts from the consistent
-pre-migration state); a migration that exceeds ``timeout_s`` at a phase
-boundary is treated as failed and rolled back.  The terminal failure is
-a typed :class:`~repro.service.errors.MigrationError` and the service
-records a forensic event in the dead-letter sink.  Worker kills during a
-migration (:class:`~repro.service.errors.ShardCrashError`) are *not*
-absorbed here — they propagate to the supervisor, whose checkpoint
-restore is exact regardless of layout.
+pre-migration layout, so a half-applied plan can never exist.  Fault
+gates, the time budget, retries, worker-crash passthrough and the typed
+terminal :class:`~repro.service.errors.MigrationError` come from the
+guarded-transition executor the retune shares
+(:mod:`repro.service.transition`).
 
 The coordinator
 ---------------
@@ -70,12 +65,13 @@ before acting plus a cooldown after) so it never flaps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backoff import DEFAULT_BACKOFF, BackoffPolicy
+from .backoff import BackoffPolicy
 from .checkpoint import CheckpointError, dumps, loads
-from .errors import MigrationError, ShardCrashError
+from .errors import MigrationError
+from .transition import MIGRATION_PHASES, TransitionReport, run_transition
 
 __all__ = [
     "Coordinator",
@@ -93,9 +89,6 @@ __all__ = [
 
 #: Version of the migration record schema; bump on incompatible change.
 MIGRATION_RECORD_FORMAT = 1
-
-#: The two-phase protocol's fault-injectable phase boundaries, in order.
-MIGRATION_PHASES = ("freeze", "extract", "install", "cutover")
 
 
 # -- layout ----------------------------------------------------------------
@@ -473,73 +466,13 @@ def decode_migration_record(blob: bytes) -> Dict[str, object]:
 
 
 @dataclass
-class MigrationReport:
+class MigrationReport(TransitionReport):
     """What one :func:`execute_migration` call did."""
 
-    plan: str
-    committed: bool
-    attempts: int
-    phase_reached: str
-    rolled_back: bool = False
-    from_epoch: int = 0
-    to_epoch: int = 0
     from_shards: int = 0
     to_shards: int = 0
     slots_moved: int = 0
     record_bytes: int = 0
-    pause_ns: int = 0
-    error: Optional[str] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "plan": self.plan,
-            "committed": self.committed,
-            "attempts": self.attempts,
-            "phase_reached": self.phase_reached,
-            "rolled_back": self.rolled_back,
-            "from_epoch": self.from_epoch,
-            "to_epoch": self.to_epoch,
-            "from_shards": self.from_shards,
-            "to_shards": self.to_shards,
-            "slots_moved": self.slots_moved,
-            "record_bytes": self.record_bytes,
-            "pause_ns": self.pause_ns,
-            "error": self.error,
-        }
-
-
-class _InjectedMigrationFailure(Exception):
-    """A ``mig:...,mode=fail`` fault fired (transient by construction)."""
-
-
-class _MigrationTimeout(Exception):
-    """The migration exceeded its time budget at a phase boundary."""
-
-
-def _fault_gate(fault_plan, phase, migration_index, sleep) -> None:
-    """Consult the fault plan at a phase boundary (deterministic chaos:
-    faults are positional on the migration index, and fire once)."""
-    if fault_plan is None:
-        return
-    take = getattr(fault_plan, "take_migration", None)
-    if take is None:
-        return
-    fault = take(phase, migration_index)
-    if fault is None:
-        return
-    if fault.mode == "stall":
-        sleep(fault.duration_s)
-        return
-    if fault.mode == "kill":
-        raise ShardCrashError(
-            f"injected kill during migration {migration_index} at the "
-            f"{phase} boundary",
-            shard=None,
-        )
-    raise _InjectedMigrationFailure(
-        f"injected failure during migration {migration_index} at the "
-        f"{phase} boundary"
-    )
 
 
 def execute_migration(
@@ -564,10 +497,6 @@ def execute_migration(
     ``mode=kill`` faults) propagate un-rolled-back for the supervisor's
     checkpoint restore, which is exact regardless of layout.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
     old_layout: ShardLayout = engine.layout
     plan.validate(old_layout)
     new_layout = plan.resulting_layout(old_layout)
@@ -575,99 +504,57 @@ def execute_migration(
         plan=plan.describe(),
         committed=False,
         attempts=0,
-        phase_reached="freeze",
+        phase_reached=MIGRATION_PHASES[0],
         from_epoch=old_layout.epoch,
         to_epoch=old_layout.epoch,
         from_shards=old_layout.shards,
         to_shards=old_layout.shards,
-        slots_moved=0,
     )
-    last_error: Optional[BaseException] = None
-    for attempt in range(attempts):
-        report.attempts = attempt + 1
-        started = clock()
-        deadline = None if timeout_s is None else started + timeout_s
-        extracted: Dict[int, Dict[str, object]] = {}
-        phase = "freeze"
-        started_ns = time.monotonic_ns()
-        try:
-            _fault_gate(fault_plan, "freeze", migration_index, sleep)
-            engine.prepare_migration(plan)
-            _check_deadline(clock, deadline, "freeze")
 
-            phase = report.phase_reached = "extract"
-            _fault_gate(fault_plan, "extract", migration_index, sleep)
-            extracted = engine.extract_slots(plan.slot_ids)
-            _check_deadline(clock, deadline, "extract")
-            watcher_states = _watcher_states(engine, plan.slot_ids)
-            record = encode_migration_record(
-                plan, old_layout, engine.seed, extracted, watcher_states
-            )
-            report.record_bytes = len(record)
-            # Decode-verify (CRC + schema) before touching the target:
-            # only a provably intact record is ever installed.
-            decoded = decode_migration_record(record)
-
-            phase = report.phase_reached = "install"
-            _fault_gate(fault_plan, "install", migration_index, sleep)
-            engine.install_slots(
-                decoded["states"], plan.assignment_after()
-            )
-            _check_deadline(clock, deadline, "install")
-
-            phase = report.phase_reached = "cutover"
-            _fault_gate(fault_plan, "cutover", migration_index, sleep)
-            engine.commit_layout(new_layout)
-
-            report.committed = True
-            report.rolled_back = False
-            report.to_epoch = new_layout.epoch
-            report.to_shards = new_layout.shards
-            report.slots_moved = len(plan.moves)
-            report.pause_ns = time.monotonic_ns() - started_ns
-            return report
-        except ShardCrashError:
-            # A worker died mid-migration (real or injected kill): the
-            # supervisor owns recovery — its checkpoint restore is exact
-            # under any layout, so no rollback is attempted here.
-            raise
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            last_error = error
-            try:
-                _rollback(engine, plan, extracted)
-                report.rolled_back = True
-            except Exception as rollback_error:
-                raise MigrationError(
-                    f"migration failed in the {phase} phase AND rollback "
-                    f"failed ({rollback_error}); layout is suspect — "
-                    "restore from checkpoint",
-                    phase=phase,
-                    plan=plan.describe(),
-                    rolled_back=False,
-                    attempts=attempt + 1,
-                ) from error
-            if attempt + 1 < attempts:
-                sleep(backoff.delay_s(attempt))
-                continue
-    report.error = str(last_error)
-    raise MigrationError(
-        f"migration failed after {attempts} attempt(s) in the "
-        f"{report.phase_reached} phase ({last_error}); rolled back to the "
-        f"pre-migration layout (epoch {old_layout.epoch})",
-        phase=report.phase_reached,
-        plan=plan.describe(),
-        rolled_back=True,
-        attempts=attempts,
-    ) from last_error
-
-
-def _check_deadline(clock, deadline, phase) -> None:
-    if deadline is not None and clock() > deadline:
-        raise _MigrationTimeout(
-            f"migration exceeded its time budget at the {phase} boundary"
+    def extract(scratch) -> None:
+        scratch["extracted"] = engine.extract_slots(plan.slot_ids)
+        record = encode_migration_record(
+            plan,
+            old_layout,
+            engine.seed,
+            scratch["extracted"],
+            _watcher_states(engine, plan.slot_ids),
         )
+        report.record_bytes = len(record)
+        # Decode-verify (CRC + schema) before touching the target: only
+        # a provably intact record is ever installed.
+        scratch["states"] = decode_migration_record(record)["states"]
+
+    actions = (
+        lambda scratch: engine.prepare_migration(plan),
+        extract,
+        lambda scratch: engine.install_slots(
+            scratch["states"], plan.assignment_after()
+        ),
+        lambda scratch: engine.commit_layout(new_layout),
+    )
+    # Rollback discards any partially installed copies on the targets
+    # and reinstalls the extracted states on their sources; the layout
+    # was never swapped, so routing is already correct.
+    run_transition(
+        MigrationError,
+        zip(MIGRATION_PHASES, actions),
+        lambda scratch: engine.abort_migration(
+            plan, scratch.get("extracted", {})
+        ),
+        report,
+        attempts=attempts,
+        backoff=backoff,
+        timeout_s=timeout_s,
+        fault_plan=fault_plan,
+        index=migration_index,
+        clock=clock,
+        sleep=sleep,
+    )
+    report.to_epoch = new_layout.epoch
+    report.to_shards = new_layout.shards
+    report.slots_moved = len(plan.moves)
+    return report
 
 
 def _watcher_states(engine, slot_ids) -> Optional[Dict[int, Dict[str, object]]]:
@@ -684,14 +571,6 @@ def _watcher_states(engine, slot_ids) -> Optional[Dict[int, Dict[str, object]]]:
         except Exception:  # pragma: no cover - forensics are best-effort
             continue
     return states or None
-
-
-def _rollback(engine, plan, extracted) -> None:
-    """Return the engine to the pre-migration layout: discard any
-    partially installed copies on the targets, reinstall the extracted
-    states on their sources.  The layout was never swapped, so routing
-    is already correct once the states are back."""
-    engine.abort_migration(plan, extracted)
 
 
 # -- the elasticity coordinator --------------------------------------------

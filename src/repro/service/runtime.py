@@ -34,7 +34,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .engine import DEFAULT_QUEUE_CAPACITY, InProcessEngine
-from .errors import MigrationError, RetuneError
+from .errors import TransitionError
 from .health import DeadLetterSink, ServiceReport, ShardHealth
 from .overload import OverloadPolicy
 from .pipeline import WatcherPolicy, WatcherStage
@@ -50,6 +50,12 @@ from .workers import MultiprocessEngine
 
 #: Checkpoint meta schema version.
 CHECKPOINT_META_FORMAT = 1
+
+#: Constructor keywords a checkpoint fixes: :meth:`DetectionService.
+#: resume` takes them from the checkpoint (changing shards, seed or slots
+#: would re-route flows and void exactness), so callers forwarding a
+#: fresh service's options to ``resume`` drop these.
+CHECKPOINT_RECORDED = ("shards", "seed", "slots", "checkpoint_path")
 
 ENGINE_KINDS = ("inprocess", "multiprocess", "remote")
 
@@ -331,9 +337,7 @@ class DetectionService:
             self._controller = controller
         self._config_epoch = 0
         self._retunes = 0
-        self._retune_rollbacks = 0
         self._retune_infeasibles = 0
-        self._retune_index = 0
         self._last_retune_pause_ns: Optional[int] = None
         #: Solver inputs of the last committed plan — the checkpoint's
         #: ``inputs`` fallback for controller-less manual retunes
@@ -343,9 +347,12 @@ class DetectionService:
             {"epoch": 0, "from_packets": 0, "config": config_as_dict(config)}
         ]
         self._migrations = 0
-        self._rollbacks = 0
+        #: Per transition kind (``migration``, ``retune``): transitions
+        #: attempted (the index fault clauses are keyed on) and terminal
+        #: rollbacks.
+        self._attempted = {"migration": 0, "retune": 0}
+        self._rollbacks = {"migration": 0, "retune": 0}
         self._last_pause_ns: Optional[int] = None
-        self._migration_index = 0
         self._ingested = 0
         self._resumed_from = 0
         self._checkpoints_written = 0
@@ -372,32 +379,21 @@ class DetectionService:
         checkpoint_path: str,
         engine: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        overflow: str = "block",
-        fault_plan=None,
-        dead_letter: Optional[DeadLetterSink] = None,
-        invariant_every: Optional[int] = None,
-        telemetry=None,
-        overload: Optional[OverloadPolicy] = None,
-        checkpoint_backoff: Optional[BackoffPolicy] = None,
         watcher: Optional[WatcherPolicy] = None,
-        coordinator: Optional[CoordinatorPolicy] = None,
-        engine_options: Optional[Dict[str, object]] = None,
-        forensics=None,
-        controller=None,
+        **options,
     ) -> "DetectionService":
         """Rebuild a service from its last checkpoint.
 
         The engine kind may be switched on resume (snapshots are engine-
-        agnostic); shard count, slot count, hash seed and config come
-        from the checkpoint because changing them would re-route flows
-        and void exactness (the engine additionally adopts the
-        checkpoint's live layout, which a past migration may have moved
-        off the identity assignment).  The watcher policy likewise comes
-        from the checkpoint (its state rides in the engine snapshot); an
-        explicit ``watcher`` argument overrides it but must match the
-        recorded policy for the saved stage state to restore.
+        agnostic); the :data:`CHECKPOINT_RECORDED` keywords and the
+        config come from the checkpoint because changing them would
+        re-route flows and void exactness (the engine additionally
+        adopts the checkpoint's live layout, which a past migration may
+        have moved off the identity assignment).  The watcher policy
+        likewise comes from the checkpoint (its state rides in the
+        engine snapshot); an explicit ``watcher`` argument overrides it
+        but must match the recorded policy for the saved stage state to
+        restore.  ``options`` are the other constructor keywords.
         """
         payload = read_checkpoint(checkpoint_path)
         meta = payload["meta"]
@@ -419,21 +415,9 @@ class DetectionService:
                 if checkpoint_every is not None
                 else meta.get("checkpoint_every")
             ),
-            batch_size=batch_size,
-            queue_capacity=queue_capacity,
-            overflow=overflow,
-            fault_plan=fault_plan,
-            dead_letter=dead_letter,
-            invariant_every=invariant_every,
-            telemetry=telemetry,
-            overload=overload,
-            checkpoint_backoff=checkpoint_backoff,
             watcher=watcher,
             slots=meta.get("slots"),
-            coordinator=coordinator,
-            engine_options=engine_options,
-            forensics=forensics,
-            controller=controller,
+            **options,
         )
         service._engine.restore(payload["engine"])
         service._ingested = meta["packets"]
@@ -498,38 +482,21 @@ class DetectionService:
         dead-letter sink before re-raising the
         :class:`~repro.service.errors.MigrationError`.
         """
-        policy = self.coordinator_policy
-        if attempts is None:
-            attempts = policy.attempts if policy is not None else 3
-        if timeout_s is None:
-            timeout_s = policy.timeout_s if policy is not None else 30.0
-        self._migration_index += 1
-        try:
-            report = execute_migration(
+        report = self._run_transition(
+            "migration",
+            self._coordinator,
+            attempts,
+            timeout_s,
+            lambda attempts, timeout_s, index: execute_migration(
                 self._engine,
                 plan,
                 attempts=attempts,
                 backoff=backoff,
                 timeout_s=timeout_s,
                 fault_plan=self.fault_plan,
-                migration_index=self._migration_index,
-            )
-        except MigrationError as error:
-            self._rollbacks += 1
-            if self._coordinator is not None:
-                self._coordinator.note_result(committed=False)
-            if self.dead_letter is not None:
-                self.dead_letter.record_event(
-                    "migration-rollback",
-                    {
-                        "phase": error.phase,
-                        "attempts": error.attempts,
-                        "rolled_back": error.rolled_back,
-                        "plan": plan.describe(),
-                        "error": str(error),
-                    },
-                )
-            raise
+                migration_index=index,
+            ),
+        )
         self._migrations += 1
         self._last_pause_ns = report.pause_ns
         if self._coordinator is not None:
@@ -543,6 +510,39 @@ class DetectionService:
             self._instruments.sync_reshard(self._reshard_report())
         return report
 
+    def _run_transition(self, kind: str, owner, attempts, timeout_s, execute):
+        """What :meth:`apply_migration` and :meth:`apply_retune` share:
+        ``attempts`` and ``timeout_s`` default to the ``owner``'s
+        (coordinator's or controller's) policy, then ``execute(attempts,
+        timeout_s, index)`` runs as the run's ``index``-th transition of
+        ``kind``; a terminal :class:`TransitionError` is counted, re-arms
+        the owner's cooldown and leaves a ``<kind>-rollback`` event in
+        the dead-letter sink before it is re-raised."""
+        policy = owner.policy if owner is not None else None
+        if attempts is None:
+            attempts = policy.attempts if policy is not None else 3
+        if timeout_s is None:
+            timeout_s = policy.timeout_s if policy is not None else 30.0
+        self._attempted[kind] += 1
+        try:
+            return execute(attempts, timeout_s, self._attempted[kind])
+        except TransitionError as error:
+            self._rollbacks[kind] += 1
+            if owner is not None:
+                owner.note_result(committed=False)
+            if self.dead_letter is not None:
+                self.dead_letter.record_event(
+                    f"{kind}-rollback",
+                    {
+                        "phase": error.phase,
+                        "attempts": error.attempts,
+                        "rolled_back": error.rolled_back,
+                        "plan": error.plan,
+                        "error": str(error),
+                    },
+                )
+            raise
+
     def _reshard_report(self) -> Optional[Dict[str, object]]:
         """The report's resharding section, or None while trivial (the
         initial identity layout, no coordinator, no migrations ever)."""
@@ -552,14 +552,14 @@ class DetectionService:
             and layout.is_identity
             and self._coordinator is None
             and self._migrations == 0
-            and self._rollbacks == 0
+            and self._rollbacks["migration"] == 0
         )
         if trivial:
             return None
         return {
             "layout": layout.as_dict(),
             "migrations": self._migrations,
-            "rollbacks": self._rollbacks,
+            "rollbacks": self._rollbacks["migration"],
             "last_pause_ns": self._last_pause_ns,
             "coordinator": (
                 self._coordinator.report()
@@ -571,19 +571,25 @@ class DetectionService:
     def _coordinate(self) -> None:
         """Per-batch coordinator tick: observe load, execute a proposed
         plan, absorb a rolled-back failure as an incident."""
-        plan = self._coordinator.observe(self._engine)
+        self._absorb_rollback(
+            self.apply_migration, self._coordinator.observe(self._engine)
+        )
+
+    @staticmethod
+    def _absorb_rollback(apply, plan) -> None:
+        """Run ``apply(plan)`` for a plan a tick proposed (None: no-op).
+        A cleanly rolled-back failure is an incident, not a crash: the
+        old layout or config is intact and serving stays exact (the
+        forensic record is in the dead-letter sink and the owner's
+        cooldown is re-armed).  A failed rollback leaves state suspect,
+        so that error propagates for the supervisor to restore."""
         if plan is None:
             return
         try:
-            self.apply_migration(plan)
-        except MigrationError as error:
+            apply(plan)
+        except TransitionError as error:
             if not error.rolled_back:
-                # The rollback itself failed — state is suspect, so this
-                # is not absorbable; let the supervisor take over.
                 raise
-            # Rolled back cleanly: the old layout is intact and serving
-            # stays exact; the forensic record is in the dead-letter
-            # sink and the coordinator's cooldown is re-armed.
 
     # -- adaptive control (hot reconfiguration) ----------------------------
 
@@ -618,41 +624,22 @@ class DetectionService:
         """
         from ..control.retune import execute_retune
 
-        policy = (
-            self._controller.policy if self._controller is not None else None
-        )
-        if attempts is None:
-            attempts = policy.attempts if policy is not None else 3
-        if timeout_s is None:
-            timeout_s = policy.timeout_s if policy is not None else 30.0
-        self._retune_index += 1
-        try:
-            report = execute_retune(
+        report = self._run_transition(
+            "retune",
+            self._controller,
+            attempts,
+            timeout_s,
+            lambda attempts, timeout_s, index: execute_retune(
                 self._engine,
                 plan,
                 attempts=attempts,
                 backoff=backoff,
                 timeout_s=timeout_s,
                 fault_plan=self.fault_plan,
-                retune_index=self._retune_index,
+                retune_index=index,
                 from_epoch=self._config_epoch,
-            )
-        except RetuneError as error:
-            self._retune_rollbacks += 1
-            if self._controller is not None:
-                self._controller.note_result(committed=False, plan=plan)
-            if self.dead_letter is not None:
-                self.dead_letter.record_event(
-                    "retune-rollback",
-                    {
-                        "phase": error.phase,
-                        "attempts": error.attempts,
-                        "rolled_back": error.rolled_back,
-                        "plan": plan.describe(),
-                        "error": str(error),
-                    },
-                )
-            raise
+            ),
+        )
         self._retunes += 1
         self._config_epoch = report.to_epoch
         self.config = plan.new_config
@@ -686,7 +673,7 @@ class DetectionService:
     def _control_tick(self) -> None:
         """Per-batch controller tick: scrape telemetry on cadence,
         execute a proposed retune, absorb a rolled-back failure as an
-        incident (mirrors :meth:`_coordinate`)."""
+        incident (like :meth:`_coordinate`)."""
         controller = self._controller
         plan = controller.tick(self.telemetry.registry, self.config)
         infeasible = controller.take_infeasible()
@@ -694,19 +681,7 @@ class DetectionService:
             self._retune_infeasibles += 1
             if self.dead_letter is not None:
                 self.dead_letter.record_event("retune-infeasible", infeasible)
-        if plan is None:
-            return
-        try:
-            self.apply_retune(plan)
-        except RetuneError as error:
-            if not error.rolled_back:
-                # The rollback itself failed — the configuration is
-                # suspect, so this is not absorbable; let the supervisor
-                # restore from the last checkpoint.
-                raise
-            # Rolled back cleanly: detections are bit-identical to never
-            # having attempted the retune; the forensic record is in the
-            # dead-letter sink and the controller's cooldown is re-armed.
+        self._absorb_rollback(self.apply_retune, plan)
 
     def config_dict_at(self, packets: int) -> Dict[str, object]:
         """The seven-field config in force at stream position
@@ -736,7 +711,7 @@ class DetectionService:
         return {
             "epoch": self._config_epoch,
             "retunes": self._retunes,
-            "rollbacks": self._retune_rollbacks,
+            "rollbacks": self._rollbacks["retune"],
             "infeasibles": self._retune_infeasibles,
             "last_pause_ns": self._last_retune_pause_ns,
         }
@@ -748,7 +723,7 @@ class DetectionService:
             self._config_epoch == 0
             and self._controller is None
             and self._retunes == 0
-            and self._retune_rollbacks == 0
+            and self._rollbacks["retune"] == 0
             and self._retune_infeasibles == 0
         )
         if trivial:
@@ -757,7 +732,7 @@ class DetectionService:
             "epoch": self._config_epoch,
             "config": config_as_dict(self.config),
             "retunes": self._retunes,
-            "rollbacks": self._retune_rollbacks,
+            "rollbacks": self._rollbacks["retune"],
             "infeasibles": self._retune_infeasibles,
             "last_pause_ns": self._last_retune_pause_ns,
             "history": [dict(entry) for entry in self._epoch_history],

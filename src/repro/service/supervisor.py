@@ -44,7 +44,6 @@ from ..core.config import EARDetConfig
 from ..model.packet import Packet
 from .backoff import BackoffPolicy
 from .checkpoint import CheckpointError
-from .engine import DEFAULT_QUEUE_CAPACITY
 from .errors import (
     InvariantViolation,
     PermanentSourceError,
@@ -53,10 +52,8 @@ from .errors import (
     RestartBudgetExceededError,
 )
 from .health import DeadLetterSink, ServiceReport
-from .overload import OverloadPolicy
-from .pipeline import WatcherPolicy
-from .runtime import DetectionService
-from .sources import DEFAULT_BATCH_SIZE, PacketSource, as_source
+from .runtime import CHECKPOINT_RECORDED, DetectionService
+from .sources import PacketSource, as_source
 
 
 @dataclass(frozen=True)
@@ -98,12 +95,13 @@ class RestartPolicy:
 class Supervisor:
     """Run a :class:`DetectionService` under supervised restart.
 
-    Accepts the same construction parameters as the service, plus the
-    supervision knobs.  ``checkpoint_path`` is strongly recommended:
-    without it every recovery is a from-scratch replay (still exact,
-    just linear in the stream position at the crash).
-
-    Parameters beyond :class:`DetectionService`'s:
+    Takes the supervision knobs below; every other keyword is a
+    :class:`DetectionService` constructor option, passed to each service
+    this supervisor builds, fresh or recovered (a recovered one takes
+    the :data:`~repro.service.runtime.CHECKPOINT_RECORDED` options from
+    its checkpoint instead).  ``checkpoint_path`` is strongly
+    recommended: without it every recovery is a from-scratch replay
+    (still exact, just linear in the stream position at the crash).
 
     policy:
         The :class:`RestartPolicy` (budget + backoff).
@@ -113,79 +111,51 @@ class Supervisor:
         and restarted (:class:`QueueStallError`).
     sleep / clock:
         Injectable for deterministic tests.
+
+    The supervisor itself also uses three service options, each one
+    object spanning restarts:
+
+    dead_letter:
+        The sink (created when not given), so the final report counts
+        every dead letter of the run.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` context, threaded
-        into every service this supervisor builds (fresh and recovered
-        alike, so one registry spans restarts) and fed the supervisor's
-        own restart/backoff/incident counters.
+        Optional :class:`~repro.telemetry.Telemetry` context, also fed
+        the supervisor's own restart/backoff/incident counters.
     forensics:
-        Optional :class:`~repro.forensics.ForensicsLab`, threaded into
-        every service this supervisor builds (one lab spans restarts, so
-        a recovered service does not re-announce incidents it already
-        explained).  The supervisor's own incidents — recoveries,
-        restarts, source failures, invariant violations — are appended
-        to the lab's store; without a lab they land in a memory-only
+        Optional :class:`~repro.forensics.ForensicsLab`, so a recovered
+        service does not re-announce incidents it already explained.
+        The supervisor's own incidents — recoveries, restarts, source
+        failures, invariant violations — are appended to the lab's
+        store; without a lab they land in a memory-only
         :class:`~repro.forensics.IncidentStore` so ``report.incidents``
         is structured either way.
+
+    A ``controller`` given as a :class:`~repro.control.ControlPolicy`
+    builds a fresh controller in each restarted service (hysteresis
+    state does not survive a crash, by design).
     """
 
     def __init__(
         self,
         config: EARDetConfig,
-        shards: int = 1,
-        engine: str = "inprocess",
-        seed: int = 0,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        overflow: str = "block",
         policy: Optional[RestartPolicy] = None,
-        fault_plan=None,
-        dead_letter: Optional[DeadLetterSink] = None,
         heartbeat_timeout_s: Optional[float] = None,
-        invariant_every: Optional[int] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.perf_counter,
-        telemetry=None,
-        overload: Optional[OverloadPolicy] = None,
-        checkpoint_backoff: Optional[BackoffPolicy] = None,
-        watcher: Optional[WatcherPolicy] = None,
-        slots: Optional[int] = None,
-        coordinator=None,
-        engine_options: Optional[Dict[str, object]] = None,
-        forensics=None,
-        controller=None,
+        **service_options,
     ):
         self.config = config
-        self.engine_options = engine_options
-        self.shards = shards
-        self.slots = slots
-        self.coordinator = coordinator
-        #: A :class:`~repro.control.ControlPolicy` (each restarted
-        #: service builds a fresh controller from it — hysteresis state
-        #: does not survive a crash, by design) or a live controller.
-        self.controller = controller
-        self.engine_kind = engine
-        self.seed = seed
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.batch_size = batch_size
-        self.queue_capacity = queue_capacity
-        self.overflow = overflow
         self.policy = policy or RestartPolicy()
-        self.fault_plan = fault_plan
-        self.dead_letter = dead_letter or DeadLetterSink()
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.invariant_every = invariant_every
-        self.overload = overload
-        self.checkpoint_backoff = checkpoint_backoff
-        self.watcher = watcher
-        self._drain_requested = False
         self._sleep = sleep
         self._clock = clock
+        service_options["dead_letter"] = (
+            service_options.get("dead_letter") or DeadLetterSink()
+        )
+        self._options = service_options
+        self._drain_requested = False
         self.restarts = 0
-        self.forensics = forensics
+        forensics = service_options.get("forensics")
         # Deferred import: repro.forensics depends on service submodules
         # (checkpoint), so a module-level import here would cycle.
         from ..forensics.incidents import Incident, IncidentStore
@@ -199,8 +169,8 @@ class Supervisor:
             forensics.store if forensics is not None else IncidentStore()
         )
         self._service: Optional[DetectionService] = None
-        self.telemetry = telemetry
         self._instruments = None
+        telemetry = service_options.get("telemetry")
         if telemetry is not None and telemetry.enabled:
             from ..telemetry import ServiceInstruments
 
@@ -230,55 +200,22 @@ class Supervisor:
     # -- construction helpers ----------------------------------------------
 
     def _fresh_service(self) -> DetectionService:
-        return DetectionService(
-            self.config,
-            shards=self.shards,
-            engine=self.engine_kind,
-            seed=self.seed,
-            checkpoint_path=self.checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            batch_size=self.batch_size,
-            queue_capacity=self.queue_capacity,
-            overflow=self.overflow,
-            fault_plan=self.fault_plan,
-            dead_letter=self.dead_letter,
-            invariant_every=self.invariant_every,
-            telemetry=self.telemetry,
-            overload=self.overload,
-            checkpoint_backoff=self.checkpoint_backoff,
-            watcher=self.watcher,
-            slots=self.slots,
-            coordinator=self.coordinator,
-            engine_options=self.engine_options,
-            forensics=self.forensics,
-            controller=self.controller,
-        )
+        return DetectionService(self.config, **self._options)
 
     def _recovered_service(self) -> DetectionService:
         """Resume from the last checkpoint; fall back to a from-scratch
         replay when there is no checkpoint or it is corrupt (both paths
         are exact — the fallback just replays more)."""
-        path = self.checkpoint_path
+        path = self._options.get("checkpoint_path")
         if path is not None and os.path.exists(path):
             try:
                 service = DetectionService.resume(
                     path,
-                    engine=self.engine_kind,
-                    checkpoint_every=self.checkpoint_every,
-                    batch_size=self.batch_size,
-                    queue_capacity=self.queue_capacity,
-                    overflow=self.overflow,
-                    fault_plan=self.fault_plan,
-                    dead_letter=self.dead_letter,
-                    telemetry=self.telemetry,
-                    invariant_every=self.invariant_every,
-                    overload=self.overload,
-                    checkpoint_backoff=self.checkpoint_backoff,
-                    watcher=self.watcher,
-                    coordinator=self.coordinator,
-                    engine_options=self.engine_options,
-                    forensics=self.forensics,
-                    controller=self.controller,
+                    **{
+                        key: value
+                        for key, value in self._options.items()
+                        if key not in CHECKPOINT_RECORDED
+                    },
                 )
                 self._note_incident(
                     f"recovered from checkpoint at packet {service.ingested}",
@@ -388,12 +325,13 @@ class Supervisor:
                 # a permanent error.
                 bundle = None
                 bundle_incomplete = False
-                if self.forensics is not None:
+                forensics = self._options.get("forensics")
+                if forensics is not None:
                     # Snapshot the replay bundle before aborting: the
                     # capture ring still holds the batches that tripped
                     # the invariant.
                     bundle, bundle_incomplete = (
-                        self.forensics.capture_violation(service, error)
+                        forensics.capture_violation(service, error)
                     )
                 self._note_incident(
                     f"InvariantViolation ({error.check}): {error} "
@@ -469,7 +407,7 @@ class Supervisor:
         report.duration_s = self._clock() - started
         report.restarts = self.restarts
         report.incidents = list(self.incidents)
-        report.dead_letters = self.dead_letter.total
+        report.dead_letters = self._options["dead_letter"].total
         report.source_retries = _source_retries(source)
         if self._instruments is not None:
             self._instruments.sync_source_retries(report.source_retries)

@@ -88,6 +88,30 @@ def tiny_stream() -> PacketStream:
     )
 
 
+# ---------------------------------------------------------- service streams
+
+
+def mixed_packets(
+    count=5000, seed=7, heavy_share=0.1, flows=50, max_gap_ns=40_000
+):
+    """The service suites' mixed stream: many small flows plus one flow,
+    ``heavy``, heavy enough to be detected, seeded for reproducible
+    chaos.  A ``max_gap_ns`` in the milliseconds idles the link, which
+    leaves virtual counters in the stores.  Each suite binds its own
+    defaults as ``make_packets``."""
+    rng = random.Random(seed)
+    packets = []
+    time = 0
+    for _ in range(count):
+        time += rng.randint(100, max_gap_ns)
+        if rng.random() < heavy_share:
+            fid = "heavy"
+        else:
+            fid = f"flow-{rng.randint(0, flows - 1)}"
+        packets.append(Packet(time=time, size=rng.randint(40, 1518), fid=fid))
+    return packets
+
+
 # ---------------------------------------------------------------- flow ids
 
 #: Flow-ID kinds the transport differentials run over: ``str`` IDs (the

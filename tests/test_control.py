@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +54,8 @@ from repro.service import (
 )
 from repro.telemetry import Telemetry, render_json
 
+from conftest import mixed_packets
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
@@ -76,20 +77,8 @@ ENGINES = ("inprocess", "multiprocess")
 SPLIT = 800  # retunes in the differential land at this stream position
 
 
-def make_packets(count, seed, heavy_share=0.1, flows=40):
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, 40_000)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(
-            Packet(time=time, size=rng.randint(40, 1518), fid=fid)
-        )
-    return packets
+def make_packets(count, seed, flows=40, **options):
+    return mixed_packets(count, seed, flows=flows, **options)
 
 
 def make_plan(config=CONFIG, target=COARSEN_TARGET, budget=BUDGET_S,

@@ -5,7 +5,6 @@ deterministic bit-identical replay, the HTML timeline viewer, and the
 from __future__ import annotations
 
 import json
-import random
 import struct
 
 import pytest
@@ -49,31 +48,11 @@ from repro.service.checkpoint import (
 )
 from repro.telemetry import Telemetry
 
+from conftest import mixed_packets as make_packets
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
-
-
-def make_packets(
-    count=5000, heavy_share=0.1, seed=7, flows=50, max_gap_ns=40_000
-):
-    """Same mixed stream as tests/test_service.py: many small flows plus
-    one flow heavy enough to be detected.  A ``max_gap_ns`` in the
-    milliseconds idles the link, which leaves virtual counters in the
-    stores."""
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, max_gap_ns)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(
-            Packet(time=time, size=rng.randint(40, 1518), fid=fid)
-        )
-    return packets
 
 
 def forensic_serve(tmp_path, packets, name="lab", **kwargs):

@@ -23,7 +23,6 @@ reproduces locally by exporting the same seed.
 from __future__ import annotations
 
 import os
-import random
 import tempfile
 from pathlib import Path
 
@@ -37,7 +36,6 @@ from repro.forensics import (
     IncidentStore,
     replay_bundle,
 )
-from repro.model.packet import Packet
 from repro.service import (
     DetectionService,
     ExactnessEnvelope,
@@ -50,28 +48,14 @@ from repro.service import (
     Supervisor,
 )
 
+from conftest import mixed_packets as make_packets
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
 
 #: The CI forensics-replay job sweeps this (see .github/workflows/ci.yml).
 FORENSICS_SEED = int(os.environ.get("EARDET_FORENSICS_SEED", "7"))
-
-
-def make_packets(count, seed, heavy_share=0.1, flows=50):
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, 40_000)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(
-            Packet(time=time, size=rng.randint(40, 1518), fid=fid)
-        )
-    return packets
 
 
 def verify_every_bundle(store):
@@ -248,7 +232,7 @@ def test_partition_losses_map_to_net_outage_incidents(tmp_path):
         watcher = None
         ingested = 100
         _migrations = 0
-        _rollbacks = 0
+        _rollbacks = {"migration": 0, "retune": 0}
         _last_source = None
         dead_letter = None
 

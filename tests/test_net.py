@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import EARDetConfig
-from repro.model.packet import Packet
 from repro.service import (
     BackoffPolicy,
     DRAIN_EXIT_CODE,
@@ -61,7 +60,7 @@ from repro.service.net import (
     encode_frame,
 )
 
-from conftest import FID_KINDS, with_fid_kind
+from conftest import FID_KINDS, mixed_packets, with_fid_kind
 
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
@@ -74,20 +73,8 @@ NET_SEED = int(os.environ.get("EARDET_NET_SEED", "7"))
 FAST = BackoffPolicy(initial_s=0.0)
 
 
-def make_packets(count=4000, heavy_share=0.1, seed=NET_SEED, flows=50):
-    """Same mixed stream as the other chaos suites: many small flows
-    plus one heavy flow, seeded for reproducible chaos."""
-    rng = random.Random(seed)
-    packets = []
-    now = 0
-    for _ in range(count):
-        now += rng.randint(100, 40_000)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(Packet(time=now, size=rng.randint(40, 1518), fid=fid))
-    return packets
+def make_packets(count=4000, seed=NET_SEED, **options):
+    return mixed_packets(count, seed, **options)
 
 
 @contextlib.contextmanager

@@ -15,13 +15,11 @@ The two load-bearing properties (property-tested below):
 
 from __future__ import annotations
 
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EARDetConfig
-from repro.model.packet import Packet
 from repro.service import (
     BackoffPolicy,
     DRAIN_EXIT_CODE,
@@ -44,25 +42,13 @@ from repro.service.health import DeadLetterSink
 from repro.service.overload import AdmissionController
 from repro.service.sources import PacketSource
 
+from conftest import mixed_packets as make_packets
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
 
 LEVELS = list(DegradationLevel)
-
-
-def make_packets(count=5000, heavy_share=0.1, seed=7, flows=50):
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, 40_000)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(Packet(time=time, size=rng.randint(40, 1518), fid=fid))
-    return packets
 
 
 def account_sums(account: DegradationAccount) -> "tuple[int, int]":

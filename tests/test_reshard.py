@@ -49,6 +49,8 @@ from repro.service.reshard import (
     encode_migration_record,
 )
 
+from conftest import mixed_packets
+
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
@@ -60,20 +62,8 @@ RESHARD_SEED = int(os.environ.get("EARDET_RESHARD_SEED", "7"))
 FAST = BackoffPolicy(initial_s=0.0)
 
 
-def make_packets(count=6000, heavy_share=0.1, seed=RESHARD_SEED, flows=50):
-    """Same mixed stream as the other service tests: many small flows
-    plus one heavy flow, seeded for reproducible chaos."""
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, 40_000)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(Packet(time=time, size=rng.randint(40, 1518), fid=fid))
-    return packets
+def make_packets(count=6000, seed=RESHARD_SEED, **options):
+    return mixed_packets(count, seed, **options)
 
 
 def static_run(packets, slots=8, shards=2, engine="inprocess", watcher=None):
@@ -321,11 +311,63 @@ class TestExecuteMigration:
                 fault_plan=plan,
             )
 
-    def test_fault_parse_round_trips(self):
-        spec = "mig:phase=install,mode=stall,at=2,secs=0.5"
+    def test_terminal_error_names_the_last_attempts_phase(self):
+        """Attempt 1 fails at install (injected), attempt 2 at freeze:
+        the terminal error names freeze, where the last attempt broke."""
+        engine = InProcessEngine(CONFIG, shards=2, slots=8)
+        engine.ingest(make_packets(500))
+        prepare = engine.prepare_migration
+        calls = []
+
+        def prepare_failing_on_second_call(plan):
+            calls.append(plan)
+            if len(calls) == 2:
+                raise RuntimeError("freeze broke on attempt 2")
+            return prepare(plan)
+
+        engine.prepare_migration = prepare_failing_on_second_call
+        with pytest.raises(MigrationError) as exc:
+            execute_migration(
+                engine,
+                MigrationPlan.split(engine.layout, 0),
+                attempts=2,
+                backoff=FAST,
+                fault_plan=FaultPlan.parse("mig:phase=install,mode=fail,at=1"),
+            )
+        assert exc.value.phase == "freeze"
+        assert "in the freeze phase (freeze broke on attempt 2)" in str(
+            exc.value
+        )
+        assert exc.value.rolled_back and exc.value.attempts == 2
+        assert engine.layout.epoch == 0
+
+    def test_pause_starts_after_the_freeze_fault_gate(self):
+        """The pause runs from the freeze action, after its fault gate:
+        a stall injected at the freeze boundary is not part of it."""
+        engine = InProcessEngine(CONFIG, shards=2, slots=8)
+        engine.ingest(make_packets(500))
+        report = execute_migration(
+            engine,
+            MigrationPlan.split(engine.layout, 0),
+            backoff=FAST,
+            fault_plan=FaultPlan.parse(
+                "mig:phase=freeze,mode=stall,at=1,secs=0.2"
+            ),
+        )
+        assert report.committed and report.attempts == 1
+        assert 0 < report.pause_ns < 200_000_000
+
+    @pytest.mark.parametrize(
+        "prefix, phase, faults",
+        [("mig", "install", "migration_faults"),
+         ("tune", "verify", "tune_faults")],
+        ids=["mig", "tune"],
+    )
+    def test_fault_parse_round_trips(self, prefix, phase, faults):
+        spec = f"{prefix}:phase={phase},mode=stall,at=2,secs=0.5"
         plan = FaultPlan.parse(spec)
-        (fault,) = plan.migration_faults
-        assert fault.phase == "install" and fault.mode == "stall"
+        (fault,) = getattr(plan, faults)
+        assert fault.phase == phase and fault.mode == "stall"
         assert fault.at == 2 and fault.duration_s == 0.5
         assert FaultPlan.parse(plan.describe()).describe() == plan.describe()
 
@@ -335,6 +377,9 @@ class TestExecuteMigration:
             "mig:phase=warp,mode=fail,at=1",   # unknown phase
             "mig:phase=freeze,mode=melt,at=1",  # unknown mode
             "mig:phase=freeze,mode=fail,at=0",  # at must be >= 1
+            "tune:phase=warp,mode=fail,at=1",
+            "tune:phase=freeze,mode=melt,at=1",
+            "tune:phase=freeze,mode=fail,at=0",
         ],
     )
     def test_fault_parse_rejects_bad_specs(self, spec):

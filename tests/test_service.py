@@ -3,7 +3,6 @@ crash recovery, and the ``eardet serve`` / ``eardet checkpoint`` CLI."""
 
 from __future__ import annotations
 
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,32 +31,11 @@ from repro.service import (
 from repro.service.checkpoint import summarize_checkpoint
 from repro.service.engine import FlowRouter
 
-from conftest import FID_KINDS, with_fid_kind
+from conftest import FID_KINDS, mixed_packets as make_packets, with_fid_kind
 
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
 )
-
-
-def make_packets(
-    count=5000, heavy_share=0.1, seed=7, flows=50, max_gap_ns=40_000
-):
-    """A mixed stream: many small flows plus one flow heavy enough to be
-    detected.  A ``max_gap_ns`` in the milliseconds idles the link, which
-    leaves virtual counters in the stores."""
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, max_gap_ns)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(
-            Packet(time=time, size=rng.randint(40, 1518), fid=fid)
-        )
-    return packets
 
 
 # ---------------------------------------------------------------- sources

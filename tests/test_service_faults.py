@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +44,11 @@ from repro.service import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.service import faults
 from repro.service.faults import KILL_EXIT_CODE
 from repro.service.supervisor import _source_retries
+
+from conftest import mixed_packets
 
 CONFIG = EARDetConfig(
     rho=1_000_000, n=8, beta_th=3000, alpha=1518, beta_l=1000, gamma_l=50_000
@@ -54,26 +58,8 @@ CONFIG = EARDetConfig(
 CHAOS_SEED = int(os.environ.get("EARDET_CHAOS_SEED", "7"))
 
 
-def make_packets(
-    count=5000, heavy_share=0.1, seed=CHAOS_SEED, flows=50, max_gap_ns=40_000
-):
-    """Same mixed stream as tests/test_service.py: many small flows plus
-    one heavy flow, seeded for reproducible chaos.  A ``max_gap_ns`` in
-    the milliseconds idles the link, which leaves virtual counters in
-    the stores."""
-    rng = random.Random(seed)
-    packets = []
-    time = 0
-    for _ in range(count):
-        time += rng.randint(100, max_gap_ns)
-        if rng.random() < heavy_share:
-            fid = "heavy"
-        else:
-            fid = f"flow-{rng.randint(0, flows - 1)}"
-        packets.append(
-            Packet(time=time, size=rng.randint(40, 1518), fid=fid)
-        )
-    return packets
+def make_packets(count=5000, seed=CHAOS_SEED, **options):
+    return mixed_packets(count, seed, **options)
 
 
 def baseline_report(packets, shards=2, seed=0):
@@ -109,6 +95,31 @@ class TestFaultPlan:
         assert FaultPlan.parse(plan.describe() + ";seed:42").describe() == (
             plan.describe()
         )
+
+    def test_documented_clauses_round_trip(self):
+        """Every example clause in the faults module docstring and in
+        the DSL block of docs/FAULT_TOLERANCE.md parses and describes
+        back to itself (``seed:`` only seeds the plan)."""
+        docs = Path(__file__).resolve().parent.parent / "docs"
+        dsl = (docs / "FAULT_TOLERANCE.md").read_text().split(
+            "## 2. Deterministic fault injection"
+        )[1].split("```")[1]
+        clauses = [
+            line.split()[0]
+            for line in (faults.__doc__ + dsl).splitlines()
+            if re.match(r"\s*[a-z]+:\S", line)
+        ]
+        kinds = {clause.partition(":")[0] for clause in clauses}
+        assert kinds == {
+            "kill", "stall", "drop", "source", "ckpt", "mig", "tune", "net",
+            "seed",
+        }
+        for clause in clauses:
+            plan = FaultPlan.parse(clause)
+            if clause.startswith("seed:"):
+                assert not plan and plan.seed == int(clause[5:])
+            else:
+                assert plan.describe() == clause
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
