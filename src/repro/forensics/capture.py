@@ -136,11 +136,6 @@ class CaptureLayer:
         #: telemetry) so the overhead benchmark can read it unarmed.
         self.capture_ns = 0
 
-    @property
-    def baseline_index(self) -> int:
-        """Stream position (ingested packets) of the current baseline."""
-        return self._baseline_index
-
     def rebaseline(self, service, engine_snapshot=None) -> None:
         """Adopt a new baseline at the service's current boundary.
 

@@ -149,11 +149,9 @@ class ForensicsLab:
         if bound is not service:
             self._bound_service = weakref.ref(service)
             self._migrations = service._migrations
-            self._retunes = getattr(service, "_retunes", 0)
+            self._retunes = service._retunes
             self._rollbacks = dict(service._rollbacks)
-            self._retune_infeasibles = getattr(
-                service, "_retune_infeasibles", 0
-            )
+            self._retune_infeasibles = service._retune_infeasibles
         # The guard cursor anchors to the source this serve is about to
         # judge (serve() sets _last_source before calling this hook): a
         # fresh source starts at zero, a re-served one carries totals the
@@ -357,7 +355,7 @@ class ForensicsLab:
                 )
             )
 
-        retunes = getattr(service, "_retunes", 0)
+        retunes = service._retunes
         if retunes > self._retunes:
             delta = retunes - self._retunes
             self._retunes = retunes
@@ -412,7 +410,7 @@ class ForensicsLab:
                         },
                     )
                 )
-        retune_infeasibles = getattr(service, "_retune_infeasibles", 0)
+        retune_infeasibles = service._retune_infeasibles
         if retune_infeasibles > self._retune_infeasibles:
             delta = retune_infeasibles - self._retune_infeasibles
             self._retune_infeasibles = retune_infeasibles

@@ -34,21 +34,26 @@ so the engines split along one line:
   layout and its assignment, per-shard loss accounting (the exactness
   envelope), the watcher tap and overload ladders, health, detections,
   the one snapshot schema and skeleton, restore validation, the
-  grouping, commit and rollback steps of live migration, and the
+  grouping, commit and rollback steps of live migration, and the one
   staging loop.  It routes each packet once onto its slot's ``(times,
   sizes, fids)`` columns (beside its shard-local arrival index, which
-  stays here) and ships a shard's slot groups at the transport's bound.
-- :class:`SlotHost` is the **slot side**: one shard's ``{slot: EARDet}``
-  and the slot commands — observe (one :meth:`EARDet.observe_batch` per
-  slot group; a host never routes), snapshot, extract, install,
-  reconfigure — that every transport runs against it.
+  stays here) — an armed overload ladder is a per-shard admission
+  branch of that loop — and ships a shard's slot groups at the
+  transport's bound.  It runs snapshot, extract, install, reconfigure
+  and stop once, through one transport hook that sends a slot command
+  to a set of shards, so which shards a command reaches and how a
+  refusal is reported are decided here.
+- :class:`SlotHost` is the **slot side**: one shard's ``{slot: EARDet}``,
+  observe (one :meth:`EARDet.observe_batch` per slot group; a host
+  never routes), and :meth:`SlotHost.command`, the one dispatch for the
+  slot commands that every transport's shard shell calls.
 - A transport carries slot groups and commands from one to the other:
   :class:`InProcessEngine` (a direct call into one all-slots host),
   :class:`~repro.service.workers.MultiprocessEngine` (one worker process
-  per shard, chunks and in-band barriers on its queue) and
+  per shard, chunks and in-band command markers on its queue) and
   :class:`~repro.service.remote.RemoteEngine` (one TCP
   :class:`~repro.service.net.ShardServer` per shard, exactly-once frames
-  of packed slot groups).
+  of packed slot groups and control frames).
 
 What :class:`InProcessEngine` adds over ``ParallelEARDet`` is the
 *runtime* layer:
@@ -89,9 +94,9 @@ from typing import (
 )
 
 from ..core.blacklist import ReportSink
-from ..core.config import EARDetConfig
+from ..core.config import EARDetConfig, config_as_dict
 from ..core.counters import CounterStore, HeapCounterStore
-from ..core.eardet import EARDet, reconfigure_state
+from ..core.eardet import EARDet, ReconfigurationError, reconfigure_state
 from ..detectors.hashing import StageHash
 from ..model.packet import FlowId, Packet
 from .errors import ShardCrashError, WorkerError
@@ -267,14 +272,48 @@ class SlotHost:
         self.detectors = rebuilt
         self.config = config
 
+    def command(self, op: str, arg=None):
+        """Run one slot command and return its reply — the one dispatch
+        every transport's shard shell calls, in stream order, so the
+        command sees exactly the slot groups shipped before it.  ``arg``
+        and the reply are plain data (they cross process and host
+        boundaries):
+
+        - ``snapshot`` and ``stop``: every hosted slot's state (the shell
+          exits after ``stop``; ``arg`` says whether it drains);
+        - ``extract`` (slot ids): the states :meth:`extract` took;
+        - ``install`` (``{slot: state}``): ``None``;
+        - ``reconfig`` (the config as :func:`~repro.core.config.
+          config_as_dict`): ``None``, or the refusal's message when the
+          host keeps its old detectors (:meth:`reconfigure`).
+
+        Any other failure raises; each shell maps it onto its own exit
+        code or error reply."""
+        if op in ("snapshot", "stop"):
+            return self.snapshot()
+        if op == "extract":
+            return self.extract(arg)
+        if op == "install":
+            self.install(arg)
+        elif op == "reconfig":
+            try:
+                self.reconfigure(EARDetConfig(**arg))
+            except ReconfigurationError as refusal:
+                return str(refusal)
+        else:
+            raise ValueError(f"unknown slot command {op!r}")
+        return None
+
 
 class ShardedEngine:
     """The routing side of a sharded EARDet, shared by every transport.
 
-    Subclasses supply the transport — :meth:`_ship`, :meth:`close`,
-    :meth:`terminate`, :meth:`queue_depths` and the hooks below;
-    everything that decides what a routed, lost or migrated packet means
-    for exactness lives here once.
+    Subclasses supply the transport — :meth:`_ship` for slot groups,
+    :meth:`_command` for slot commands, :meth:`_release`,
+    :meth:`terminate`, :meth:`queue_depths` and the lifecycle hooks
+    below; everything that decides what a routed, lost or migrated
+    packet means for exactness, and which shards a command reaches,
+    lives here once.
 
     ``backlog_capacity`` is the bound :meth:`queue_depths` is reported
     against in :meth:`health` (packets, chunks or frames, depending on
@@ -360,28 +399,42 @@ class ShardedEngine:
         #: The slots each provisioned shard hosts (what it ships).
         self._shard_slots = [layout.slots_of(s) for s in range(self._shards)]
 
-    # -- the staging loops -------------------------------------------------
+    # -- the staging loop --------------------------------------------------
 
     def ingest(self, batch: List[Packet]) -> None:
         """Route a batch onto slot columns, each packet once, and ship a
         shard through :meth:`_ship` when it holds ``ship_at`` staged
         packets (an in-process ``overflow="drop"`` engine sheds instead).
-        An armed overload policy goes through :meth:`_ingest_overload`."""
+
+        An armed overload ladder is a per-shard admission branch: each
+        shard's load is observed once per batch, a shard off the EXACT
+        rung admits each packet through its ladder, and the deferred
+        deadline clock advances at the end.  Memory stays bounded because
+        load at or above the high watermark escalates one rung per batch,
+        so a persistently full shard stops staging (SHEDDING) after at
+        most three batches."""
         self._start()
         self.check_workers()
-        try:
-            if self._overload is not None:
-                self._ingest_overload(batch)
-            else:
-                self._ingest_plain(batch)
-        finally:
-            if self._tap is not None:
-                self._feed_watcher()
-        for index, depth in enumerate(self.queue_depths()):
-            self._note_depth(index, depth)
-
-    def _ingest_plain(self, batch: List[Packet]) -> None:
-        """The staging loop with no ladder armed."""
+        states = self._overload
+        # With a ladder armed: per shard, the EXACT rung's account, or
+        # None where the ladder admits each packet.  The level is fixed
+        # for the whole batch (only ``observe`` moves it), so the EXACT
+        # rung is inlined: its packet costs one byte-count bump, and its
+        # packet count and last time settle after the loop.
+        exact = kept = None
+        if states is not None:
+            for index, state in enumerate(states):
+                for item in state.observe(*self._ladder_load(index)):
+                    self._stage(index, item)
+            exact = [
+                state.account
+                if state.controller.level is DegradationLevel.EXACT else None
+                for state in states
+            ]
+            kept = [
+                routed - dropped
+                for routed, dropped in zip(self._routed, self._dropped)
+            ]
         staging = self._staging
         staged = self._staged
         route = self._route
@@ -389,42 +442,77 @@ class ShardedEngine:
         routed = self._routed
         last_ts = self._last_packet_ts
         ship_at = self._ship_at
+        sheds = self._sheds_when_full
         plan = self._plan
         tap = self._tap
         accepted = 0
-        for packet in batch:
-            fid = packet.fid
-            now = packet.time
-            size = packet.size
-            slot = route(fid)
-            index = assignment[slot]
-            arrival = routed[index] = routed[index] + 1
-            last_ts[index] = now
-            if tap is not None:
-                # Stage-2 tap at the routing point: sees the wire stream
-                # before staging/overflow/faults can lose it.  Slot-keyed,
-                # so the tap is invariant under resharding.
-                times, sizes, fids = tap[slot]
+        try:
+            for packet in batch:
+                fid = packet.fid
+                now = packet.time
+                size = packet.size
+                slot = route(fid)
+                index = assignment[slot]
+                arrival = routed[index] = routed[index] + 1
+                last_ts[index] = now
+                if tap is not None:
+                    # Stage-2 tap at the routing point: sees the wire
+                    # stream before staging, overflow, faults or the
+                    # ladder can lose it.  Slot-keyed, so the tap is
+                    # invariant under resharding.
+                    times, sizes, fids = tap[slot]
+                    times.append(now)
+                    sizes.append(size)
+                    fids.append(fid)
+                if plan is not None and self._fault(index, packet, slot):
+                    continue
+                if exact is not None:
+                    account = exact[index]
+                    if account is None:
+                        emitted = states[index].admit(now, size, fid)
+                        if emitted is None:
+                            self._record_loss(
+                                index, packet, "overload-shed", slot=slot
+                            )
+                            continue
+                        for item in emitted:
+                            self._stage(index, item)
+                        continue
+                    account.exact_bytes += size
+                if staged[index] >= ship_at:
+                    if sheds:
+                        self._record_loss(
+                            index, packet, "queue-overflow", slot=slot
+                        )
+                        continue
+                    self._ship(index)
+                times, sizes, fids, arrivals = staging[slot]
                 times.append(now)
                 sizes.append(size)
                 fids.append(fid)
-            if plan is not None and self._fault(index, packet, slot):
-                continue
-            if staged[index] >= ship_at:
-                if self._sheds_when_full:
-                    self._record_loss(
-                        index, packet, "queue-overflow", slot=slot
+                arrivals.append(arrival)
+                staged[index] += 1
+                accepted += 1
+            self._accepted += accepted
+        finally:
+            if tap is not None:
+                self._feed_watcher()
+        if states is not None:
+            for index, state in enumerate(states):
+                # Every packet an EXACT shard kept was staged, its last
+                # one after any ship, so it is the latest slot-column tail.
+                admitted = routed[index] - self._dropped[index] - kept[index]
+                if exact[index] is not None and admitted:
+                    exact[index].exact_packets += admitted
+                    state._last_time = max(
+                        staging[slot][0][-1]
+                        for slot in self._shard_slots[index]
+                        if staging[slot][0]
                     )
-                    continue
-                self._ship(index)
-            times, sizes, fids, arrivals = staging[slot]
-            times.append(now)
-            sizes.append(size)
-            fids.append(fid)
-            arrivals.append(arrival)
-            staged[index] += 1
-            accepted += 1
-        self._accepted += accepted
+                for item in state.on_batch_end():
+                    self._stage(index, item)
+        for index, depth in enumerate(self.queue_depths()):
+            self._note_depth(index, depth)
 
     def _feed_watcher(self) -> None:
         """Hand each slot's tapped columns to the watcher stage and empty
@@ -438,91 +526,6 @@ class ShardedEngine:
             if columns[0]:
                 tap[slot] = ([], [], [])
                 observe(slot, *columns)
-
-    def _ingest_overload(self, batch: List[Packet]) -> None:
-        """Ladder-mediated ingest: observe each shard's load once per
-        batch, admit each packet at its shard's current rung, advance
-        the deferred-deadline clock at the end.
-
-        Memory stays bounded because load at or above the high
-        watermark escalates one rung per batch, so a persistently full
-        shard stops staging (SHEDDING) after at most three batches.
-        """
-        states = self._overload
-        assert states is not None
-        for index, state in enumerate(states):
-            for item in state.observe(*self._ladder_load(index)):
-                self._stage(index, item)
-        staging = self._staging
-        staged = self._staged
-        route = self._route
-        assignment = self._assignment
-        routed = self._routed
-        last_ts = self._last_packet_ts
-        ship_at = self._ship_at
-        plan = self._plan
-        tap = self._tap
-        # Inlined EXACT rung (admit + _stage without the calls): the
-        # level is fixed for the whole batch (only ``observe`` moves
-        # it), so an EXACT shard's packet costs one byte-count bump,
-        # and its packet count and last time settle after the loop.
-        exact = [
-            state.account
-            if state.controller.level is DegradationLevel.EXACT else None
-            for state in states
-        ]
-        kept = [routed[i] - self._dropped[i] for i in range(len(states))]
-        accepted = 0
-        for packet in batch:
-            fid = packet.fid
-            now = packet.time
-            size = packet.size
-            slot = route(fid)
-            index = assignment[slot]
-            arrival = routed[index] = routed[index] + 1
-            last_ts[index] = now
-            if tap is not None:
-                # The watcher taps ahead of the ladder: it keeps seeing
-                # in-region traffic even while this shard sheds load.
-                times, sizes, fids = tap[slot]
-                times.append(now)
-                sizes.append(size)
-                fids.append(fid)
-            if plan is not None and self._fault(index, packet, slot):
-                continue
-            account = exact[index]
-            if account is not None:
-                account.exact_bytes += size
-                if staged[index] >= ship_at:
-                    self._ship(index)
-                times, sizes, fids, arrivals = staging[slot]
-                times.append(now)
-                sizes.append(size)
-                fids.append(fid)
-                arrivals.append(arrival)
-                staged[index] += 1
-                accepted += 1
-                continue
-            emitted = states[index].admit(now, size, fid)
-            if emitted is None:
-                self._record_loss(index, packet, "overload-shed", slot=slot)
-                continue
-            for item in emitted:
-                self._stage(index, item)
-        self._accepted += accepted
-        for index, state in enumerate(states):
-            # Every packet an EXACT shard kept was staged, its last one
-            # after any ship, so it is the latest slot-column tail.
-            admitted = routed[index] - self._dropped[index] - kept[index]
-            if exact[index] is not None and admitted:
-                exact[index].exact_packets += admitted
-                state._last_time = max(
-                    staging[slot][0][-1]
-                    for slot in self._shard_slots[index]
-                    if staging[slot][0]
-                )
-            for item in state.on_batch_end():
-                self._stage(index, item)
 
     def _fault(self, index: int, packet: Packet, slot: int) -> bool:
         """The fault plan at the routing point: account an injected drop
@@ -587,17 +590,19 @@ class ShardedEngine:
             return self._final_snapshot
         self._start()
         self.flush()
-        return self._assemble(self._collect_states())
+        return self._assemble(self._broadcast("snapshot"))
 
     def close(self, drain: bool = False) -> Optional[Dict[str, object]]:
         """Graceful drain: push everything staged, stop every slot host
-        (collecting its final exact states) and return the final engine
-        snapshot.  ``drain`` marks a requested drain rather than the end
-        of the stream."""
+        (collecting its final exact states), release the transport and
+        return the final engine snapshot.  ``drain`` marks a requested
+        drain rather than the end of the stream."""
         if self._final_snapshot is None:
             self._start()
             self.flush()
-            self._final_snapshot = self._assemble(self._stop(drain))
+            states = self._broadcast("stop", drain)
+            self._release()
+            self._final_snapshot = self._assemble(states)
         return self._final_snapshot
 
     def terminate(self) -> None:
@@ -613,20 +618,21 @@ class ShardedEngine:
         leaving nothing staged."""
         raise NotImplementedError
 
+    def _command(self, op: str, args: Dict[int, object]) -> Dict[int, object]:
+        """Send slot command ``op`` (see :meth:`SlotHost.command`) to
+        each shard in ``args``, with that shard's argument, behind
+        everything already shipped to it; return each shard's reply.
+        The one way the routing side reaches a slot host."""
+        raise NotImplementedError
+
+    def _release(self) -> None:
+        """Free the transport once ``stop`` has reached every slot
+        host."""
+
     def _ladder_load(self, index: int) -> Tuple[int, int]:
         """Shard ``index``'s backlog and its bound, in packets — what
         its overload ladder observes once per batch."""
         return self._staged[index], self._backlog_capacity
-
-    def _collect_states(self) -> Dict[int, Dict[int, SlotState]]:
-        """Every shard's ``{slot: state}`` once everything routed has
-        reached its slot (the snapshot barrier)."""
-        raise NotImplementedError
-
-    def _stop(self, drain: bool) -> Dict[int, Dict[int, SlotState]]:
-        """Stop and release every slot host; returns each shard's final
-        ``{slot: state}``."""
-        raise NotImplementedError
 
     def _note_depth(self, index: int, depth: int) -> None:
         """Raise shard ``index``'s queue high water to ``depth``."""
@@ -646,23 +652,6 @@ class ShardedEngine:
 
     def check_workers(self) -> None:
         """Raise a structured error for a slot host that has died."""
-
-    def _extract_from(
-        self, by_shard: Dict[int, List[int]]
-    ) -> Dict[int, SlotState]:
-        """Snapshot-and-detach ``{shard: [slots]}``; each shard returns
-        only the slots it holds."""
-        raise NotImplementedError
-
-    def _install_on(self, by_shard: Dict[int, Dict[int, SlotState]]) -> None:
-        """Host ``{shard: {slot: state}}``."""
-        raise NotImplementedError
-
-    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        """Rebuild every running slot host under ``config`` (everything
-        routed has reached its slot); returns the last error line of
-        each shard that refused."""
-        raise NotImplementedError
 
     def _check_growth(self, shards: int) -> None:
         """Raise :class:`~repro.service.errors.MigrationError` when the
@@ -695,6 +684,13 @@ class ShardedEngine:
                 (state["stats"]["packets"], sink, len(state["blacklist"]))
             )
         return views
+
+    def _broadcast(self, op: str, arg=None) -> Dict[int, object]:
+        """Slot command ``op`` to every provisioned shard — a spare that
+        a rolled-back migration provisioned included, so every host
+        stays on the fleet's configuration and a later migration onto
+        it restores cleanly."""
+        return self._command(op, dict.fromkeys(range(self._shards), arg))
 
     # -- introspection -----------------------------------------------------
 
@@ -882,9 +878,9 @@ class ShardedEngine:
         """Swap every slot detector onto ``config`` at the current packet
         boundary (the control plane's apply step).
 
-        Each slot host adapts build-all-then-swap (see
+        Every provisioned slot host adapts build-all-then-swap (see
         :meth:`SlotHost.reconfigure`), so a host that refuses keeps its
-        old detectors serving.  When some shards refuse this raises
+        old detectors serving.  When some hosts refuse this raises
         :class:`~repro.core.eardet.ReconfigurationError` and may leave a
         mixed fleet; rollback is ``apply_config(old_config)``, which
         always succeeds because adapting back never shrinks below
@@ -893,30 +889,30 @@ class ShardedEngine:
         """
         if self._final_snapshot is not None:
             raise RuntimeError("engine already closed")
-        failures: Dict[int, str] = {}
         if self.running:
             # Everything routed so far reaches its slot first, so the
             # swap lands at an exact stream boundary.
             self.check_workers()
             self.flush()
-            failures = self._reconfigure(config)
+            replies = self._broadcast("reconfig", config_as_dict(config))
+            refusals = sorted(
+                (index, reply) for index, reply in replies.items()
+                if reply is not None
+            )
+            if refusals:
+                detail = "; ".join(
+                    f"shard {index}: {reply}" for index, reply in refusals
+                )
+                raise ReconfigurationError(
+                    f"{len(refusals)}/{len(replies)} shard hosts refused "
+                    f"the new configuration ({detail}); fleet may be "
+                    "mixed — roll back by re-applying the previous config"
+                )
         elif self._slot_states is not None:
             self._slot_states = [
                 None if state is None else reconfigure_state(state, config)
                 for state in self._slot_states
             ]
-        if failures:
-            from ..core.eardet import ReconfigurationError
-
-            detail = "; ".join(
-                f"shard {index}: {error}"
-                for index, error in sorted(failures.items())
-            )
-            raise ReconfigurationError(
-                f"{len(failures)}/{self._shards} shard hosts refused the "
-                f"new configuration ({detail}); fleet may be mixed — "
-                "roll back by re-applying the previous config"
-            )
         self.config = config
 
     # -- live migration ----------------------------------------------------
@@ -938,9 +934,11 @@ class ShardedEngine:
         by_shard: Dict[int, List[int]] = {}
         for slot in slot_ids:
             by_shard.setdefault(self._assignment[slot], []).append(slot)
-        if not by_shard:
-            return {}
-        return self._extract_from(by_shard)
+        return {
+            int(slot): state
+            for taken in self._command("extract", by_shard).values()
+            for slot, state in taken.items()
+        }
 
     def install_slots(
         self,
@@ -958,8 +956,7 @@ class ShardedEngine:
                     f"provisioned (prepare_migration not run?)"
                 )
             by_shard.setdefault(shard, {})[int(slot)] = state
-        if by_shard:
-            self._install_on(by_shard)
+        self._command("install", by_shard)
 
     def commit_layout(self, layout: ShardLayout) -> None:
         """Cutover phase: atomically swap the slot→shard assignment.
@@ -991,8 +988,7 @@ class ShardedEngine:
         for move in plan.moves:
             if move.target < self._shards:
                 targets.setdefault(move.target, []).append(move.slot)
-        if targets:
-            self._extract_from(targets)  # discard partial installs
+        self._command("extract", targets)  # discard partial installs
         if extracted:
             self.install_slots(extracted, plan.assignment_before())
 
@@ -1341,33 +1337,28 @@ class InProcessEngine(ShardedEngine):
         buffers released, staged packets applied — happens either way."""
         self.flush()
 
-    # -- transport hooks ---------------------------------------------------
-
-    def _collect_states(self) -> Dict[int, Dict[int, SlotState]]:
-        return {0: self.slot_host.snapshot()}
-
-    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        # The one host's failure propagates as raised.
-        self.slot_host.reconfigure(config)
-        return {}
-
-    def _extract_from(
-        self, by_shard: Dict[int, List[int]]
-    ) -> Dict[int, SlotState]:
-        # One address space hosts every slot, and a shard holds exactly
-        # the slots the live assignment gives it — so the rollback's
-        # probe of migration targets (which host nothing before cutover)
-        # takes nothing, and a reinstall simply overwrites.
-        return self.slot_host.extract(
-            slot
-            for index, slots in by_shard.items()
-            for slot in slots
-            if self._assignment[slot] == index
-        )
-
-    def _install_on(self, by_shard: Dict[int, Dict[int, SlotState]]) -> None:
-        for states in by_shard.values():
-            self.slot_host.install(states)
+    def _command(self, op: str, args: Dict[int, object]) -> Dict[int, object]:
+        # One host holds every slot, so a command to any set of shards is
+        # one command to it.  A shard holds exactly the slots the live
+        # assignment gives it — so the rollback's probe of migration
+        # targets (which host nothing before cutover) takes nothing, and
+        # a reinstall simply overwrites.
+        if op == "extract":
+            arg = [
+                slot
+                for index, slots in args.items()
+                for slot in slots
+                if self._assignment[slot] == index
+            ]
+        elif op == "install":
+            arg = {
+                slot: state
+                for states in args.values()
+                for slot, state in states.items()
+            }
+        else:
+            arg = next(iter(args.values()))
+        return {0: self.slot_host.command(op, arg)}
 
     def commit_layout(self, layout: ShardLayout) -> None:
         """Cutover phase (see :meth:`ShardedEngine.commit_layout`);

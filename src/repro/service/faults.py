@@ -401,6 +401,8 @@ class FaultPlan:
                 f"net:kind={fault.kind},shard={fault.shard},at={fault.at}"
                 f"{extra}" + (" (fired)" if fault.fired else "")
             )
+        if self.seed:
+            parts.append(f"seed:{self.seed}")
         return "; ".join(parts) if parts else "(empty plan)"
 
     # -- shard-fault queries (engines call these) --------------------------

@@ -23,8 +23,9 @@ Two structures added by the fault-tolerance layer:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..model.packet import FlowId, Packet
 from ..model.units import NS_PER_S
@@ -178,7 +179,9 @@ class DeadLetterSink:
     """
 
     #: Cap on retained forensic events (non-packet incidents such as a
-    #: rolled-back migration); counts stay exact past the cap.
+    #: rolled-back migration): the newest are kept, because the
+    #: forensics lab reads each outcome's detail from the newest event
+    #: of its kind; counts stay exact past the cap.
     EVENT_CAPACITY = 256
 
     def __init__(self, capacity: int = DEFAULT_DEAD_LETTER_CAPACITY):
@@ -187,7 +190,9 @@ class DeadLetterSink:
         self.capacity = capacity
         self.entries: List[DeadLetter] = []
         self.total = 0
-        self.events: List[Dict[str, object]] = []
+        self.events: Deque[Dict[str, object]] = deque(
+            maxlen=self.EVENT_CAPACITY
+        )
         self.event_total = 0
 
     def record(
@@ -212,8 +217,7 @@ class DeadLetterSink:
         which plan, which phase, whether rollback succeeded).  Events
         never count toward :attr:`total` — no packet was lost."""
         self.event_total += 1
-        if len(self.events) < self.EVENT_CAPACITY:
-            self.events.append({"kind": kind, **detail})
+        self.events.append({"kind": kind, **detail})
 
     def __len__(self) -> int:
         return self.total

@@ -20,7 +20,7 @@ Frame layout (all integers little-endian)::
                  (:func:`repro.service.checkpoint.dumps`)
     last 4       CRC-32 over type + sequence + payload
 
-A ``BATCH`` payload (protocol 3) is a tuple of slot groups ``(slot,
+A ``BATCH`` payload is a tuple of slot groups ``(slot,
 times, sizes, fids)``, each column packed to little-endian int64
 ``bytes`` when its values allow, else a codec list (:func:`repro.
 service.checkpoint.pack_column`); the server routes nothing and checks
@@ -49,13 +49,15 @@ The server (:class:`ShardServer`) is a TCP shell around the same
 :class:`~repro.service.engine.SlotHost` a multiprocess worker runs:
 ``assign`` builds the host (configuration, hash seed and slot space,
 hosted slots, restored states), ``BATCH`` frames feed each slot group to
-its slot's :meth:`~repro.core.eardet.EARDet.observe_batch`, and the
-``snapshot`` / ``extract`` / ``install`` / ``reconfig`` / ``stop`` ops
-are the host's slot commands; the server itself adds ``ping`` liveness,
-a ``scrape`` of its counters, the sequence discipline, and its exit
-codes.  Because TCP delivers in order within a connection and the
-sequence rules span reconnects, every barrier keeps the
-exact-stream-prefix property the in-tree engines' snapshots have.
+its slot's :meth:`~repro.core.eardet.EARDet.observe_batch`, and every
+other ``CONTROL`` op — ``{"op": op, "arg": arg}`` for ``snapshot``,
+``extract``, ``install``, ``reconfig`` or ``stop`` — goes to the host's
+one dispatch, :meth:`~repro.service.engine.SlotHost.command`, and is
+answered ``{"op": "done", "reply": reply}``.  The server itself adds
+``ping`` liveness, a ``scrape`` of its counters, the sequence
+discipline, and its exit codes.  Because TCP delivers in order within a
+connection and the sequence rules span reconnects, every barrier keeps
+the exact-stream-prefix property the in-tree engines' snapshots have.
 
 Deterministic network chaos: a :class:`~repro.service.faults.FaultPlan`
 ``net:`` clause fires at an exact frame send index on one connection —
@@ -90,7 +92,7 @@ FRAME_MAGIC = b"ERNF"
 #: Bump on any incompatible change to the frame layout or the control
 #: vocabulary.  Both ends send it in the handshake and refuse mismatches
 #: permanently (:class:`~repro.service.errors.HandshakeError`).
-NET_PROTOCOL_VERSION = 3
+NET_PROTOCOL_VERSION = 4
 
 #: Exit code the shard server uses when the transport fails permanently:
 #: a handshake the two ends can never agree on (protocol version,
@@ -977,16 +979,18 @@ class ShardServer:
     def _apply_control(
         self, seq: int, payload
     ) -> Tuple[Dict[str, Any], Optional[int]]:
-        """Apply one control op; returns ``(reply, exit_code_or_None)``."""
+        """Apply one control op; returns ``(reply, exit_code_or_None)``.
+
+        ``assign``, ``ping`` and ``scrape`` are the server's own; every
+        other op is a slot command (``{"op", "arg"}``) for the hosted
+        :meth:`~repro.service.engine.SlotHost.command`, answered with
+        ``{"op": "done", "reply": ...}``."""
         if not isinstance(payload, dict) or "op" not in payload:
             raise FrameCorruptError(f"malformed control frame {payload!r}")
         op = payload["op"]
-        host = self._host
         try:
             if op == "assign":
                 return self._op_assign(payload), None
-            if host is None and op not in ("ping", "scrape", "stop"):
-                raise FrameCorruptError(f"control {op!r} before assign")
             if op == "ping":
                 return {
                     "op": "pong",
@@ -995,55 +999,19 @@ class ShardServer:
                 }, None
             if op == "scrape":
                 return {"op": "metrics", "metrics": self.scrape()}, None
-            if op == "snapshot":
-                return {"op": "snapshot", "states": host.snapshot()}, None
-            if op == "extract":
-                return {
-                    "op": "extracted",
-                    "states": host.extract(payload["slots"]),
-                }, None
-            if op == "install":
-                host.install(payload["states"])
-                return {
-                    "op": "installed",
-                    "slots": sorted(host.detectors),
-                }, None
-            if op == "reconfig":
-                # Hot reconfiguration at this exact sequence point (the
-                # frame discipline is the batch barrier).  A refusal
-                # leaves the old detectors serving and reports the
-                # failure in-band — the server stays up.
-                config = _decode_config(payload["config"])
-                try:
-                    host.reconfigure(config)
-                except Exception as error:
-                    if _is_invariant(error):
-                        raise _InvariantSignal(error) from error
-                    import traceback
-
-                    return {
-                        "op": "reconfigured",
-                        "ok": False,
-                        "error": traceback.format_exc(),
-                        "message": str(error),
-                    }, None
-                return {
-                    "op": "reconfigured",
-                    "ok": True,
-                    "slots": sorted(host.detectors),
-                }, None
+            arg = payload.get("arg")
+            if self._host is not None:
+                reply = self._host.command(op, arg)
+            elif op == "stop":
+                reply = {}
+            else:
+                raise FrameCorruptError(f"control {op!r} before assign")
+            code = None
             if op == "stop":
-                reply = {
-                    "op": "done",
-                    "states": host.snapshot() if host is not None else {},
-                }
-                code = (
-                    DRAIN_EXIT_CODE if payload.get("drain") else 0
-                )
-                return reply, code
-        except (_InvariantSignal, _ServerExit):
-            raise
-        except (FrameCorruptError, HandshakeError):
+                code = DRAIN_EXIT_CODE if arg else 0
+            return {"op": "done", "reply": reply}, code
+        except (_InvariantSignal, _ServerExit, FrameCorruptError,
+                HandshakeError):
             raise
         except Exception as error:
             if _is_invariant(error):
@@ -1052,10 +1020,9 @@ class ShardServer:
 
             return {"op": "error", "traceback": traceback.format_exc(),
                     "message": str(error)}, None
-        raise FrameCorruptError(f"unknown control op {op!r}")
 
     def _op_assign(self, payload) -> Dict[str, Any]:
-        config = _decode_config(payload["config"])
+        config = EARDetConfig(**payload["config"])
         seed = int(payload["seed"])
         slots = int(payload["slots"])
         if self._host is not None and (seed, slots) != (
@@ -1108,20 +1075,6 @@ class ShardServer:
         for detector in self._hosted():
             sink.merge(detector.sink)
         return sink.as_dict()
-
-
-def _decode_config(data: Dict[str, Any]) -> EARDetConfig:
-    """Rebuild an :class:`EARDetConfig` from its wire dict (assign and
-    reconfig control frames share this shape)."""
-    return EARDetConfig(
-        rho=int(data["rho"]),
-        n=int(data["n"]),
-        beta_th=int(data["beta_th"]),
-        alpha=int(data["alpha"]),
-        beta_l=int(data["beta_l"]),
-        gamma_l=int(data["gamma_l"]),
-        virtual_unit=data.get("virtual_unit"),
-    )
 
 
 class _ServerExit(Exception):

@@ -37,9 +37,12 @@ envelope the service has had since PR 2:
   applied exactly once by its server or accounted here).  Frames
   already in the ring are *not* loss — they replay on reconnect.
 
-Everything else — snapshots via control barriers at exact stream
-prefixes, the two-phase migration primitives, graceful drain — is the
-shared routing side driving control frames instead of queue markers, so
+Everything else — snapshots at exact stream prefixes, the two-phase
+migration primitives, hot reconfiguration, graceful drain — is the
+shared routing side's slot commands, which this engine carries as one
+exactly-once control barrier per addressed shard (its whole command
+transport, :meth:`RemoteEngine._command`) instead of queue markers, so
+every command reaches the same shards as on the other transports, and
 live resharding across hosts and the interchangeable checkpoint schema
 come for free.
 """
@@ -270,31 +273,14 @@ class RemoteEngine(ShardedEngine):
                 shard=index,
             )
 
-    def _stop(self, drain: bool) -> Dict[int, Dict]:
-        """Stop every shard server with a ``stop`` control barrier
-        (collecting final exact states); with ``drain=True`` CLI-run
-        servers exit with the drain code."""
-        states: Dict[int, Dict] = {}
-        for index in range(self._layout.shards):
-            reply = self._control(index, {"op": "stop", "drain": drain})
-            if reply.get("op") != "done":
-                raise TransportError(
-                    f"shard {index} stop returned {reply!r}", shard=index
-                )
-            states[index] = {
-                int(slot): state
-                for slot, state in reply["states"].items()
-            }
-        self._teardown()
-        return states
-
     def terminate(self) -> None:
         """Drop every connection without stopping the servers (crash
         teardown; in-flight state on the servers is abandoned — a
         restarted coordinator session replaces it)."""
-        self._teardown()
+        self._release()
 
-    def _teardown(self) -> None:
+    def _release(self) -> None:
+        """Close every connection, keeping its final transport report."""
         if self._connections is not None:
             self._closed_reports = [
                 conn.report() for conn in self._connections
@@ -458,36 +444,19 @@ class RemoteEngine(ShardedEngine):
 
     # -- transport hooks ---------------------------------------------------
 
-    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        """An exactly-once ``reconfig`` control barrier per shard
-        server."""
-        payload = {"op": "reconfig", "config": config_as_dict(config)}
-        failures: Dict[int, str] = {}
-        for index in range(self._layout.shards):
-            reply = self._control(index, dict(payload))
-            if reply.get("op") != "reconfigured" or not reply.get("ok"):
-                failures[index] = str(
-                    reply.get("message") or reply.get("error") or reply
-                ).strip().splitlines()[-1]
-        return failures
-
-    def _extract_from(
-        self, by_shard: Dict[int, List[int]]
-    ) -> Dict[int, Dict[str, object]]:
-        extracted: Dict[int, Dict[str, object]] = {}
-        for index, slots in by_shard.items():
-            reply = self._control(
-                index, {"op": "extract", "slots": list(slots)}
-            )
-            for slot, state in reply.get("states", {}).items():
-                extracted[int(slot)] = state
-        return extracted
-
-    def _install_on(
-        self, by_shard: Dict[int, Dict[int, Dict[str, object]]]
-    ) -> None:
-        for index, states in by_shard.items():
-            self._control(index, {"op": "install", "states": states})
+    def _command(self, op: str, args: Dict[int, object]) -> Dict[int, object]:
+        """One exactly-once control barrier per addressed shard server;
+        ``stop`` with ``drain`` set makes a CLI-run server exit with the
+        drain code."""
+        replies = {}
+        for index, arg in args.items():
+            reply = self._control(index, {"op": op, "arg": arg})
+            if reply.get("op") != "done":
+                raise TransportError(
+                    f"shard {index} {op} returned {reply!r}", shard=index
+                )
+            replies[index] = reply["reply"]
+        return replies
 
     def _check_growth(self, shards: int) -> None:
         # Unlike the multiprocess engine, a remote fleet cannot mint new
@@ -517,15 +486,6 @@ class RemoteEngine(ShardedEngine):
         super()._adopt(layout, slot_states)
         self._outage_since = [None] * layout.shards
         self._outages = [0] * layout.shards
-
-    # -- checkpointing -----------------------------------------------------
-
-    def _collect_states(self) -> Dict[int, Dict]:
-        """A snapshot control barrier on every shard."""
-        return {
-            index: self._control(index, {"op": "snapshot"})["states"]
-            for index in range(self._layout.shards)
-        }
 
     # -- transport introspection ------------------------------------------
 

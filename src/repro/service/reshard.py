@@ -347,12 +347,6 @@ class MigrationPlan:
         """Moved slot → source shard (the rollback assignment)."""
         return {move.slot: move.source for move in self.moves}
 
-    def source_shards(self) -> List[int]:
-        return sorted({move.source for move in self.moves})
-
-    def target_shards_touched(self) -> List[int]:
-        return sorted({move.target for move in self.moves})
-
     def validate(self, layout: ShardLayout) -> None:
         """Check the plan is executable against ``layout`` right now."""
         if self.target_shards < layout.shards:

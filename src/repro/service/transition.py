@@ -33,7 +33,7 @@ its fault gate) to the end of the last phase.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple, Type
 
 from .backoff import DEFAULT_BACKOFF, BackoffPolicy
@@ -72,12 +72,6 @@ class TransitionReport:
     to_epoch: int = 0
     pause_ns: int = 0
     error: Optional[str] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data["pause_ns"] = data.pop("pause_ns")
-        data["error"] = data.pop("error")
-        return data
 
 
 class _TransientFailure(Exception):

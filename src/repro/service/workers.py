@@ -23,20 +23,20 @@ instances or per-packet tuples.  The worker never routes: it feeds each
 group straight to its slot's :meth:`~repro.core.eardet.EARDet.
 observe_batch`.
 
-Exact snapshots use **in-band barrier markers**: after shipping its
-staged packets the parent enqueues a snapshot request on every shard
-queue.  Each worker replies with its state the moment it dequeues the
-marker — i.e. after processing exactly the packets routed before the
-marker and none after — so the assembled snapshot corresponds to an exact
-stream prefix, just like the in-process engine's, and is the same schema
-(every engine's checkpoints are interchangeable).
-
-Live migration rides the same in-band mechanism: an ``extract`` marker
-asks a worker to snapshot-and-detach the named slots *after* everything
-already queued to it (the freeze barrier — no drain of unrelated shards
-is needed), and an ``install`` message hands a target worker
-decode-verified slot states to host from then on.  The parent swaps its
-slot→shard assignment only after every install is acknowledged (see
+Slot commands travel as **in-band markers**: the shared routing side
+runs snapshot, extract, install, reconfigure and stop once
+(:meth:`~repro.service.engine.ShardedEngine._command` is this engine's
+whole command transport), and each becomes an ``(op, arg, token)``
+marker on the addressed shard queues, behind the packets already
+shipped there.  A worker hands the marker to
+:meth:`~repro.service.engine.SlotHost.command` the moment it dequeues
+it — i.e. after processing exactly the packets routed before the marker
+and none after — and replies ``("done", index, token, reply)``.  So an
+assembled snapshot corresponds to an exact stream prefix, just like the
+in-process engine's, and is the same schema (every engine's checkpoints
+are interchangeable); an ``extract`` marker is a migration's freeze
+barrier (no drain of unrelated shards is needed), and the parent swaps
+its slot→shard assignment only after every install is acknowledged (see
 :func:`repro.service.reshard.execute_migration`); workers never route,
 so the cutover is a parent-local atomic swap.
 
@@ -188,14 +188,18 @@ def _shard_worker(
     index, config, slot_ids, initial_states, in_queue, out_queue,
     heartbeat, faults, invariant_every=None,
 ):
-    """Worker loop: consume chunks until a stop message, answering
-    snapshot / extract / install / reconfig barriers in stream order.
+    """Worker loop: consume chunks until a ``stop`` command, answering
+    each slot command in stream order.
 
     The worker is a process shell around one
     :class:`~repro.service.engine.SlotHost` holding the assigned slots
-    (``slot_ids``; ``initial_states`` maps slot → restored state); a
-    chunk is a list of slot groups the parent already routed.  The shell
-    adds signals, the heartbeat, fault injection and the exit codes.
+    (``slot_ids``; ``initial_states`` maps slot → restored state).  A
+    ``("packets", groups)`` message is a list of slot groups the parent
+    already routed; an ``(op, arg, token)`` message is a slot command
+    for :meth:`~repro.service.engine.SlotHost.command`, answered with
+    ``("done", index, token, reply)`` after everything queued before it
+    — the in-band barrier.  The shell adds signals, the heartbeat, fault
+    injection and the exit codes.
 
     ``faults`` is ``None`` or ``(kill_at, stall_at, stall_s)`` in
     shard-local packet indices, counted in the order this worker
@@ -217,8 +221,8 @@ def _shard_worker(
     # The parent (e.g. the CLI) may have routed SIGTERM/SIGINT to a
     # graceful-drain flag nobody in this process reads; inheriting that
     # handler would make the worker unkillable by Process.terminate().
-    # Worker drain is driven by the in-band ("stop", "drain") message,
-    # never by signals, so restore the defaults.
+    # Worker drain is driven by the in-band ``stop`` command, never by
+    # signals, so restore the defaults.
     import signal
 
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -235,6 +239,15 @@ def _shard_worker(
             args=(heartbeat, index, HEARTBEAT_INTERVAL_S),
             daemon=True,
         ).start()
+
+    def ship_and_exit(message, code):
+        # Flush the message onto the pipe before dying, so the parent
+        # reads it along with the exit code.
+        out_queue.put(message)
+        out_queue.close()
+        out_queue.join_thread()
+        os._exit(code)
+
     try:
         import traceback
 
@@ -255,81 +268,53 @@ def _shard_worker(
             message = in_queue.get()
             if heartbeat is not None:
                 heartbeat[index] = time.monotonic()
-            kind = message[0]
-            if kind == "packets":
+            if message[0] == "packets":
                 groups = message[1]
                 if kill_at is None and stall_at is None:
                     host.observe(groups)
                     processed += sum(len(group[1]) for group in groups)
-                else:
-                    for slot, times, sizes, fids in groups:
-                        for time_ns, size, fid in zip(times, sizes, fids):
-                            position = processed + 1
-                            if stall_at is not None and position >= stall_at:
-                                stall_at = None
-                                time.sleep(stall_s)
-                            if kill_at is not None and position >= kill_at:
-                                os._exit(KILL_EXIT_CODE)
-                            host.observe([(slot, (time_ns,), (size,), (fid,))])
-                            processed += 1
-            elif kind == "snapshot":
-                out_queue.put(("snapshot", index, message[1], host.snapshot()))
-            elif kind == "extract":
-                # In-band freeze barrier: everything queued before this
-                # marker is already processed, so the extracted states
-                # sit at an exact sub-stream boundary.
-                taken = host.extract(message[1])
-                processed = host.packets()
-                out_queue.put(("extracted", index, message[2], taken))
-            elif kind == "install":
-                try:
-                    host.install(message[1])
-                except Exception:
-                    # Decode-verified state that still fails to restore:
-                    # ship the failure, then die with the migration-
-                    # abort code so the parent/supervisor classify it.
-                    out_queue.put(("error", index, traceback.format_exc()))
-                    out_queue.close()
-                    out_queue.join_thread()
-                    os._exit(MIGRATION_ABORT_EXIT_CODE)
-                processed = host.packets()
-                out_queue.put((
-                    "installed", index, message[2], sorted(host.detectors)
-                ))
-            elif kind == "reconfig":
-                # In-band apply barrier: everything queued before this
-                # marker is processed, so each hosted slot's state sits
-                # at an exact sub-stream boundary.  A refusal leaves the
-                # old detectors serving and ships in-band — the worker
-                # stays alive (unlike an install failure, its process
-                # state is untouched and still trustworthy).
-                try:
-                    host.reconfigure(message[1])
-                    reply = {"ok": True}
-                except Exception:
-                    reply = {"ok": False, "error": traceback.format_exc()}
-                out_queue.put(("reconfigured", index, message[2], reply))
-            elif kind == "stop":
-                out_queue.put(("done", index, host.snapshot()))
-                if len(message) > 1 and message[1] == "drain":
-                    # Graceful drain: flush the reply onto the pipe, then
-                    # exit with the drain code so the parent (and any
-                    # process supervisor) can tell this apart from a
-                    # clean end-of-stream stop.
-                    out_queue.close()
-                    out_queue.join_thread()
-                    os._exit(DRAIN_EXIT_CODE)
+                    continue
+                for slot, times, sizes, fids in groups:
+                    for time_ns, size, fid in zip(times, sizes, fids):
+                        position = processed + 1
+                        if stall_at is not None and position >= stall_at:
+                            stall_at = None
+                            time.sleep(stall_s)
+                        if kill_at is not None and position >= kill_at:
+                            os._exit(KILL_EXIT_CODE)
+                        host.observe([(slot, (time_ns,), (size,), (fid,))])
+                        processed += 1
+                continue
+            op, arg, token = message
+            try:
+                reply = host.command(op, arg)
+            except Exception:
+                if op != "install":
+                    raise
+                # Decode-verified state that still fails to restore:
+                # ship the failure, then die with the migration-abort
+                # code so the parent/supervisor classify it.
+                ship_and_exit(
+                    ("error", index, traceback.format_exc()),
+                    MIGRATION_ABORT_EXIT_CODE,
+                )
+            # Extract and install change what this worker hosts.
+            processed = host.packets()
+            done = ("done", index, token, reply)
+            if op == "stop" and arg:
+                # Graceful drain: exit with the drain code so the parent
+                # (and any process supervisor) can tell this apart from
+                # a clean end-of-stream stop.
+                ship_and_exit(done, DRAIN_EXIT_CODE)
+            out_queue.put(done)
+            if op == "stop":
                 return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown message kind {kind!r}")
     except InvariantViolation as violation:
-        # Ship the forensics, make sure the feeder thread has flushed
-        # them onto the pipe, then die with the dedicated exit code: the
+        # Ship the forensics, then die with the dedicated exit code: the
         # parent must see a permanent failure, not a restartable crash.
-        out_queue.put(("invariant", index, violation.as_dict()))
-        out_queue.close()
-        out_queue.join_thread()
-        os._exit(INVARIANT_EXIT_CODE)
+        ship_and_exit(
+            ("invariant", index, violation.as_dict()), INVARIANT_EXIT_CODE
+        )
     except Exception:  # pragma: no cover - exercised only on worker crash
         import traceback
 
@@ -602,19 +587,6 @@ class MultiprocessEngine(ShardedEngine):
         self._unstage(index)
         self._note_depth(index, self._in_flight(index))
 
-    def _stop(self, drain: bool) -> Dict[int, Dict[str, object]]:
-        """Stop every worker with an in-band ``stop`` marker; with
-        ``drain=True`` workers exit with :data:`DRAIN_EXIT_CODE` instead
-        of 0, marking a requested drain rather than source exhaustion."""
-        stop = ("stop", "drain") if drain else ("stop",)
-        for index in range(self._shards):
-            self._put(index, stop)
-        states = self._collect("done")
-        for process in self._processes:
-            process.join(timeout=REPLY_TIMEOUT_S)
-        self._release()
-        return states
-
     def terminate(self) -> None:
         """Hard-kill workers (crash recovery / emergency shutdown);
         discards in-flight state.  Safe to call when some — or all —
@@ -634,11 +606,13 @@ class MultiprocessEngine(ShardedEngine):
             process.join(timeout=self.terminate_grace_s)
             if process.is_alive():
                 process.kill()
-                process.join(timeout=REPLY_TIMEOUT_S)
         self._release()
 
     def _release(self) -> None:
-        """Close the fleet's queues and forget it (workers are gone)."""
+        """Join the fleet's workers (stopped, or killed by
+        :meth:`terminate`), close its queues and forget it."""
+        for process in self._processes:
+            process.join(timeout=REPLY_TIMEOUT_S)
         for queue in self._queues:
             queue.close()
         if self._results is not None:
@@ -650,44 +624,19 @@ class MultiprocessEngine(ShardedEngine):
 
     # -- transport hooks ---------------------------------------------------
 
-    def _reconfigure(self, config: EARDetConfig) -> Dict[int, str]:
-        """An in-band ``reconfig`` barrier on every shard queue."""
-        token = self._next_token()
-        for index in range(self._shards):
-            self._put(index, ("reconfig", config, token))
-        replies = self._collect("reconfigured", token)
-        return {
-            index: reply["error"].strip().splitlines()[-1]
-            for index, reply in replies.items()
-            if not reply["ok"]
-        }
-
-    def _extract_from(
-        self, by_shard: Dict[int, List[int]]
-    ) -> Dict[int, Dict[str, object]]:
-        # The freeze needs no full drain: ``extract`` is an in-band
-        # barrier each source worker answers only after everything
-        # queued ahead of it — exactly the freeze point.
-        token = self._next_token()
-        for index, slots in by_shard.items():
-            self._put(index, ("extract", list(slots), token))
-        replies = self._collect(
-            "extracted", token, indices=list(by_shard)
-        )
-        extracted: Dict[int, Dict[str, object]] = {}
-        for taken in replies.values():
-            extracted.update(taken)
-        return extracted
-
-    def _install_on(
-        self, by_shard: Dict[int, Dict[int, Dict[str, object]]]
-    ) -> None:
-        # A worker that cannot restore the state ships the error and
-        # exits with MIGRATION_ABORT_EXIT_CODE.
-        token = self._next_token()
-        for index, states in by_shard.items():
-            self._put(index, ("install", states, token))
-        self._collect("installed", token, indices=list(by_shard))
+    def _command(self, op: str, args: Dict[int, object]) -> Dict[int, object]:
+        """An in-band command marker on each addressed shard queue: a
+        worker answers only after everything queued to it before — the
+        barrier (a migration's freeze needs no drain of unrelated
+        shards).  A worker that cannot install migrated state ships the
+        error and exits with :data:`MIGRATION_ABORT_EXIT_CODE`; ``stop``
+        with ``drain`` set exits with :data:`DRAIN_EXIT_CODE` instead of
+        0, marking a requested drain rather than source exhaustion."""
+        self._barrier_token += 1
+        token = self._barrier_token
+        for index, arg in args.items():
+            self._put(index, (op, arg, token))
+        return self._collect(token, args)
 
     def _check_growth(self, shards: int) -> None:
         if self._heartbeats is not None and shards > len(self._heartbeats):
@@ -707,37 +656,20 @@ class MultiprocessEngine(ShardedEngine):
                 )
                 self._spawn_worker(index)
 
-    # -- checkpointing -----------------------------------------------------
-
-    def _collect_states(self) -> Dict[int, Dict[int, Dict[str, object]]]:
-        """An in-band snapshot barrier on every shard."""
-        token = self._next_token()
-        for index in range(self._shards):
-            self._put(index, ("snapshot", token))
-        return self._collect("snapshot", token)
-
-    def _next_token(self) -> int:
-        self._barrier_token += 1
-        return self._barrier_token
-
     def _collect(
-        self,
-        kind: str,
-        token: Optional[int] = None,
-        indices: Optional[Iterable[int]] = None,
+        self, token: int, indices: Iterable[int]
     ) -> Dict[int, object]:
-        """Gather one ``kind`` reply per addressed shard from the shared
-        result queue, surfacing worker crashes as structured errors.
+        """Gather the reply to command ``token`` from each addressed
+        shard off the shared result queue, surfacing worker crashes as
+        structured errors.
 
         Polls with a short timeout so a worker that dies while we wait is
         noticed in ``LIVENESS_POLL_S + DEAD_REPLY_GRACE_S`` (the grace
         window lets a reply the dying worker's feeder thread already
         flushed still arrive) instead of after ``REPLY_TIMEOUT_S``.
         """
-        if indices is None:
-            indices = range(self._shards)
         pending = set(indices)
-        states: Dict[int, object] = {}
+        replies: Dict[int, object] = {}
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         dead_grace: Dict[int, float] = {}
         while pending:
@@ -765,14 +697,10 @@ class MultiprocessEngine(ShardedEngine):
                 )
             if message[0] == "invariant":
                 raise _invariant_from_payload(message[2])
-            if message[0] != kind or (token is not None and message[2] != token):
+            _done, index, reply_token, reply = message
+            if reply_token != token or index not in pending:
                 # A stale reply from an earlier barrier; ignore.
                 continue
-            index = message[1]
-            if index not in pending:
-                continue
-            states[index] = (
-                message[2] if kind == "done" else message[3]
-            )
+            replies[index] = reply
             pending.discard(index)
-        return states
+        return replies

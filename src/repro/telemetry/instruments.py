@@ -537,33 +537,6 @@ class ServiceInstruments:
                 channel.exact.set(0)
                 channel.first_loss.set(loss)
 
-    def sync_detectors(self, detectors: Sequence[object]) -> None:
-        """Copy per-shard detector stats (in-process engines only — the
-        multiprocess engine's detectors live in worker processes and
-        surface through snapshots instead)."""
-        for channel, detector in zip(self._channels, detectors):
-            stats = detector.stats  # type: ignore[attr-defined]
-            # len(sink) = distinct large flows reported — matches the
-            # ShardHealth field, so sync_health can't rewind this series.
-            channel.detections.set_total(
-                len(detector.sink)  # type: ignore[attr-defined]
-            )
-            channel.virtual_bytes.set_total(stats.virtual_bytes)
-            channel.blacklisted_packets.set_total(stats.blacklisted_packets)
-            channel.blacklist_size.set(
-                len(detector.blacklist)  # type: ignore[attr-defined]
-            )
-            channel.counters_in_use.set(
-                detector.counters_in_use  # type: ignore[attr-defined]
-            )
-            evictions = getattr(detector, "store_evictions", None)
-            if evictions is not None:
-                channel.evictions.set_total(evictions)
-            checker = getattr(detector, "checker", None)
-            if checker is not None:
-                channel.invariant_checks.set_total(checker.checks_run)
-                channel.invariant_check_ns.set_total(checker.check_time_ns)
-
     def sync_detector_groups(self, groups: Sequence[Sequence[object]]) -> None:
         """Copy per-shard detector stats when a shard hosts *several*
         slot detectors (the resharding layout): gauges and totals are

@@ -773,6 +773,43 @@ class TestClosedLoop:
         assert records
         assert records[0].payload["phase"] == "verify"
 
+    def test_retune_incidents_past_the_event_cap_name_their_own_epochs(
+        self, tmp_path
+    ):
+        """The dead-letter sink keeps the newest EVENT_CAPACITY events,
+        and each retune incident reads its detail from the newest
+        ``retune`` event: 300 alternating retunes, a short serve between
+        each, leave 300 incidents naming epochs 0->1 up to 299->300."""
+        lab = ForensicsLab(tmp_path / "forensics")
+        service = DetectionService(CONFIG, shards=1, forensics=lab)
+        coarsen = make_plan()
+        revert = RetunePlan(
+            old_config=coarsen.new_config,
+            new_config=CONFIG,
+            reason="test: revert",
+            inputs=dict(coarsen.inputs, gamma_l=CONFIG.gamma_l),
+        )
+        try:
+            for index in range(300):
+                service.serve(
+                    PACKETS, max_packets=5 * (index + 1),
+                    final_checkpoint=False,
+                )
+                service.apply_retune(revert if index % 2 else coarsen)
+            service.serve(PACKETS, final_checkpoint=False)
+            sink = service.dead_letter
+            assert sink.event_total == 300
+            assert len(sink.events) == sink.EVENT_CAPACITY
+        finally:
+            service.shutdown()
+            lab.close()
+        epochs = [
+            (r.payload["from_epoch"], r.payload["to_epoch"])
+            for r in lab.store.records
+            if r.incident_class == "retune"
+        ]
+        assert epochs == [(index, index + 1) for index in range(300)]
+
 
 # ---------------------------------------------------------------------------
 # The `eardet tune` CLI

@@ -232,6 +232,8 @@ def test_partition_losses_map_to_net_outage_incidents(tmp_path):
         watcher = None
         ingested = 100
         _migrations = 0
+        _retunes = 0
+        _retune_infeasibles = 0
         _rollbacks = {"migration": 0, "retune": 0}
         _last_source = None
         dead_letter = None

@@ -22,11 +22,13 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import EARDetConfig
+from repro.core.eardet import ReconfigurationError
 from repro.service import (
     BackoffPolicy,
     DRAIN_EXIT_CODE,
@@ -35,7 +37,9 @@ from repro.service import (
     FrameCorruptError,
     HandshakeError,
     InProcessEngine,
+    MigrationError,
     MigrationPlan,
+    MultiprocessEngine,
     NET_PROTOCOL_VERSION,
     NetFault,
     RemoteEngine,
@@ -396,7 +400,7 @@ class TestHandshake:
     def test_version_1_hello_refused(self):
         """A coordinator still speaking protocol 1 (per-packet tuple
         batches) is refused permanently, never fed column-less frames."""
-        assert NET_PROTOCOL_VERSION == 3
+        assert NET_PROTOCOL_VERSION == 4
         self.assert_refused(1)
 
     def test_version_2_hello_refused(self):
@@ -404,6 +408,12 @@ class TestHandshake:
         columns per batch) is refused permanently: its servers would
         have to hash every flow again."""
         self.assert_refused(2)
+
+    def test_version_3_hello_refused(self):
+        """A coordinator speaking protocol 3 (one control-frame shape per
+        slot command) is refused permanently: its snapshot, extract,
+        install, reconfig and stop frames carry no ``arg``."""
+        self.assert_refused(3)
 
     def test_non_hello_first_frame_rejected(self):
         with fleet(1) as (server,):
@@ -778,6 +788,59 @@ class TestRemoteResharding:
             assert engine.layout.shards == 2  # rolled back
             engine.close()
 
+    def test_commands_reach_the_rolled_back_spare_on_every_transport(self):
+        """Slot commands reach every provisioned shard on every
+        transport.  A split rolled back at install leaves its target
+        provisioned as a spare; a refused retune (n below occupancy) is
+        rolled back by re-applying the old config; a committed retune
+        to n=16 must reach the spare too, or the next split onto it
+        restores 16-counter states into an 8-counter host.  The three
+        transports end in equal snapshots."""
+        packets = make_packets()
+        third = len(packets) // 3
+        install_fault = "mig:phase=install,mode=fail,at=1"
+        snapshots = {}
+        with fleet(2) as servers:
+            engines = {
+                "inprocess": InProcessEngine(CONFIG, shards=1, slots=4),
+                "multiprocess": MultiprocessEngine(
+                    CONFIG, shards=1, slots=4, chunk_size=256
+                ),
+                "remote": remote_engine(
+                    servers, shards=1, slots=4, chunk_size=256
+                ),
+            }
+            for kind, engine in engines.items():
+                try:
+                    ingest_all(engine, packets[:third])
+                    with pytest.raises(MigrationError):
+                        execute_migration(
+                            engine,
+                            MigrationPlan.split(engine.layout, shard=0),
+                            attempts=1,
+                            backoff=FAST,
+                            fault_plan=FaultPlan.parse(install_fault),
+                        )
+                    assert engine.layout.shards == 1, kind
+                    with pytest.raises(ReconfigurationError):
+                        engine.apply_config(replace(CONFIG, n=2))
+                    engine.apply_config(CONFIG)
+                    engine.apply_config(replace(CONFIG, n=16))
+                    ingest_all(engine, packets[third:2 * third])
+                    execute_migration(
+                        engine,
+                        MigrationPlan.split(engine.layout, shard=0),
+                        backoff=FAST,
+                    )
+                    assert engine.layout.shards == 2, kind
+                    ingest_all(engine, packets[2 * third:])
+                    snapshots[kind] = engine.snapshot()
+                    del snapshots[kind]["queue_high_water"]
+                finally:
+                    engine.close()
+        assert snapshots["multiprocess"] == snapshots["inprocess"]
+        assert snapshots["remote"] == snapshots["inprocess"]
+
 
 # ------------------------------------------------------------------ CLI
 
@@ -859,7 +922,7 @@ class TestWorkerCLI:
                     if time.monotonic() > deadline:
                         raise
                     time.sleep(0.05)
-            seq = conn.send(FT_CONTROL, {"op": "stop", "drain": True})
+            seq = conn.send(FT_CONTROL, {"op": "stop", "arg": True})
             reply = conn.wait_reply(seq, 10.0)
             assert reply["op"] == "done"
             conn.close_socket()
