@@ -23,6 +23,10 @@ Usage::
     # inspect a checkpoint file:
     eardet checkpoint inspect --checkpoint state.ckpt
 
+Flags follow the verb, and each verb takes only the flags it reads:
+``eardet <verb> --help`` lists them, and a flag the verb would ignore
+exits 2.
+
 (Installed as ``eardet`` via the package's console script; also runnable
 as ``python -m repro.cli``.)
 """
@@ -30,10 +34,11 @@ as ``python -m repro.cli``.)
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .core.config import engineer
 from .core.eardet import EARDet
@@ -93,6 +98,9 @@ PRESETS = {
     "paper": ExperimentParams.paper,
 }
 
+#: Reorder-buffer depth of ``--validate reorder`` without ``--reorder-window``.
+REORDER_WINDOW = 64
+
 
 def package_version() -> str:
     """The installed package version, falling back to the source tree's
@@ -108,563 +116,558 @@ def package_version() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``eardet`` parser: one subparser per verb.
+
+    Every flag is declared in exactly one of the help-less parent parsers
+    below, and each verb is composed from the parents whose flags its
+    handler reads — so a flag given to a verb that would ignore it exits
+    2 with argparse's message.  A feature group's sub-flags default to
+    None: only the values actually given reach its policy (see
+    :func:`_armed`).
+    """
+
+    def flags(title=None, description=None, parents=()):
+        parent = argparse.ArgumentParser(add_help=False, parents=parents)
+        if title is None:
+            return parent, parent.add_argument
+        group = parent.add_argument_group(title, description)
+        return parent, group.add_argument
+
+    json_out, add = flags()
+    add("--json", action="store_true", help="print JSON instead of text")
+
+    seed, add = flags()
+    add(
+        "--seed", type=int,
+        help="base RNG seed override (experiments); flow-hash seed (serve; "
+        "default 0)",
+    )
+
+    experiment, add = flags("experiment options", parents=[json_out, seed])
+    add(
+        "--preset", choices=sorted(PRESETS), default="default",
+        help="parameter preset (quick/default/paper)",
+    )
+    add("--scale", type=float, help="trace scale override")
+    add("--repetitions", type=int, help="repetitions-per-point override")
+    add("--attack-flows", type=int, help="attack flows per scenario override")
+    add(
+        "--dataset", choices=["federico", "caida"],
+        help="which synthetic dataset the trace-driven experiments use",
+    )
+    add(
+        "--chart", action="store_true",
+        help="draw figure series as ASCII charts instead of tables",
+    )
+
+    trace, add = flags("trace options")
+    add("--trace", help="trace file (.csv, .ert, or .pcap)")
+    add(
+        "--host-pair", action="store_true",
+        help="define flows by (src, dst) instead of the 5-tuple (pcap only)",
+    )
+
+    link, add = flags("detector options")
+    add("--rho", type=int, help="link capacity, bytes/s")
+    add("--gamma-l", type=int, help="protected rate, bytes/s")
+    add("--beta-l", type=int, default=6072, help="protected burst, bytes")
+
+    solver, add = flags("detector options")
+    add("--gamma-h", type=int, help="detection rate, bytes/s")
+    add(
+        "--t-upincb", type=float, default=1.0,
+        help="incubation-period budget, seconds",
+    )
+
+    peaks, add = flags("analyze options")
+    add(
+        "--window-ms", type=float, default=100.0,
+        help="probe window for peak-rate statistics",
+    )
+    add("--top", type=int, default=10, help="top talkers to list")
+
+    guard, add = flags(
+        "guard options",
+        "Ingest hardening (see docs/GUARDRAILS.md): --validate screens "
+        "every trace packet before the detector sees it — 'strict' "
+        "rejects the trace at the first violation, 'repair' clamps/drops "
+        "offenders (voiding the exactness guarantee), 'reorder' also "
+        "re-sorts late packets within --reorder-window.",
+    )
+    add(
+        "--validate", choices=["strict", "repair", "reorder"],
+        help="screen trace packets through the ingest validator",
+    )
+    add(
+        "--reorder-window", type=int,
+        help="max buffered packets when re-sorting a mildly disordered "
+        f"stream (with --validate reorder; default {REORDER_WINDOW})",
+    )
+    add(
+        "--min-packet-size", type=int,
+        help="smallest acceptable packet size in bytes (with --validate; "
+        "default: Ethernet minimum)",
+    )
+    add(
+        "--max-packet-size", type=int,
+        help="largest acceptable packet size in bytes (with --validate; "
+        "default: Ethernet maximum)",
+    )
+
+    invariants, add = flags("guard options")
+    add(
+        "--invariant-every", type=int, metavar="N",
+        help="assert the detector's algorithm-state invariants every N "
+        "packets; violations abort with forensics",
+    )
+
+    checkpoint, add = flags()
+    add("--checkpoint", help="service checkpoint file")
+
+    faults, add = flags()
+    add(
+        "--fault-plan", metavar="SPEC",
+        help="inject deterministic faults for chaos testing, e.g. "
+        "'kill:shard=1,at=5000;drop:shard=0,at=200,count=10;"
+        "source:kind=transient,at=3000;ckpt:after=2,mode=truncate;"
+        "mig:phase=install,mode=fail,at=1'",
+    )
+
+    engine, add = flags("engine options")
+    add(
+        "--engine", choices=["inprocess", "multiprocess", "remote"],
+        help="service engine: deterministic in-process, one process per "
+        "shard, or one TCP shard server per shard (default inprocess, or "
+        "the checkpoint's when resuming; remote requires --workers)",
+    )
+    add(
+        "--workers", metavar="HOST:PORT,...",
+        help="comma-separated shard-server endpoints for the remote engine "
+        "(one per shard, in shard order; extras idle as split spares)",
+    )
+    add(
+        "--terminate-grace", type=float, metavar="SECONDS",
+        help="grace the multiprocess engine gives each worker to exit "
+        "before escalating SIGTERM -> SIGKILL on abort (default 5s)",
+    )
+
+    service, add = flags("serve options")
+    add("--shards", type=int, default=1, help="worker shards")
+    add("--checkpoint-every", type=int, help="checkpoint interval, packets")
+    add(
+        "--batch-size", type=int, default=1024,
+        help="packets pulled from the source per batch",
+    )
+    add(
+        "--queue-capacity", type=int, default=4096,
+        help="max pending packets per shard queue",
+    )
+    add(
+        "--overflow", choices=["block", "drop"], default="block",
+        help="full-queue policy: block (exact backpressure) or drop "
+        "(lossy, counted)",
+    )
+    add("--max-packets", type=int, help="stop after this many packets")
+    add(
+        "--resume", action="store_true",
+        help="restore state from --checkpoint and replay the trace from "
+        "the checkpoint boundary",
+    )
+    add(
+        "--retry-source", type=int, default=0,
+        help="retry transient source failures up to this many consecutive "
+        "times with exponential backoff",
+    )
+    add(
+        "--supervise", action="store_true",
+        help="run under the fault-tolerant supervisor: dead shards are "
+        "restarted from the last checkpoint with bounded backoff",
+    )
+    add(
+        "--max-restarts", type=int,
+        help="supervised-restart budget (with --supervise; default 5)",
+    )
+    add(
+        "--heartbeat-timeout", type=float,
+        help="treat a shard as wedged when its heartbeat is older than "
+        "this many seconds (with --supervise, multiprocess engine)",
+    )
+
+    reshard, add = flags(
+        "resharding options",
+        "Exact live resharding (see docs/SERVICE.md): whole slots migrate "
+        "between shards at batch boundaries without perturbing "
+        "detections; --coordinate arms the elastic coordinator, which "
+        "splits hot shards and merges cold ones.",
+    )
+    add(
+        "--slots", type=int, metavar="N",
+        help="flow-routing slots (>= --shards; default equal to --shards, "
+        "which leaves no resharding headroom)",
+    )
+    add(
+        "--coordinate", action="store_true",
+        help="arm the skew-driven elastic coordinator (needs --slots > "
+        "--shards to have anything to move)",
+    )
+    add(
+        "--skew-high", type=float, metavar="RATIO",
+        help="max/mean per-shard load ratio that triggers a split once "
+        "persistent (default 2.0)",
+    )
+    add(
+        "--skew-low", type=float, metavar="RATIO",
+        help="skew ratio below which a merge becomes eligible (default 1.25)",
+    )
+    add(
+        "--reshard-persistence", type=int, metavar="WINDOWS",
+        help="observation windows the skew must persist before the "
+        "coordinator acts (default 3)",
+    )
+    add(
+        "--reshard-cooldown", type=int, metavar="WINDOWS",
+        help="observation windows after any migration attempt before the "
+        "next proposal (default 10)",
+    )
+    add(
+        "--max-shards", type=int, metavar="N",
+        help="ceiling on coordinator-provisioned shards (default 8)",
+    )
+
+    control, add = flags(
+        "adaptive control options",
+        "Telemetry-driven retuning (see docs/CONTROL.md): --control "
+        "re-runs the Appendix-A solver under sustained pressure or slack "
+        "and commits the result at a batch boundary as a new config "
+        "epoch, rolled back on any failure.",
+    )
+    add(
+        "--control", action="store_true",
+        help="arm the adaptive controller (needs --gamma-h and a telemetry "
+        "flag such as --metrics-port)",
+    )
+    add(
+        "--control-every", type=int, metavar="BATCHES",
+        help="controller sampling cadence in ingested batches (default 8)",
+    )
+    add(
+        "--control-min-window", type=int, metavar="PACKETS",
+        help="smallest packet window the controller will judge; shorter "
+        "windows accumulate (default 4096)",
+    )
+    add(
+        "--control-persistence", type=int, metavar="WINDOWS",
+        help="consecutive windows pressure/slack must persist before a "
+        "retune is proposed (default 3)",
+    )
+    add(
+        "--control-cooldown", type=int, metavar="WINDOWS",
+        help="windows after any retune attempt before the next proposal "
+        "(default 8)",
+    )
+    add(
+        "--control-widen", type=float, metavar="FACTOR",
+        help="multiplicative gamma_l step per retune (default 2.0)",
+    )
+
+    limits, add = flags("adaptive control options")
+    add(
+        "--control-max-counters", type=int, metavar="N",
+        help="operator memory cap on the solved counter count n",
+    )
+    add(
+        "--slo-drop-budget", type=float, metavar="FRAC",
+        help="SLO error budget: tolerated dropped-packet fraction feeding "
+        "the burn-rate rules (default 0.001)",
+    )
+
+    tuning, add = flags("tune options")
+    add(
+        "--tune-gamma-l", type=int, metavar="RATE",
+        help="target protected rate (default: re-derive at the "
+        "checkpoint's current gamma_l)",
+    )
+    add(
+        "--apply", action="store_true",
+        help="execute the proposed retune against the checkpoint through "
+        "the guarded protocol and rewrite it at the new config epoch (a "
+        "rolled-back failure leaves it untouched)",
+    )
+    add(
+        "--watch", action="store_true",
+        help="poll a live /metrics.json endpoint (--metrics-port) and "
+        "print control samples plus SLO alerts each round",
+    )
+    add(
+        "--watch-interval", type=float, default=2.0, metavar="SECONDS",
+        help="seconds between --watch polls (default 2)",
+    )
+    add(
+        "--watch-rounds", type=int, metavar="N",
+        help="stop --watch after N polls (default: until interrupted)",
+    )
+
+    watcher, add = flags(
+        "watcher options",
+        "A probabilistic ambiguity-region watcher per shard, next to the "
+        "exact EARDet shards (see docs/DETECTORS.md); its verdicts are "
+        "reported apart and never merged into the exact set.",
+    )
+    add(
+        "--watcher", choices=["clef", "loft", "none"], default="none",
+        help="ambiguity-region watcher (default none)",
+    )
+    add(
+        "--watcher-counters", type=int, metavar="M",
+        help="watcher memory: RLFD branching factor (clef) or per-stage "
+        "aggregates (loft)",
+    )
+    add("--watcher-depth", type=int, metavar="D", help="tree depth (clef)")
+    add(
+        "--watcher-fast-period-ms", type=float, metavar="MS",
+        help="fast twin RLFD level period (clef)",
+    )
+    add(
+        "--watcher-slow-period-ms", type=float, metavar="MS",
+        help="slow twin RLFD level period (clef)",
+    )
+    add(
+        "--watcher-epoch-ms", type=float, metavar="MS",
+        help="sketch aggregation epoch (loft)",
+    )
+    add("--watcher-stages", type=int, metavar="D", help="sketch stages (loft)")
+    add(
+        "--watcher-watchlist", type=int, metavar="K",
+        help="exact watchlist capacity for promoted candidates (loft)",
+    )
+    add(
+        "--watcher-flow-limit", type=int, metavar="N",
+        help="max distinct flows tracked per sketch epoch (loft)",
+    )
+    add(
+        "--watcher-seed", type=int, metavar="SEED",
+        help="watcher hash seed (salted per shard; default 0)",
+    )
+
+    overload, add = flags(
+        "overload options",
+        "Admission control (see docs/OVERLOAD.md): the ladder degrades "
+        "each shard exact -> deferred -> aggregated -> shedding by queue "
+        "occupancy, attributing every offered byte to one rung.  "
+        "SIGTERM/SIGINT request a graceful drain.",
+    )
+    add(
+        "--overload-policy", choices=["off", "ladder"], default="off",
+        help="overload response: 'off' (pure backpressure) or 'ladder' "
+        "(accounted degradation)",
+    )
+    add(
+        "--high-watermark", type=float, metavar="FRAC",
+        help="queue occupancy fraction that escalates one rung (default "
+        "0.75)",
+    )
+    add(
+        "--low-watermark", type=float, metavar="FRAC",
+        help="queue occupancy fraction that de-escalates one rung after "
+        "the cooldown (default 0.25)",
+    )
+    add(
+        "--overload-cooldown", type=int, metavar="BATCHES",
+        help="batches after a transition before a shard may de-escalate "
+        "(default 4)",
+    )
+    add(
+        "--drain-budget", type=int, metavar="PACKETS",
+        help="packets each shard may process per batch (in-process "
+        "engine; models worker capacity; default unbounded)",
+    )
+    add(
+        "--aggregate-window-ms", type=float, metavar="MS",
+        help="AGGREGATED rung coalescing epoch (bounds the ambiguity "
+        "widening; default 10)",
+    )
+    add(
+        "--defer-deadline-batches", type=int, metavar="N",
+        help="batches a DEFERRED buffer may age before it is force-released "
+        "(default 4)",
+    )
+
+    endpoint, add = flags(
+        "telemetry options",
+        "Live observability (see docs/OBSERVABILITY.md).  On serve, any of "
+        "these flags turns the metric registry on.",
+    )
+    add(
+        "--metrics-port", type=int, metavar="PORT",
+        help="metrics endpoint port: serve binds it (0 = OS-assigned), "
+        "metrics and tune --watch fetch from it",
+    )
+    add(
+        "--metrics-host", default="127.0.0.1", metavar="HOST",
+        help="bind/fetch host for the metrics endpoint (default 127.0.0.1)",
+    )
+
+    metrics_out, add = flags("telemetry options")
+    add(
+        "--metrics-out", metavar="PATH",
+        help="after the run, dump the final metrics to this file (.json = "
+        "JSON, anything else = Prometheus text)",
+    )
+
+    lab, add = flags(
+        "forensics options",
+        "Incident log, replay bundles and deterministic replay (see "
+        "docs/FORENSICS.md).",
+    )
+    add(
+        "--forensics-dir", metavar="DIR",
+        help="forensics lab: incident log at DIR/incidents.jsonl, replay "
+        "bundles under DIR/bundles (serve writes it)",
+    )
+
+    ring, add = flags("forensics options")
+    add(
+        "--forensics-ring-capacity", type=int, metavar="N",
+        help="trace packets the capture ring retains between checkpoint "
+        "baselines; a longer incident window refuses replay (with "
+        "--forensics-dir; default 65536)",
+    )
+
+    incident, add = flags("forensics options")
+    add(
+        "--id", type=int, metavar="ID", dest="incident_id",
+        help="incident id ('incidents show'; 'replay --id N' is 'replay N')",
+    )
+
+    stepped, add = flags("forensics options")
+    add(
+        "--step", action="store_true",
+        help="also dump per-packet counter/bucket deltas (diagnostic)",
+    )
+
+    export, add = flags("forensics options")
+    add(
+        "--html", action="store_true",
+        help="export the zero-dependency HTML timeline instead of JSON",
+    )
+    add(
+        "--out", metavar="PATH",
+        help="export output file (default stdout for JSON, incidents.html "
+        "next to the log for --html)",
+    )
+
+    simulation, add = flags("simulate options")
+    add("--bottleneck", type=int, default=2_000_000, help="capacity, bytes/s")
+    add("--victims", type=int, default=4, help="TCP-like victims")
+    add("--burst-kb", type=int, default=120, help="attacker burst size, KB")
+    add("--period-ms", type=int, default=500, help="attacker burst period, ms")
+    add("--duration-s", type=float, default=20.0, help="duration, seconds")
+    add("--no-policer", action="store_true", help="run without the policer")
+
+    shard_server, add = flags()
+    add(
+        "--listen", metavar="HOST:PORT",
+        help="endpoint the shard server binds (port 0 picks an ephemeral "
+        "port, printed on stdout)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="eardet",
         description=(
             "Regenerate the EARDet paper's tables and figures, run the "
             "detector over a trace file, or serve a stream with the "
-            "sharded checkpointing runtime."
+            "sharded checkpointing runtime.  Flags follow the verb; "
+            "'eardet VERB --help' lists that verb's flags."
         ),
     )
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {package_version()}",
+        "--version", action="version", version=f"%(prog)s {package_version()}"
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "list", "all", "detect", "detectors", "analyze", "simulate",
-            "serve", "worker", "checkpoint", "metrics", "replay",
-            "incidents", "tune", *EXPERIMENTS,
-        ],
-        help=(
-            "experiment to run ('list' to enumerate, 'all' for everything, "
-            "'detect'/'analyze' to process a trace file, 'detectors' to "
-            "list every detection scheme with its exactness class, "
-            "'simulate' for the closed-loop mitigation pipeline, 'serve' "
-            "for the streaming service, 'worker' for a remote shard "
-            "server (--listen), 'checkpoint' for checkpoint tooling, "
-            "'metrics' to fetch a running service's metrics endpoint, "
-            "'replay' to re-execute an incident bundle deterministically, "
-            "'incidents' to list/show/export the forensic incident log, "
-            "'tune' to propose/apply a guarded retune or --watch a live "
-            "service's SLO burn rate)"
-        ),
-    )
-    parser.add_argument(
-        "subaction",
-        nargs="?",
-        default=None,
-        help="sub-action for multi-verb commands (e.g. 'checkpoint inspect')",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        default="default",
-        help="parameter preset (quick/default/paper)",
-    )
-    parser.add_argument("--scale", type=float, help="trace scale override")
-    parser.add_argument(
-        "--repetitions", type=int, help="repetitions-per-point override"
-    )
-    parser.add_argument(
-        "--attack-flows", type=int, help="attack flows per scenario override"
-    )
-    parser.add_argument("--seed", type=int, help="base RNG seed override")
-    parser.add_argument(
-        "--dataset",
-        choices=["federico", "caida"],
-        help="which synthetic dataset the trace-driven experiments use",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit experiment results as JSON instead of text tables",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="draw figure series as ASCII charts instead of tables",
-    )
+    verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
 
-    detect = parser.add_argument_group("detect options")
-    detect.add_argument("--trace", help="trace file (.csv, .ert, or .pcap)")
-    detect.add_argument("--rho", type=int, help="link capacity, bytes/s")
-    detect.add_argument(
-        "--gamma-l", type=int, help="protected rate, bytes/s (detect)"
-    )
-    detect.add_argument(
-        "--beta-l", type=int, default=6072, help="protected burst, bytes"
-    )
-    detect.add_argument(
-        "--gamma-h", type=int, help="detection rate, bytes/s (detect)"
-    )
-    detect.add_argument(
-        "--t-upincb", type=float, default=1.0,
-        help="incubation-period budget, seconds",
-    )
-    detect.add_argument(
-        "--host-pair", action="store_true",
-        help="define flows by (src, dst) instead of the 5-tuple (pcap only)",
-    )
-    detect.add_argument(
-        "--window-ms", type=float, default=100.0,
-        help="probe window for peak-rate statistics (analyze)",
-    )
-    detect.add_argument(
-        "--top", type=int, default=10, help="top talkers to list (analyze)"
-    )
+    def verb(name, handler, summary, *parents):
+        sub = verbs.add_parser(
+            name, help=summary, description=summary, parents=list(parents)
+        )
+        sub.set_defaults(handler=handler)
+        return sub
 
-    serve = parser.add_argument_group("serve / checkpoint options")
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="worker shards for the streaming service (serve)",
-    )
-    serve.add_argument(
-        "--engine", choices=["inprocess", "multiprocess", "remote"],
-        default=None,
-        help="service engine: deterministic in-process, one process per "
-        "shard, or one TCP shard server per shard (serve; default "
-        "inprocess, or the checkpoint's on --resume; remote requires "
-        "--workers)",
-    )
-    serve.add_argument(
-        "--workers", default=None, metavar="HOST:PORT,...",
-        help="comma-separated shard-server endpoints for --engine remote "
-        "(one per shard, in shard order; extras idle as split spares) "
-        "(serve)",
-    )
-    serve.add_argument(
-        "--terminate-grace", type=float, default=None, metavar="SECONDS",
-        help="grace the multiprocess engine gives each worker to exit "
-        "before escalating SIGTERM -> SIGKILL on abort (serve; default "
-        "5s)",
-    )
-    serve.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="endpoint a remote shard server binds (worker; port 0 picks "
-        "an ephemeral port, printed on stdout)",
-    )
-    serve.add_argument(
-        "--checkpoint",
-        help="checkpoint file to write periodically / read back (serve, "
-        "checkpoint inspect)",
-    )
-    serve.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help="checkpoint interval in ingested packets (serve)",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=1024,
-        help="packets pulled from the source per batch (serve)",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=4096,
-        help="max pending packets per shard queue (serve)",
-    )
-    serve.add_argument(
-        "--overflow", choices=["block", "drop"], default="block",
-        help="full-queue policy: block (exact backpressure) or drop "
-        "(lossy, counted) (serve)",
-    )
-    serve.add_argument(
-        "--max-packets", type=int, default=None,
-        help="stop after this many packets (serve; for bounded runs)",
-    )
-    serve.add_argument(
-        "--resume", action="store_true",
-        help="restore state from --checkpoint and replay the trace from "
-        "the checkpoint boundary (serve)",
-    )
-    serve.add_argument(
-        "--supervise", action="store_true",
-        help="run under the fault-tolerant supervisor: dead shards are "
-        "restarted from the last checkpoint with bounded backoff (serve)",
-    )
-    serve.add_argument(
-        "--max-restarts", type=int, default=5,
-        help="supervised-restart budget before giving up (serve "
-        "--supervise)",
-    )
-    serve.add_argument(
-        "--heartbeat-timeout", type=float, default=None,
-        help="treat a shard as wedged when its heartbeat is older than "
-        "this many seconds (serve --supervise, multiprocess engine)",
-    )
-    serve.add_argument(
-        "--retry-source", type=int, default=0,
-        help="retry transient source failures up to this many consecutive "
-        "times with exponential backoff (serve)",
-    )
-    serve.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="inject deterministic faults for chaos testing, e.g. "
-        "'kill:shard=1,at=5000;drop:shard=0,at=200,count=10;"
-        "source:kind=transient,at=3000;ckpt:after=2,mode=truncate;"
-        "mig:phase=install,mode=fail,at=1' (serve)",
-    )
-
-    reshard = parser.add_argument_group(
-        "resharding options",
-        description=(
-            "Exact live resharding for the streaming service (see "
-            "docs/SERVICE.md).  --slots fixes the flow-routing "
-            "granularity above the shard count so whole slots can "
-            "migrate between shards at batch boundaries without "
-            "perturbing detections; --coordinate arms the elastic "
-            "coordinator, which splits hot shards / merges cold ones "
-            "when load skew persists past its hysteresis."
-        ),
-    )
-    reshard.add_argument(
-        "--slots", type=int, default=None, metavar="N",
-        help="flow-routing slots (>= --shards; default equal to "
-        "--shards, which leaves no resharding headroom) (serve)",
-    )
-    reshard.add_argument(
-        "--coordinate", action="store_true",
-        help="arm the skew-driven elastic coordinator (serve; needs "
-        "--slots > --shards to have anything to move)",
-    )
-    reshard.add_argument(
-        "--skew-high", type=float, default=2.0, metavar="RATIO",
-        help="max/mean per-shard load ratio that triggers a split once "
-        "persistent (default 2.0)",
-    )
-    reshard.add_argument(
-        "--skew-low", type=float, default=1.25, metavar="RATIO",
-        help="skew ratio below which a merge becomes eligible "
-        "(default 1.25)",
-    )
-    reshard.add_argument(
-        "--reshard-persistence", type=int, default=3, metavar="WINDOWS",
-        help="consecutive observation windows the skew must persist "
-        "before the coordinator acts (default 3)",
-    )
-    reshard.add_argument(
-        "--reshard-cooldown", type=int, default=10, metavar="WINDOWS",
-        help="observation windows after any migration attempt before "
-        "the next proposal (default 10)",
-    )
-    reshard.add_argument(
-        "--max-shards", type=int, default=8, metavar="N",
-        help="ceiling on coordinator-provisioned shards (default 8)",
-    )
-
-    control = parser.add_argument_group(
-        "adaptive control options",
-        description=(
-            "Telemetry-driven retuning with guarded, exact hot "
-            "reconfiguration (see docs/CONTROL.md).  --control arms the "
-            "closed-loop controller on 'serve' (requires telemetry, "
-            "e.g. --metrics-port, plus --gamma-h): it scrapes the "
-            "metric registry each window, re-runs the Appendix-A "
-            "solver under sustained pressure or slack, and applies the "
-            "result through the verify-then-commit retune protocol — "
-            "config changes land only at batch boundaries as explicit "
-            "config epochs, rolled back on any failure.  'tune' is the "
-            "manual verb: propose a retune from a checkpoint, --apply "
-            "it through the same guarded path (rewriting the "
-            "checkpoint at the new epoch), or --watch a live metrics "
-            "endpoint's SLO burn rate."
-        ),
-    )
-    control.add_argument(
-        "--control", action="store_true",
-        help="arm the adaptive controller (serve; needs --gamma-h and a "
-        "telemetry flag such as --metrics-port)",
-    )
-    control.add_argument(
-        "--control-every", type=int, default=8, metavar="BATCHES",
-        help="controller sampling cadence in ingested batches (default 8)",
-    )
-    control.add_argument(
-        "--control-min-window", type=int, default=4096, metavar="PACKETS",
-        help="smallest packet window the controller will judge; shorter "
-        "windows accumulate (default 4096)",
-    )
-    control.add_argument(
-        "--control-persistence", type=int, default=3, metavar="WINDOWS",
-        help="consecutive windows pressure/slack must persist before a "
-        "retune is proposed (default 3)",
-    )
-    control.add_argument(
-        "--control-cooldown", type=int, default=8, metavar="WINDOWS",
-        help="windows after any retune attempt (committed, rolled back "
-        "or infeasible) before the next proposal (default 8)",
-    )
-    control.add_argument(
-        "--control-widen", type=float, default=2.0, metavar="FACTOR",
-        help="multiplicative gamma_l step per coarsen/refine retune "
-        "(default 2.0)",
-    )
-    control.add_argument(
-        "--control-max-counters", type=int, default=None, metavar="N",
-        help="operator memory cap on the solved counter count n "
-        "(serve --control, tune)",
-    )
-    control.add_argument(
-        "--slo-drop-budget", type=float, default=None, metavar="FRAC",
-        help="SLO error budget: tolerated dropped-packet fraction "
-        "feeding the burn-rate rules (default 0.001)",
-    )
-    control.add_argument(
-        "--tune-gamma-l", type=int, default=None, metavar="RATE",
-        help="target protected rate for 'tune' propose/--apply "
-        "(default: re-derive at the checkpoint's current gamma_l)",
-    )
-    control.add_argument(
-        "--apply", action="store_true",
-        help="tune: execute the proposed retune against the checkpoint "
-        "through the guarded five-phase protocol and rewrite it at the "
-        "new config epoch (a rolled-back failure leaves it untouched)",
-    )
-    control.add_argument(
-        "--watch", action="store_true",
-        help="tune: poll a live /metrics.json endpoint (--metrics-port) "
-        "and print control samples plus SLO alerts each round",
-    )
-    control.add_argument(
-        "--watch-interval", type=float, default=2.0, metavar="SECONDS",
-        help="seconds between --watch polls (default 2)",
-    )
-    control.add_argument(
-        "--watch-rounds", type=int, default=None, metavar="N",
-        help="stop --watch after N polls (default: until interrupted)",
-    )
-
-    watcher = parser.add_argument_group(
-        "watcher options",
-        description=(
-            "Second-stage ambiguity-region watcher for the streaming "
-            "service (see docs/DETECTORS.md).  --watcher arms one "
-            "probabilistic detector per shard — CLEF's twin RLFDs or "
-            "LOFT — tapping the routed stream next to the exact EARDet "
-            "shards.  Exact detections are bit-identical with or "
-            "without a watcher; watcher verdicts appear in their own "
-            "probabilistic report section and are never merged into "
-            "the exact set."
-        ),
-    )
-    watcher.add_argument(
-        "--watcher", choices=["clef", "loft", "none"], default="none",
-        help="ambiguity-region watcher armed next to each EARDet shard "
-        "(serve; default none)",
-    )
-    watcher.add_argument(
-        "--watcher-counters", type=int, default=None, metavar="M",
-        help="watcher memory: RLFD branching factor (clef) or per-stage "
-        "aggregates (loft)",
-    )
-    watcher.add_argument(
-        "--watcher-depth", type=int, default=None, metavar="D",
-        help="RLFD virtual tree depth (clef)",
-    )
-    watcher.add_argument(
-        "--watcher-fast-period-ms", type=float, default=None, metavar="MS",
-        help="fast twin RLFD level period (clef)",
-    )
-    watcher.add_argument(
-        "--watcher-slow-period-ms", type=float, default=None, metavar="MS",
-        help="slow twin RLFD level period (clef)",
-    )
-    watcher.add_argument(
-        "--watcher-epoch-ms", type=float, default=None, metavar="MS",
-        help="sketch aggregation epoch (loft)",
-    )
-    watcher.add_argument(
-        "--watcher-stages", type=int, default=None, metavar="D",
-        help="sketch stages (loft)",
-    )
-    watcher.add_argument(
-        "--watcher-watchlist", type=int, default=None, metavar="K",
-        help="exact watchlist capacity for promoted candidates (loft)",
-    )
-    watcher.add_argument(
-        "--watcher-flow-limit", type=int, default=None, metavar="N",
-        help="max distinct flows tracked per sketch epoch (loft)",
-    )
-    watcher.add_argument(
-        "--watcher-seed", type=int, default=None, metavar="SEED",
-        help="watcher hash seed (salted per shard; default 0)",
-    )
-
-    overload = parser.add_argument_group(
-        "overload options",
-        description=(
-            "Admission control for the streaming service "
-            "(see docs/OVERLOAD.md).  --overload-policy ladder arms a "
-            "per-shard degradation ladder (exact -> deferred -> "
-            "aggregated -> shedding) driven by queue occupancy with "
-            "hysteresis watermarks; every offered byte is attributed to "
-            "exactly one rung, so the report's account always sums to "
-            "the offered total.  SIGTERM/SIGINT during serve request a "
-            "graceful drain: finish the batch, flush every rung buffer, "
-            "write the final checkpoint, then report."
-        ),
-    )
-    overload.add_argument(
-        "--overload-policy", choices=["off", "ladder"], default="off",
-        help="overload response: 'off' (pure backpressure) or 'ladder' "
-        "(accounted degradation) (serve)",
-    )
-    overload.add_argument(
-        "--high-watermark", type=float, default=0.75, metavar="FRAC",
-        help="queue occupancy fraction that escalates the ladder one "
-        "rung (default 0.75)",
-    )
-    overload.add_argument(
-        "--low-watermark", type=float, default=0.25, metavar="FRAC",
-        help="queue occupancy fraction that de-escalates one rung after "
-        "the cooldown (default 0.25)",
-    )
-    overload.add_argument(
-        "--overload-cooldown", type=int, default=4, metavar="BATCHES",
-        help="batches a shard must observe after a transition before it "
-        "may de-escalate (escalation is never delayed; default 4)",
-    )
-    overload.add_argument(
-        "--drain-budget", type=int, default=None, metavar="PACKETS",
-        help="packets each shard may process per batch under the ladder "
-        "(in-process engine; models worker capacity; default unbounded)",
-    )
-    overload.add_argument(
-        "--aggregate-window-ms", type=float, default=10.0, metavar="MS",
-        help="epoch length for the AGGREGATED rung's per-flow coalescing "
-        "(bounds the ambiguity widening; default 10)",
-    )
-    overload.add_argument(
-        "--defer-deadline-batches", type=int, default=4, metavar="N",
-        help="batches a DEFERRED buffer may age before it is force-"
-        "released (default 4)",
-    )
-
-    telemetry = parser.add_argument_group(
-        "telemetry options",
-        description=(
-            "Live observability for the streaming service "
-            "(see docs/OBSERVABILITY.md).  Any of these flags turns the "
-            "metric registry on; without them the hot path runs with "
-            "telemetry fully disabled."
-        ),
-    )
-    telemetry.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve live metrics over HTTP on this port while serving "
-        "(0 = OS-assigned; endpoints /metrics, /metrics.json, /healthz) "
-        "(serve; also the port 'metrics' fetches from)",
-    )
-    telemetry.add_argument(
-        "--metrics-host", default="127.0.0.1", metavar="HOST",
-        help="bind/fetch host for the metrics endpoint (default 127.0.0.1)",
-    )
-    telemetry.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="after the run, dump the final metrics to this file "
-        "(.json = JSON, anything else = Prometheus text) (serve)",
-    )
-
-    guard = parser.add_argument_group(
-        "guard options",
-        description=(
-            "Ingest hardening and runtime invariant checking "
-            "(see docs/GUARDRAILS.md).  --validate screens every trace "
-            "packet for negative times, time regressions, out-of-envelope "
-            "sizes and invalid flow IDs before the detector sees it; "
-            "'strict' rejects the trace on the first violation, 'repair' "
-            "clamps/drops offenders (voiding the exactness guarantee), "
-            "'reorder' additionally re-sorts late packets within "
-            "--reorder-window.  --invariant-every samples the paper's "
-            "algorithm-state invariants on the live detector."
-        ),
-    )
-    guard.add_argument(
-        "--validate", choices=["strict", "repair", "reorder"], default=None,
-        help="screen trace packets through the ingest validator "
-        "(detect, analyze, serve)",
-    )
-    guard.add_argument(
-        "--reorder-window", type=int, default=64,
-        help="max buffered packets when re-sorting a mildly disordered "
-        "stream (--validate reorder)",
-    )
-    guard.add_argument(
-        "--min-packet-size", type=int, default=None,
-        help="smallest acceptable packet size in bytes (with --validate; "
-        "default: Ethernet minimum)",
-    )
-    guard.add_argument(
-        "--max-packet-size", type=int, default=None,
-        help="largest acceptable packet size in bytes (with --validate; "
-        "default: Ethernet maximum)",
-    )
-    guard.add_argument(
-        "--invariant-every", type=int, default=None, metavar="N",
-        help="assert the detector's algorithm-state invariants every N "
-        "packets; violations abort with forensics (detect, serve)",
-    )
-
-    forensics = parser.add_argument_group(
-        "forensics options",
-        description=(
-            "Incident forensics and deterministic replay "
-            "(see docs/FORENSICS.md).  --forensics-dir arms the lab on "
-            "'serve': every detection, watcher verdict, overload "
-            "transition, migration, recovery and violation is appended "
-            "to an append-only CRC'd incident log, and the replayable "
-            "classes get a minimal replay bundle.  'replay "
-            "<bundle-or-id>' re-executes one bundle bit-identically; "
-            "'incidents list|show|export' reads the log back."
-        ),
-    )
-    forensics.add_argument(
-        "--forensics-dir", default=None, metavar="DIR",
-        help="arm the forensics lab: incident log at DIR/incidents.jsonl, "
-        "replay bundles under DIR/bundles (serve, replay, incidents)",
-    )
-    forensics.add_argument(
-        "--forensics-ring-capacity", type=int, default=None, metavar="N",
-        help="trace packets the capture ring retains between checkpoint "
-        "baselines; incidents whose window outgrows it are marked "
-        "truncated and refuse replay (default 65536)",
-    )
-    forensics.add_argument(
-        "--step", action="store_true",
-        help="replay: additionally dump per-packet counter/bucket deltas "
-        "(diagnostic; implies a packet-at-a-time re-execution)",
-    )
-    forensics.add_argument(
-        "--id", type=int, default=None, metavar="ID", dest="incident_id",
-        help="incident id ('incidents show'; also resolves 'replay <id>' "
-        "when given instead of a positional id)",
-    )
-    forensics.add_argument(
-        "--html", action="store_true",
-        help="incidents export: render the zero-dependency HTML timeline "
-        "viewer instead of JSON",
-    )
-    forensics.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="incidents export: output file (default stdout for JSON, "
-        "incidents.html next to the log for --html)",
-    )
-
-    sim = parser.add_argument_group("simulate options")
-    sim.add_argument(
-        "--bottleneck", type=int, default=2_000_000,
-        help="bottleneck capacity, bytes/s (simulate)",
-    )
-    sim.add_argument(
-        "--victims", type=int, default=4, help="TCP-like victims (simulate)"
-    )
-    sim.add_argument(
-        "--burst-kb", type=int, default=120,
-        help="attacker burst size, KB (simulate)",
-    )
-    sim.add_argument(
-        "--period-ms", type=int, default=500,
-        help="attacker burst period, ms (simulate)",
-    )
-    sim.add_argument(
-        "--duration-s", type=float, default=20.0,
-        help="simulated duration, seconds (simulate)",
-    )
-    sim.add_argument(
-        "--no-policer", action="store_true",
-        help="run without the EARDet policer (simulate)",
-    )
+    verb("list", run_list, "enumerate the experiments, one name per line")
+    verb("all", run_experiments, "run every experiment", experiment)
+    verb(
+        "detect", run_detect, "run EARDet over a trace file",
+        trace, link, solver, guard, invariants,
+    )
+    verb(
+        "detectors", run_detectors,
+        "list every detection scheme with its exactness class", json_out,
+    )
+    verb(
+        "analyze", run_analyze,
+        "per-flow statistics of a trace file, plus the ground-truth class "
+        "breakdown when thresholds are given",
+        trace, link, solver, peaks, guard,
+    )
+    verb(
+        "simulate", run_simulate,
+        "the closed-loop Shrew-vs-TCP mitigation pipeline", simulation,
+    )
+    verb(
+        "serve", run_serve, "the sharded streaming service over a trace",
+        trace, link, solver, service, checkpoint, faults, seed, engine,
+        guard, invariants, reshard, control, limits, watcher, overload,
+        endpoint, metrics_out, lab, ring, json_out,
+    )
+    verb(
+        "worker", run_worker_cmd,
+        "one remote shard server for 'serve --engine remote'", shard_server,
+    )
+    verb(
+        "checkpoint", run_checkpoint, "checkpoint tooling",
+        checkpoint, json_out,
+    ).add_argument(
+        "action", nargs="?", choices=["inspect"], default="inspect",
+        help="render the checkpoint's metadata and per-shard state (the "
+        "only sub-action, and the default)",
+    )
+    verb(
+        "metrics", run_metrics, "fetch a running service's metrics endpoint",
+        endpoint, json_out,
+    )
+    verb(
+        "replay", run_replay,
+        "re-execute an incident bundle deterministically",
+        lab, incident, stepped, json_out,
+    ).add_argument(
+        "target", nargs="?",
+        help="bundle file path, or incident id resolved against "
+        "--forensics-dir",
+    )
+    verb(
+        "incidents", run_incidents, "list/show/export the incident log",
+        lab, incident, export, json_out,
+    ).add_argument(
+        "action", nargs="?", choices=["list", "show", "export"],
+        default="list",
+        help="list the log (default), show one record (--id) or export it",
+    )
+    verb(
+        "tune", run_tune,
+        "propose a retune from a checkpoint, --apply it through the "
+        "guarded protocol, or --watch a live service's SLO burn rate "
+        "(see docs/CONTROL.md)",
+        checkpoint, solver, limits, tuning, engine, faults, invariants,
+        endpoint, json_out,
+    )
+    for name in EXPERIMENTS:
+        verb(name, run_experiments, f"regenerate {name}", experiment)
     return parser
+
+
+def _print_json(value) -> None:
+    """Print ``value`` as indented JSON (anything JSON cannot encode as
+    its ``str``)."""
+    print(json.dumps(value, indent=2, default=str))
 
 
 def resolve_params(args: argparse.Namespace) -> ExperimentParams:
@@ -685,130 +688,130 @@ def resolve_params(args: argparse.Namespace) -> ExperimentParams:
     return replace(base, **overrides)
 
 
+def _ns(ms: Optional[float]) -> Optional[int]:
+    """Milliseconds as whole nanoseconds (at least 1); None stays None."""
+    return None if ms is None else max(1, round(ms * 1_000_000))
+
+
+def _armed(armed: bool, arming: str, *options) -> Optional[Dict[str, object]]:
+    """The one rule of a feature group: its sub-flags mean something only
+    once its arming flag is given.
+
+    ``options`` are ``(flag, field, value)`` triples, ``value`` None when
+    the flag was not given.  Armed, the group yields the given values
+    keyed by ``field``, so every field left out keeps its policy default;
+    unarmed, it yields None — and a sub-flag given anyway is refused with
+    a message naming ``arming``.
+    """
+    given = [option for option in options if option[2] is not None]
+    if armed:
+        return {field: value for _flag, field, value in given}
+    if given:
+        raise SystemExit(f"{given[0][0]} requires {arming}")
+    return None
+
+
+def _build(what: str, make, *args, **fields):
+    """``make(*args, **fields)``, a ValueError refused as one
+    ``bad <what> options`` line."""
+    try:
+        return make(*args, **fields)
+    except ValueError as error:
+        raise SystemExit(f"bad {what} options: {error}")
+
+
 def _guard_policy(args: argparse.Namespace):
     """Build the ingest-validation policy from the guard options, or None
     when --validate was not given."""
+    given = _armed(
+        args.validate is not None, "--validate",
+        ("--reorder-window", "window", args.reorder_window),
+        ("--min-packet-size", "min_size", args.min_packet_size),
+        ("--max-packet-size", "max_size", args.max_packet_size),
+    )
+    if given is None:
+        return None
     from .guard import GuardPolicy
 
-    if args.validate is None:
-        for flag, value in (
-            ("--min-packet-size", args.min_packet_size),
-            ("--max-packet-size", args.max_packet_size),
-        ):
-            if value is not None:
-                raise SystemExit(f"{flag} requires --validate")
-        return None
+    window = given.pop("window", REORDER_WINDOW)
     if args.validate == "strict":
-        policy = GuardPolicy.strict()
-    elif args.validate == "repair":
-        policy = GuardPolicy.repair()
-    else:
-        if args.reorder_window < 1:
-            raise SystemExit(
-                f"--reorder-window must be >= 1, got {args.reorder_window}"
-            )
-        policy = GuardPolicy.reordering(window=args.reorder_window)
-    overrides = {}
-    if args.min_packet_size is not None:
-        overrides["min_size"] = args.min_packet_size
-    if args.max_packet_size is not None:
-        overrides["max_size"] = args.max_packet_size
-    if overrides:
-        try:
-            policy = replace(policy, **overrides)
-        except ValueError as error:
-            raise SystemExit(f"bad guard options: {error}")
-    return policy
+        return _build("guard", GuardPolicy.strict, **given)
+    if args.validate == "repair":
+        return _build("guard", GuardPolicy.repair, **given)
+    if window < 1:
+        raise SystemExit(f"--reorder-window must be >= 1, got {window}")
+    return _build("guard", GuardPolicy.reordering, window, **given)
 
 
 def _overload_policy(args: argparse.Namespace):
     """Build the :class:`~repro.service.OverloadPolicy` from the overload
     options, or None when ``--overload-policy off`` (the default)."""
-    if args.overload_policy == "off":
+    given = _armed(
+        args.overload_policy == "ladder", "--overload-policy ladder",
+        ("--high-watermark", "high_watermark", args.high_watermark),
+        ("--low-watermark", "low_watermark", args.low_watermark),
+        ("--overload-cooldown", "cooldown", args.overload_cooldown),
+        ("--drain-budget", "drain_budget", args.drain_budget),
+        (
+            "--aggregate-window-ms", "aggregate_window_ns",
+            _ns(args.aggregate_window_ms),
+        ),
+        (
+            "--defer-deadline-batches", "defer_deadline_batches",
+            args.defer_deadline_batches,
+        ),
+    )
+    if given is None:
         return None
     from .service import OverloadPolicy
 
-    try:
-        return OverloadPolicy(
-            high_watermark=args.high_watermark,
-            low_watermark=args.low_watermark,
-            cooldown=args.overload_cooldown,
-            drain_budget=args.drain_budget,
-            aggregate_window_ns=max(
-                1, round(args.aggregate_window_ms * 1_000_000)
-            ),
-            defer_deadline_batches=args.defer_deadline_batches,
-        )
-    except ValueError as error:
-        raise SystemExit(f"bad overload options: {error}")
+    return _build("overload", OverloadPolicy, **given)
 
 
 def _watcher_policy(args: argparse.Namespace):
     """Build the :class:`~repro.service.WatcherPolicy` from the watcher
     options, or None when ``--watcher none`` (the default)."""
-    sizing_flags = (
-        ("--watcher-counters", args.watcher_counters),
-        ("--watcher-depth", args.watcher_depth),
-        ("--watcher-fast-period-ms", args.watcher_fast_period_ms),
-        ("--watcher-slow-period-ms", args.watcher_slow_period_ms),
-        ("--watcher-epoch-ms", args.watcher_epoch_ms),
-        ("--watcher-stages", args.watcher_stages),
-        ("--watcher-watchlist", args.watcher_watchlist),
-        ("--watcher-flow-limit", args.watcher_flow_limit),
-        ("--watcher-seed", args.watcher_seed),
+    given = _armed(
+        args.watcher != "none", "--watcher clef|loft",
+        ("--watcher-counters", "counters", args.watcher_counters),
+        ("--watcher-depth", "depth", args.watcher_depth),
+        (
+            "--watcher-fast-period-ms", "fast_period_ns",
+            _ns(args.watcher_fast_period_ms),
+        ),
+        (
+            "--watcher-slow-period-ms", "slow_period_ns",
+            _ns(args.watcher_slow_period_ms),
+        ),
+        ("--watcher-epoch-ms", "epoch_ns", _ns(args.watcher_epoch_ms)),
+        ("--watcher-stages", "stages", args.watcher_stages),
+        ("--watcher-watchlist", "watchlist", args.watcher_watchlist),
+        ("--watcher-flow-limit", "flow_limit", args.watcher_flow_limit),
+        ("--watcher-seed", "seed", args.watcher_seed),
     )
-    if args.watcher == "none":
-        for flag, value in sizing_flags:
-            if value is not None:
-                raise SystemExit(f"{flag} requires --watcher clef|loft")
+    if given is None:
         return None
     from .service import WatcherPolicy
 
-    def _ns(ms: float) -> int:
-        return max(1, round(ms * 1_000_000))
-
-    overrides = {}
-    if args.watcher_counters is not None:
-        overrides["counters"] = args.watcher_counters
-    if args.watcher_depth is not None:
-        overrides["depth"] = args.watcher_depth
-    if args.watcher_fast_period_ms is not None:
-        overrides["fast_period_ns"] = _ns(args.watcher_fast_period_ms)
-    if args.watcher_slow_period_ms is not None:
-        overrides["slow_period_ns"] = _ns(args.watcher_slow_period_ms)
-    if args.watcher_epoch_ms is not None:
-        overrides["epoch_ns"] = _ns(args.watcher_epoch_ms)
-    if args.watcher_stages is not None:
-        overrides["stages"] = args.watcher_stages
-    if args.watcher_watchlist is not None:
-        overrides["watchlist"] = args.watcher_watchlist
-    if args.watcher_flow_limit is not None:
-        overrides["flow_limit"] = args.watcher_flow_limit
-    if args.watcher_seed is not None:
-        overrides["seed"] = args.watcher_seed
-    try:
-        return WatcherPolicy(kind=args.watcher, **overrides)
-    except ValueError as error:
-        raise SystemExit(f"bad watcher options: {error}")
+    return _build("watcher", WatcherPolicy, kind=args.watcher, **given)
 
 
 def _coordinator_policy(args: argparse.Namespace):
     """Build the :class:`~repro.service.CoordinatorPolicy` from the
     resharding options, or None when ``--coordinate`` was not given."""
-    if not args.coordinate:
+    given = _armed(
+        args.coordinate, "--coordinate",
+        ("--skew-high", "skew_high", args.skew_high),
+        ("--skew-low", "skew_low", args.skew_low),
+        ("--reshard-persistence", "persistence", args.reshard_persistence),
+        ("--reshard-cooldown", "cooldown", args.reshard_cooldown),
+        ("--max-shards", "max_shards", args.max_shards),
+    )
+    if given is None:
         return None
     from .service import CoordinatorPolicy
 
-    try:
-        return CoordinatorPolicy(
-            skew_high=args.skew_high,
-            skew_low=args.skew_low,
-            persistence=args.reshard_persistence,
-            cooldown=args.reshard_cooldown,
-            max_shards=args.max_shards,
-        )
-    except ValueError as error:
-        raise SystemExit(f"bad resharding options: {error}")
+    return _build("resharding", CoordinatorPolicy, **given)
 
 
 def _control_policy(args: argparse.Namespace):
@@ -819,7 +822,20 @@ def _control_policy(args: argparse.Namespace):
     promotes it to a controller), or a pre-built
     :class:`~repro.control.Controller` when an SLO override needs a
     custom evaluator."""
-    if not args.control:
+    given = _armed(
+        args.control, "--control",
+        ("--control-every", "every_batches", args.control_every),
+        (
+            "--control-min-window", "min_window_packets",
+            args.control_min_window,
+        ),
+        ("--control-persistence", "persistence", args.control_persistence),
+        ("--control-cooldown", "cooldown", args.control_cooldown),
+        ("--control-widen", "widen_factor", args.control_widen),
+        ("--control-max-counters", "max_counters", args.control_max_counters),
+        ("--slo-drop-budget", "drop_budget", args.slo_drop_budget),
+    )
+    if given is None:
         return None
     if args.gamma_h is None:
         raise SystemExit(
@@ -827,29 +843,50 @@ def _control_policy(args: argparse.Namespace):
             "detection-rate input, which the running config does not "
             "record)"
         )
-    from .control import ControlPolicy
+    from .control import Controller, ControlPolicy, SLOEvaluator, SLOPolicy
 
-    try:
-        policy = ControlPolicy(
-            gamma_h=args.gamma_h,
-            t_upincb_seconds=args.t_upincb,
-            every_batches=args.control_every,
-            min_window_packets=args.control_min_window,
-            persistence=args.control_persistence,
-            cooldown=args.control_cooldown,
-            widen_factor=args.control_widen,
-            max_counters=args.control_max_counters,
-        )
-        if args.slo_drop_budget is None:
-            return policy
-        from .control import Controller, SLOEvaluator, SLOPolicy
+    drop_budget = given.pop("drop_budget", None)
+    policy = _build(
+        "control", ControlPolicy,
+        gamma_h=args.gamma_h, t_upincb_seconds=args.t_upincb, **given,
+    )
+    if drop_budget is None:
+        return policy
+    slo = _build("control", SLOPolicy, drop_budget=drop_budget)
+    return Controller(policy, slo=SLOEvaluator(slo))
 
-        return Controller(
-            policy,
-            slo=SLOEvaluator(SLOPolicy(drop_budget=args.slo_drop_budget)),
-        )
-    except ValueError as error:
-        raise SystemExit(f"bad control options: {error}")
+
+def _supervision(args: argparse.Namespace):
+    """The :class:`~repro.service.Supervisor` keywords from
+    ``--supervise`` and its sub-flags, or None when not supervised."""
+    given = _armed(
+        args.supervise, "--supervise",
+        ("--max-restarts", "max_restarts", args.max_restarts),
+        ("--heartbeat-timeout", "heartbeat_timeout_s", args.heartbeat_timeout),
+    )
+    if given is None:
+        return None
+    from .service import RestartPolicy
+
+    heartbeat = given.pop("heartbeat_timeout_s", None)
+    return dict(policy=RestartPolicy(**given), heartbeat_timeout_s=heartbeat)
+
+
+def _forensics_lab(args: argparse.Namespace):
+    """Build the ``serve`` forensics lab from ``--forensics-dir``, or
+    None when forensics is not armed."""
+    given = _armed(
+        args.forensics_dir is not None, "--forensics-dir",
+        (
+            "--forensics-ring-capacity", "ring_capacity",
+            args.forensics_ring_capacity,
+        ),
+    )
+    if given is None:
+        return None
+    from .forensics import ForensicsLab
+
+    return _build("forensics", ForensicsLab, args.forensics_dir, **given)
 
 
 def _install_drain_handlers(request_drain) -> "dict | None":
@@ -953,20 +990,51 @@ def load_trace(path: str, by_host_pair: bool = False, validator=None):
     )
 
 
+def run_list(args: argparse.Namespace) -> int:
+    """The ``list`` command — a stable machine-parseable contract: one
+    experiment name per line, names match [a-z0-9-]+, nothing else on
+    stdout, exit code 0."""
+    try:
+        for name in EXPERIMENTS:
+            print(name)
+    except BrokenPipeError:
+        # Downstream `head` closed early; exit quietly.
+        sys.stderr.close()
+    return 0
+
+
+def run_experiments(args: argparse.Namespace) -> int:
+    """``all`` and the experiment verbs: regenerate tables and figures."""
+    params = resolve_params(args)
+    names = list(EXPERIMENTS) if args.verb == "all" else [args.verb]
+    try:
+        if args.json:
+            from .experiments.report import to_dict
+
+            _print_json({
+                name: [to_dict(item) for item in EXPERIMENTS[name](params)]
+                for name in names
+            })
+        else:
+            from .experiments.charts import render_chart
+            from .experiments.report import SeriesSet
+
+            for name in names:
+                for item in EXPERIMENTS[name](params):
+                    if args.chart and isinstance(item, SeriesSet):
+                        print(render_chart(item))
+                    else:
+                        print(item.render())
+                    print()
+    except BrokenPipeError:
+        # Downstream pager/`head` closed early; exit quietly.
+        sys.stderr.close()
+    return 0
+
+
 def run_detect(args: argparse.Namespace) -> int:
     """The ``detect`` command: engineer a config and process a trace."""
-    missing = [
-        flag
-        for flag, value in (
-            ("--trace", args.trace),
-            ("--rho", args.rho),
-            ("--gamma-l", args.gamma_l),
-            ("--gamma-h", args.gamma_h),
-        )
-        if value is None
-    ]
-    if missing:
-        raise SystemExit(f"detect requires {', '.join(missing)}")
+    _require("detect", args, ("--trace", args.trace))
     from .guard import InvariantViolation, StreamViolationError
 
     validator = _guard_validator(args)
@@ -980,13 +1048,7 @@ def run_detect(args: argparse.Namespace) -> int:
             "(use --validate repair/reorder to continue on a repaired "
             "stream)"
         )
-    config = engineer(
-        rho=args.rho,
-        gamma_l=args.gamma_l,
-        beta_l=args.beta_l,
-        gamma_h=args.gamma_h,
-        t_upincb_seconds=args.t_upincb,
-    )
+    config = _config(args)
     print(config.describe())
     stats = stream.stats()
     print(
@@ -1028,9 +1090,7 @@ def run_detectors(args: argparse.Namespace) -> int:
 
     try:
         if args.json:
-            import json
-
-            payload = {
+            _print_json({
                 name: {
                     "class": f"{entry.module}.{entry.cls_name}",
                     "exactness": entry.exactness,
@@ -1039,8 +1099,7 @@ def run_detectors(args: argparse.Namespace) -> int:
                     "checkpointable": entry.checkpointable,
                 }
                 for name, entry in sorted(DETECTOR_CATALOG.items())
-            }
-            print(json.dumps(payload, indent=2))
+            })
         else:
             print(render_catalog(verbose=True))
     except BrokenPipeError:
@@ -1070,17 +1129,11 @@ def run_analyze(args: argparse.Namespace) -> int:
         raise SystemExit(f"trace rejected by ingest validation: {error}")
     if validator is not None:
         _print_validation_summary(validator.stats)
-    window_ns = max(1, round(args.window_ms * 1_000_000))
+    window_ns = _ns(args.window_ms)
     stats = analyze_stream(stream, window_ns=window_ns)
     labels = None
     if args.gamma_h and args.gamma_l:
-        config = engineer(
-            rho=args.rho,
-            gamma_l=args.gamma_l,
-            beta_l=args.beta_l,
-            gamma_h=args.gamma_h,
-            t_upincb_seconds=args.t_upincb,
-        )
+        config = _config(args)
         labels = label_stream(
             stream,
             high=ThresholdFunction(gamma=args.gamma_h, beta=config.beta_h),
@@ -1113,10 +1166,14 @@ def run_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
+def _require(verb: str, args: argparse.Namespace, *required) -> None:
+    """Refuse a missing ``--rho``, ``--gamma-l`` or ``--gamma-h`` — or any
+    other ``(flag, value)`` pair in ``required`` — as one ``<verb>
+    requires ...`` line."""
     missing = [
         flag
         for flag, value in (
+            *required,
             ("--rho", args.rho),
             ("--gamma-l", args.gamma_l),
             ("--gamma-h", args.gamma_h),
@@ -1124,7 +1181,11 @@ def _serve_config(args: argparse.Namespace):
         if value is None
     ]
     if missing:
-        raise SystemExit(f"serve requires {', '.join(missing)}")
+        raise SystemExit(f"{verb} requires {', '.join(missing)}")
+
+
+def _config(args: argparse.Namespace):
+    """The detector config the threshold flags engineer."""
     return engineer(
         rho=args.rho,
         gamma_l=args.gamma_l,
@@ -1134,15 +1195,49 @@ def _serve_config(args: argparse.Namespace):
     )
 
 
+def _fault_plan(args: argparse.Namespace):
+    """The parsed ``--fault-plan``, or None when none was given."""
+    if not args.fault_plan:
+        return None
+    from .service import FaultPlan
+
+    try:
+        return FaultPlan.parse(args.fault_plan)
+    except ValueError as error:
+        raise SystemExit(f"bad --fault-plan: {error}")
+
+
+def _read_checkpoint(path: str, failure: str = "cannot read"):
+    """The checkpoint at ``path``, or one ``<failure> <path>: ...`` line."""
+    from .service import CheckpointError, read_checkpoint
+
+    try:
+        return read_checkpoint(path)
+    except (CheckpointError, FileNotFoundError) as error:
+        raise SystemExit(f"{failure} {path}: {error}")
+
+
+def _resume(args: argparse.Namespace, **options):
+    """Resume the service in ``--checkpoint`` on ``--engine`` (default:
+    the engine it records), refusing a bad checkpoint in one line."""
+    from .service import DetectionService
+
+    try:
+        return DetectionService.resume(
+            args.checkpoint, engine=args.engine, **options
+        )
+    except (ValueError, FileNotFoundError) as error:
+        raise SystemExit(f"cannot resume from {args.checkpoint}: {error}")
+
+
 def run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: the sharded streaming runtime over a trace
     source, with optional periodic checkpoints, crash recovery, fault
     injection (``--fault-plan``) and supervised restart (``--supervise``)."""
     from .service import (
         DetectionService,
-        FaultPlan,
         FaultySource,
-        RestartPolicy,
+        RestartBudgetExceededError,
         RetryingSource,
         Supervisor,
         TraceFileSource,
@@ -1160,12 +1255,8 @@ def run_serve(args: argparse.Namespace) -> int:
         by_host_pair=args.host_pair,
         validator=_guard_validator(args),
     )
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            raise SystemExit(f"bad --fault-plan: {error}")
+    fault_plan = _fault_plan(args)
+    if fault_plan is not None:
         if fault_plan.source_faults:
             source = FaultySource(source, fault_plan)
         if not args.json:
@@ -1178,6 +1269,7 @@ def run_serve(args: argparse.Namespace) -> int:
     watcher = _watcher_policy(args)
     coordinator = _coordinator_policy(args)
     controller = _control_policy(args)
+    supervision = _supervision(args)
     if controller is not None and telemetry is None:
         raise SystemExit(
             "--control needs telemetry to scrape; add --metrics-port "
@@ -1188,7 +1280,21 @@ def run_serve(args: argparse.Namespace) -> int:
             f"--slots must be >= --shards, got {args.slots} slots for "
             f"{args.shards} shards"
         )
-    engine_options = _engine_options(args)
+    if supervision is not None and args.resume:
+        raise SystemExit(
+            "--supervise already recovers from --checkpoint; drop --resume"
+        )
+    # Engine flags are checked against the engine that will run: a
+    # resume's engine and shard count are the checkpoint's unless
+    # --engine overrides the engine.
+    engine, shards = args.engine or "inprocess", args.shards
+    if args.resume:
+        if args.checkpoint is None:
+            raise SystemExit("serve --resume requires --checkpoint")
+        meta = _read_checkpoint(args.checkpoint, "cannot resume from")["meta"]
+        engine = args.engine or meta.get("engine")
+        shards = meta.get("shards", shards)
+    engine_options = _engine_options(args, engine, shards)
     forensics = _forensics_lab(args)
     if forensics is not None and not args.json:
         print(f"forensics: incident log at {forensics.store.path}")
@@ -1211,72 +1317,35 @@ def run_serve(args: argparse.Namespace) -> int:
     )
     fresh = dict(
         shards=args.shards,
-        engine=args.engine or "inprocess",
+        engine=engine,
         seed=args.seed or 0,
         checkpoint_path=args.checkpoint,
         slots=args.slots,
     )
 
-    if args.supervise:
-        if args.resume:
-            raise SystemExit(
-                "--supervise already recovers from --checkpoint; "
-                "drop --resume"
-            )
-        from .service import RestartBudgetExceededError
-
-        config = _serve_config(args)
-        supervisor = Supervisor(
-            config,
-            policy=RestartPolicy(max_restarts=args.max_restarts),
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            **fresh,
-            **options,
-        )
-        if not args.json:
-            print(config.describe())
-        handlers = _install_drain_handlers(supervisor.request_drain)
-        try:
-            report = supervisor.run(source, max_packets=args.max_packets)
-        except RestartBudgetExceededError as error:
-            raise SystemExit(f"supervision failed: {error}")
-        except (InvariantViolation, StreamViolationError) as error:
-            raise SystemExit(f"serve aborted: {error}")
-        except StreamOrderError as error:
-            raise SystemExit(
-                f"serve aborted: {error} "
-                "(disordered trace — use --validate reorder to repair it)"
-            )
-        finally:
-            _restore_drain_handlers(handlers)
-            supervisor.shutdown(drain=supervisor.drain_requested)
-            _finish_telemetry(args, telemetry, metrics_server)
-            if forensics is not None:
-                forensics.close()
-        return _emit_report(args, report)
-
     if args.resume:
-        if args.checkpoint is None:
-            raise SystemExit("serve --resume requires --checkpoint")
-        from .service import CheckpointError
-
-        try:
-            service = DetectionService.resume(
-                args.checkpoint, engine=args.engine, **options
-            )
-        except (CheckpointError, FileNotFoundError) as error:
-            raise SystemExit(f"cannot resume from {args.checkpoint}: {error}")
+        runner = _resume(args, **options)
         print(
-            f"resuming from {args.checkpoint} at packet {service.ingested} "
-            f"({service.shards} shards, {service.engine_kind})"
+            f"resuming from {args.checkpoint} at packet {runner.ingested} "
+            f"({runner.shards} shards, {runner.engine_kind})"
         )
+        config, run = runner.config, runner.serve
     else:
-        service = DetectionService(_serve_config(args), **fresh, **options)
+        _require("serve", args)
+        config = _config(args)
+        if supervision is None:
+            runner = DetectionService(config, **fresh, **options)
+            run = runner.serve
+        else:
+            runner = Supervisor(config, **supervision, **fresh, **options)
+            run = runner.run
     if not args.json:
-        print(service.config.describe())
-    handlers = _install_drain_handlers(service.request_drain)
+        print(config.describe())
+    handlers = _install_drain_handlers(runner.request_drain)
     try:
-        report = service.serve(source, max_packets=args.max_packets)
+        report = run(source, max_packets=args.max_packets)
+    except RestartBudgetExceededError as error:
+        raise SystemExit(f"supervision failed: {error}")
     except (InvariantViolation, StreamViolationError) as error:
         raise SystemExit(f"serve aborted: {error}")
     except StreamOrderError as error:
@@ -1286,20 +1355,21 @@ def run_serve(args: argparse.Namespace) -> int:
         )
     finally:
         _restore_drain_handlers(handlers)
-        service.shutdown(drain=service.drain_requested)
+        runner.shutdown(drain=runner.drain_requested)
         _finish_telemetry(args, telemetry, metrics_server)
         if forensics is not None:
             forensics.close()
     return _emit_report(args, report)
 
 
-def _engine_options(args: argparse.Namespace):
-    """Collect engine-specific ``serve`` flags into the ``engine_options``
-    dict :class:`~repro.service.DetectionService` forwards to its engine,
-    validating flag/engine pairings up front."""
+def _engine_options(args: argparse.Namespace, engine, shards: int):
+    """Collect the engine flags into the ``engine_options`` dict
+    :class:`~repro.service.DetectionService` forwards to its engine,
+    validated against the engine that will actually run: ``engine`` and
+    ``shards`` are the effective ones, a resume's from its checkpoint."""
     options = {}
     if args.workers is not None:
-        if args.engine != "remote":
+        if engine != "remote":
             raise SystemExit("--workers requires --engine remote")
         from .service import parse_endpoints
 
@@ -1307,16 +1377,19 @@ def _engine_options(args: argparse.Namespace):
             endpoints = parse_endpoints(args.workers)
         except ValueError as error:
             raise SystemExit(f"bad --workers: {error}")
-        if len(endpoints) < args.shards:
+        if len(endpoints) < shards:
             raise SystemExit(
                 f"--workers lists {len(endpoints)} endpoints for "
-                f"{args.shards} shards"
+                f"{shards} shards"
             )
         options["workers"] = endpoints
-    elif args.engine == "remote":
-        raise SystemExit("--engine remote requires --workers HOST:PORT,...")
+    elif engine == "remote":
+        origin = "--engine remote"
+        if args.engine is None:
+            origin = "a remote-engine checkpoint"
+        raise SystemExit(f"{origin} requires --workers HOST:PORT,...")
     if args.terminate_grace is not None:
-        if (args.engine or "inprocess") != "multiprocess":
+        if engine != "multiprocess":
             raise SystemExit(
                 "--terminate-grace only applies to --engine multiprocess"
             )
@@ -1368,7 +1441,7 @@ def _serve_telemetry(args: argparse.Namespace):
 def _finish_telemetry(args: argparse.Namespace, telemetry, server) -> None:
     """Stop the metrics server and honour ``--metrics-out``.
 
-    Runs in the serve ``finally`` blocks so a crashed run still leaves a
+    Runs in the serve ``finally`` block so a crashed run still leaves a
     final scrape behind for forensics.
     """
     if telemetry is None:
@@ -1377,8 +1450,6 @@ def _finish_telemetry(args: argparse.Namespace, telemetry, server) -> None:
         server.stop()
     if args.metrics_out:
         if args.metrics_out.endswith(".json"):
-            import json
-
             body = json.dumps(telemetry.as_dict(), indent=2) + "\n"
         else:
             body = telemetry.render_prometheus()
@@ -1410,34 +1481,22 @@ def run_metrics(args: argparse.Namespace) -> int:
 
 def _emit_report(args: argparse.Namespace, report) -> int:
     if args.json:
-        import json
-
-        print(json.dumps(report.as_dict(), indent=2))
+        _print_json(report.as_dict())
     else:
         print(report.render())
     return 0
 
 
 def run_checkpoint(args: argparse.Namespace) -> int:
-    """The ``checkpoint`` command; sub-action ``inspect`` renders a
-    checkpoint file's metadata and per-shard state summary."""
-    from .service import CheckpointError, describe_checkpoint, read_checkpoint
+    """The ``checkpoint`` command; its one sub-action, ``inspect``,
+    renders a checkpoint file's metadata and per-shard state summary."""
+    from .service import describe_checkpoint
     from .service.checkpoint import summarize_checkpoint
 
-    subaction = args.subaction or "inspect"
-    if subaction != "inspect":
-        raise SystemExit(
-            f"unknown checkpoint sub-action {subaction!r}; expected 'inspect'"
-        )
     if args.checkpoint is None:
         raise SystemExit("checkpoint inspect requires --checkpoint")
-    try:
-        payload = read_checkpoint(args.checkpoint)
-    except (CheckpointError, FileNotFoundError) as error:
-        raise SystemExit(f"cannot read {args.checkpoint}: {error}")
+    payload = _read_checkpoint(args.checkpoint)
     if args.json:
-        import json
-
         meta = dict(payload["meta"])
         summary = summarize_checkpoint(payload)
         meta["layout"] = summary["layout"]
@@ -1455,7 +1514,7 @@ def run_checkpoint(args: argparse.Namespace) -> int:
             }
             for row in summary["shards"]
         ]
-        print(json.dumps(meta, indent=2, default=str))
+        _print_json(meta)
     else:
         print(describe_checkpoint(payload))
     return 0
@@ -1466,7 +1525,6 @@ def _tune_watch(args: argparse.Namespace) -> int:
     control samples and SLO alerts.  Advisory only — applying a retune
     needs the in-process controller (``serve --control``) or the
     checkpoint path (``tune --apply``)."""
-    import json as json_module
     import time as time_module
     import urllib.error
     import urllib.request
@@ -1489,7 +1547,7 @@ def _tune_watch(args: argparse.Namespace) -> int:
                 time_module.sleep(args.watch_interval)
             try:
                 with urllib.request.urlopen(url, timeout=5.0) as response:
-                    payload = json_module.loads(
+                    payload = json.loads(
                         response.read().decode("utf-8")
                     )
             except (urllib.error.URLError, OSError, ValueError) as error:
@@ -1499,7 +1557,7 @@ def _tune_watch(args: argparse.Namespace) -> int:
             rounds += 1
             if args.json:
                 print(
-                    json_module.dumps(
+                    json.dumps(
                         {
                             "round": rounds,
                             "sample": sample.as_dict(),
@@ -1543,8 +1601,6 @@ def run_tune(args: argparse.Namespace) -> int:
     failure leaves the file untouched.  ``--watch`` instead polls a
     live metrics endpoint (see :func:`_tune_watch`).
     """
-    import json as json_module
-
     if args.watch:
         return _tune_watch(args)
     from .control import RetunePlan, derive_config
@@ -1553,17 +1609,13 @@ def run_tune(args: argparse.Namespace) -> int:
         InfeasibleConfigError,
         config_as_dict,
     )
-    from .service import CheckpointError, read_checkpoint
     from .service.checkpoint import summarize_checkpoint
 
     if args.checkpoint is None:
         raise SystemExit(
             "tune requires --checkpoint (or --watch with --metrics-port)"
         )
-    try:
-        payload = read_checkpoint(args.checkpoint)
-    except (CheckpointError, FileNotFoundError) as error:
-        raise SystemExit(f"cannot read {args.checkpoint}: {error}")
+    payload = _read_checkpoint(args.checkpoint)
     meta = payload["meta"]
     if meta.get("kind") != "eardet-service":
         raise SystemExit(
@@ -1615,28 +1667,19 @@ def run_tune(args: argparse.Namespace) -> int:
         )
     except InfeasibleConfigError as error:
         if args.json:
-            print(
-                json_module.dumps(
-                    {"feasible": False, **error.as_dict()}, indent=2
-                )
-            )
+            _print_json({"feasible": False, **error.as_dict()})
         else:
             print(f"infeasible: {error}")
             print(f"  binding constraint: {error.constraint}")
         return 1
     if new_config == config:
         if args.json:
-            print(
-                json_module.dumps(
-                    {
-                        "feasible": True,
-                        "changed": False,
-                        "epoch": epoch,
-                        "config": meta["config"],
-                    },
-                    indent=2,
-                )
-            )
+            _print_json({
+                "feasible": True,
+                "changed": False,
+                "epoch": epoch,
+                "config": meta["config"],
+            })
         else:
             print(
                 f"no retune needed: the solver re-derives the current "
@@ -1658,21 +1701,16 @@ def run_tune(args: argparse.Namespace) -> int:
     )
     if not args.apply:
         if args.json:
-            print(
-                json_module.dumps(
-                    {
-                        "feasible": True,
-                        "changed": True,
-                        "epoch": epoch,
-                        "proposed_epoch": epoch + 1,
-                        "occupancy": occupancy,
-                        "old_config": meta["config"],
-                        "new_config": config_as_dict(new_config),
-                        "reason": plan.reason,
-                    },
-                    indent=2,
-                )
-            )
+            _print_json({
+                "feasible": True,
+                "changed": True,
+                "epoch": epoch,
+                "proposed_epoch": epoch + 1,
+                "occupancy": occupancy,
+                "old_config": meta["config"],
+                "new_config": config_as_dict(new_config),
+                "reason": plan.reason,
+            })
         else:
             print(f"proposal (config epoch {epoch} -> {epoch + 1}):")
             print(f"  {plan.describe()}")
@@ -1683,17 +1721,15 @@ def run_tune(args: argparse.Namespace) -> int:
             print("  re-run with --apply to execute the guarded retune")
         return 0
 
-    from .service import DetectionService, FaultPlan, RetuneError
+    from .service import RetuneError
 
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            raise SystemExit(f"bad --fault-plan: {error}")
-    service = DetectionService.resume(
-        args.checkpoint,
-        engine=args.engine,
+    fault_plan = _fault_plan(args)
+    engine_options = _engine_options(
+        args, args.engine or meta["engine"], meta["shards"]
+    )
+    service = _resume(
+        args,
+        engine_options=engine_options,
         fault_plan=fault_plan,
         invariant_every=args.invariant_every,
     )
@@ -1702,18 +1738,13 @@ def run_tune(args: argparse.Namespace) -> int:
     except RetuneError as error:
         service.shutdown()
         if args.json:
-            print(
-                json_module.dumps(
-                    {
-                        "committed": False,
-                        "rolled_back": error.rolled_back,
-                        "phase": error.phase,
-                        "epoch": epoch,
-                        "error": str(error),
-                    },
-                    indent=2,
-                )
-            )
+            _print_json({
+                "committed": False,
+                "rolled_back": error.rolled_back,
+                "phase": error.phase,
+                "epoch": epoch,
+                "error": str(error),
+            })
         else:
             print(
                 f"retune rolled back at phase {error.phase!r}: {error} "
@@ -1723,18 +1754,13 @@ def run_tune(args: argparse.Namespace) -> int:
     service.checkpoint_now()
     service.shutdown()
     if args.json:
-        print(
-            json_module.dumps(
-                {
-                    "committed": True,
-                    "from_epoch": report.from_epoch,
-                    "to_epoch": report.to_epoch,
-                    "pause_ns": report.pause_ns,
-                    "config": config_as_dict(new_config),
-                },
-                indent=2,
-            )
-        )
+        _print_json({
+            "committed": True,
+            "from_epoch": report.from_epoch,
+            "to_epoch": report.to_epoch,
+            "pause_ns": report.pause_ns,
+            "config": config_as_dict(new_config),
+        })
     else:
         print(
             f"retune committed: config epoch {report.from_epoch} -> "
@@ -1744,31 +1770,14 @@ def run_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _forensics_lab(args: argparse.Namespace):
-    """Build the ``serve`` forensics lab from ``--forensics-dir``, or
-    None when forensics is not armed."""
-    if args.forensics_dir is None:
-        if args.forensics_ring_capacity is not None:
-            raise SystemExit(
-                "--forensics-ring-capacity requires --forensics-dir"
-            )
-        return None
-    from .forensics import DEFAULT_RING_CAPACITY, ForensicsLab
-
-    return ForensicsLab(
-        args.forensics_dir,
-        ring_capacity=args.forensics_ring_capacity or DEFAULT_RING_CAPACITY,
-    )
-
-
 def _load_incident_log(args: argparse.Namespace):
     """Read and CRC-verify the incident log named by --forensics-dir."""
     from .forensics import IncidentLogCorruptError, IncidentStore
 
     if args.forensics_dir is None:
         raise SystemExit(
-            f"{args.experiment} requires --forensics-dir (the directory "
-            "a 'serve --forensics-dir' run wrote)"
+            "incidents requires --forensics-dir (the directory a "
+            "'serve --forensics-dir' run wrote)"
         )
     path = Path(args.forensics_dir) / "incidents.jsonl"
     if not path.exists():
@@ -1791,7 +1800,7 @@ def run_replay(args: argparse.Namespace) -> int:
     from .forensics import replay_bundle
     from .service import CheckpointError, ReplayIncompleteError
 
-    target = args.subaction
+    target = args.target
     if target is None and args.incident_id is not None:
         target = str(args.incident_id)
     if target is None:
@@ -1818,9 +1827,7 @@ def run_replay(args: argparse.Namespace) -> int:
     except (CheckpointError, FileNotFoundError) as error:
         raise SystemExit(f"cannot replay {target}: {error}")
     if args.json:
-        import json
-
-        print(json.dumps(result.as_dict(), indent=2, default=str))
+        _print_json(result.as_dict())
         return 0 if result.exact else 1
     verdict = "EXACT" if result.exact else "DIVERGED"
     print(f"replay: {result.incident_class} bundle {result.bundle_path}")
@@ -1857,44 +1864,31 @@ def run_incidents(args: argparse.Namespace) -> int:
     """The ``incidents`` command: ``list`` (default) tabulates the log,
     ``show --id N`` dumps one record, ``export`` writes JSON (or the
     static HTML timeline with ``--html``)."""
-    subaction = args.subaction or "list"
-    if subaction not in ("list", "show", "export"):
-        raise SystemExit(
-            f"unknown incidents sub-action {subaction!r}; expected "
-            "'list', 'show' or 'export'"
-        )
     path, records = _load_incident_log(args)
 
-    if subaction == "show":
+    if args.action == "show":
         if args.incident_id is None:
             raise SystemExit("incidents show requires --id")
         for record in records:
             if record.id == args.incident_id:
-                import json
-
-                print(json.dumps(record.as_dict(), indent=2, default=str))
+                _print_json(record.as_dict())
                 return 0
         raise SystemExit(
             f"no incident {args.incident_id} in {path} "
             f"({len(records)} records)"
         )
 
-    if subaction == "export":
+    if args.action == "export":
         if args.html:
             from .forensics import render_html
 
             body = render_html(records)
             out = args.out or str(Path(path).parent / "incidents.html")
         else:
-            import json
-
-            body = (
-                json.dumps(
-                    [record.as_dict() for record in records], indent=2,
-                    default=str,
-                )
-                + "\n"
-            )
+            body = json.dumps(
+                [record.as_dict() for record in records], indent=2,
+                default=str,
+            ) + "\n"
             out = args.out
         if out is None:
             print(body, end="")
@@ -1905,14 +1899,7 @@ def run_incidents(args: argparse.Namespace) -> int:
         return 0
 
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                [record.as_dict() for record in records], indent=2,
-                default=str,
-            )
-        )
+        _print_json([record.as_dict() for record in records])
         return 0
     table = Table(
         title=f"Incident log: {path} ({len(records)} records)",
@@ -2012,66 +1999,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        # Stable machine-parseable contract: one experiment name per line,
-        # names match [a-z0-9-]+, nothing else on stdout, exit code 0.
-        try:
-            for name in EXPERIMENTS:
-                print(name)
-        except BrokenPipeError:
-            # Downstream `head` closed early; exit quietly.
-            sys.stderr.close()
-        return 0
-    if args.experiment == "detect":
-        return run_detect(args)
-    if args.experiment == "detectors":
-        return run_detectors(args)
-    if args.experiment == "analyze":
-        return run_analyze(args)
-    if args.experiment == "simulate":
-        return run_simulate(args)
-    if args.experiment == "serve":
-        return run_serve(args)
-    if args.experiment == "worker":
-        return run_worker_cmd(args)
-    if args.experiment == "checkpoint":
-        return run_checkpoint(args)
-    if args.experiment == "metrics":
-        return run_metrics(args)
-    if args.experiment == "replay":
-        return run_replay(args)
-    if args.experiment == "incidents":
-        return run_incidents(args)
-    if args.experiment == "tune":
-        return run_tune(args)
-    params = resolve_params(args)
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    try:
-        if args.json:
-            import json
-
-            from .experiments.report import to_dict
-
-            payload = {
-                name: [to_dict(item) for item in EXPERIMENTS[name](params)]
-                for name in names
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            from .experiments.charts import render_chart
-            from .experiments.report import SeriesSet
-
-            for name in names:
-                for item in EXPERIMENTS[name](params):
-                    if args.chart and isinstance(item, SeriesSet):
-                        print(render_chart(item))
-                    else:
-                        print(item.render())
-                    print()
-    except BrokenPipeError:
-        # Downstream pager/`head` closed early; exit quietly.
-        sys.stderr.close()
-    return 0
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from ..core.config import config_as_dict
 from ..model.packet import Packet
 from ..service.checkpoint import (
     Encoded,
@@ -208,15 +207,8 @@ class CaptureLayer:
         # and replaying the whole window under the new config would
         # diverge.  The transition list carries every epoch change since
         # the baseline; replay re-applies each at its recorded position.
-        config_at = getattr(service, "config_dict_at", None)
-        if config_at is not None:
-            baseline_config = config_at(self._baseline_index)
-            transitions = service.config_transitions_after(
-                self._baseline_index
-            )
-        else:  # pragma: no cover - every in-tree service has the method
-            baseline_config = config_as_dict(service.config)
-            transitions = []
+        baseline_config = service.config_dict_at(self._baseline_index)
+        transitions = service.config_transitions_after(self._baseline_index)
         meta = {
             "format": BUNDLE_FORMAT,
             "kind": BUNDLE_KIND,

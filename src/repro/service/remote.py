@@ -258,7 +258,7 @@ class RemoteEngine(ShardedEngine):
         to the barrier deadline — a fleet that cannot even start is an
         error, not an outage to mask)."""
         slot_ids = self._layout.slots_of(index)
-        reply = self._control(index, {
+        reply = self._barrier({index: {
             "op": "assign",
             "config": config_as_dict(self.config),
             "seed": self._hash.seed,
@@ -266,7 +266,7 @@ class RemoteEngine(ShardedEngine):
             "slot_ids": list(slot_ids),
             "states": self._staged_states(slot_ids),
             "invariant_every": self.invariant_every,
-        })
+        }})[index]
         if reply.get("op") != "assigned":
             raise TransportError(
                 f"shard {index} rejected its assignment: {reply!r}",
@@ -390,14 +390,49 @@ class RemoteEngine(ShardedEngine):
 
     # -- control barriers --------------------------------------------------
 
-    def _control(self, index: int, payload: Dict) -> Dict:
-        """Send one control frame and block for its reply, reconnecting
-        and replaying as needed up to the barrier deadline.  The reply
-        acks the whole prefix (the server applies in order), so a
-        returned barrier proves every earlier batch was applied."""
+    def _barrier(self, payloads: Dict[int, Dict]) -> Dict[int, Dict]:
+        """Send each addressed shard its control frame, then block for
+        every reply, reconnecting and replaying as needed up to each
+        shard's barrier deadline.  Every frame is on the wire before the
+        first wait, so the servers work in parallel and an N-shard
+        barrier costs one round trip, not N.  A reply acks its shard's
+        whole prefix (the server applies in order), so a returned
+        barrier proves every earlier batch was applied."""
+        deadlines, seqs = {}, {}
+        for index, payload in payloads.items():
+            deadlines[index] = time.monotonic() + self.barrier_timeout_s
+            seqs[index] = self._retry(
+                index, payload, deadlines[index],
+                lambda conn, remaining: conn.send(FT_CONTROL, payload),
+            )
+        replies = {}
+        for index, payload in payloads.items():
+            seq = seqs[index]
+            reply = self._retry(
+                index, payload, deadlines[index],
+                lambda conn, remaining: conn.wait_reply(seq, remaining),
+            )
+            if not isinstance(reply, dict):
+                raise TransportError(
+                    f"malformed barrier reply from shard {index}: {reply!r}",
+                    shard=index,
+                )
+            if reply.get("op") == "invariant":
+                raise _invariant_from_payload(reply.get("payload") or {})
+            if reply.get("op") == "error":
+                raise WorkerError(
+                    f"shard {index} failed {payload.get('op')!r}:\n"
+                    f"{reply.get('traceback') or reply.get('message')}",
+                    shard=index,
+                )
+            replies[index] = reply
+        return replies
+
+    def _retry(self, index: int, payload: Dict, deadline: float, step):
+        """Run ``step(conn, remaining)`` on shard ``index``'s connection
+        until it returns, reconnecting (which replays the unacked ring)
+        under backoff until ``deadline``."""
         conn = self._connections[index]
-        deadline = time.monotonic() + self.barrier_timeout_s
-        seq: Optional[int] = None
         while True:
             self._check_fatal(conn)
             remaining = deadline - time.monotonic()
@@ -420,43 +455,25 @@ class RemoteEngine(ShardedEngine):
                     )
                     continue
             try:
-                if seq is None:
-                    seq = conn.send(FT_CONTROL, payload)
-                reply = conn.wait_reply(seq, remaining)
-                break
+                return step(conn, remaining)
             except TransportError:
                 self._check_fatal(conn)
-                continue
-        if not isinstance(reply, dict):
-            raise TransportError(
-                f"malformed barrier reply from shard {index}: {reply!r}",
-                shard=index,
-            )
-        if reply.get("op") == "invariant":
-            raise _invariant_from_payload(reply.get("payload") or {})
-        if reply.get("op") == "error":
-            raise WorkerError(
-                f"shard {index} failed {payload.get('op')!r}:\n"
-                f"{reply.get('traceback') or reply.get('message')}",
-                shard=index,
-            )
-        return reply
 
     # -- transport hooks ---------------------------------------------------
 
     def _command(self, op: str, args: Dict[int, object]) -> Dict[int, object]:
-        """One exactly-once control barrier per addressed shard server;
-        ``stop`` with ``drain`` set makes a CLI-run server exit with the
-        drain code."""
-        replies = {}
-        for index, arg in args.items():
-            reply = self._control(index, {"op": op, "arg": arg})
+        """One exactly-once control barrier across the addressed shard
+        servers; ``stop`` with ``drain`` set makes a CLI-run server exit
+        with the drain code."""
+        replies = self._barrier(
+            {index: {"op": op, "arg": arg} for index, arg in args.items()}
+        )
+        for index, reply in replies.items():
             if reply.get("op") != "done":
                 raise TransportError(
                     f"shard {index} {op} returned {reply!r}", shard=index
                 )
-            replies[index] = reply["reply"]
-        return replies
+        return {index: reply["reply"] for index, reply in replies.items()}
 
     def _check_growth(self, shards: int) -> None:
         # Unlike the multiprocess engine, a remote fleet cannot mint new
@@ -515,8 +532,7 @@ class RemoteEngine(ShardedEngine):
         """Server-side counters via a ``scrape`` control barrier on
         every active shard (the remote telemetry scrape)."""
         self._start()
-        metrics = []
-        for index in range(self._layout.shards):
-            reply = self._control(index, {"op": "scrape"})
-            metrics.append(dict(reply.get("metrics") or {}))
-        return metrics
+        replies = self._barrier(
+            dict.fromkeys(range(self._layout.shards), {"op": "scrape"})
+        )
+        return [dict(reply.get("metrics") or {}) for reply in replies.values()]

@@ -1,7 +1,14 @@
 """Command-line interface."""
 
+import argparse
+import ast
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import EXPERIMENTS, build_parser, main, resolve_params
 from repro.experiments.report import ExperimentParams
 
@@ -218,3 +225,316 @@ def test_simulate_without_policer(capsys):
     out = capsys.readouterr().out
     assert "policer:" not in out
     assert "cut off" not in out
+
+
+# ------------------------------------------------- flags belong to verbs
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _verb_parsers():
+    """``{verb: subparser}`` of the ``eardet`` parser."""
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+VERBS = _verb_parsers()
+
+
+def _args_reads(functions, name, seen):
+    """Every ``args.<name>`` read in ``name`` and in the module-level
+    helpers it calls, transitively."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        ):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+            and node.func.id not in seen
+        ):
+            reads |= _args_reads(functions, node.func.id, seen)
+    return reads
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_each_verb_accepts_exactly_the_flags_its_handler_reads(verb):
+    """A verb's flags are the namespace fields its handler reads — a flag
+    it would ignore does not parse.  ``verb`` itself is the top-level
+    parser's field, and a positional offering one choice (``checkpoint
+    [inspect]``) selects nothing to read."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    sub = VERBS[verb]
+    handler = sub.get_default("handler").__name__
+    dests = {
+        action.dest for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        and (action.option_strings or len(action.choices or ()) != 1)
+    }
+    assert _args_reads(functions, handler, set()) - {"verb"} == dests
+
+
+def test_worker_help_lists_only_listen(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--help"])
+    assert excinfo.value.code == 0
+    # Option rows start at column 2 ("  -h, --help", "  --listen ...").
+    rows = re.findall(
+        r"^  (-[\w-]+)(?:, (--[\w-]+))?", capsys.readouterr().out, re.M
+    )
+    assert {option for row in rows for option in row if option} == {
+        "-h", "--help", "--listen",
+    }
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_every_verb_has_help(verb, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, "--help"])
+    assert excinfo.value.code == 0
+    assert f"usage: eardet {verb}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--shards", "2"],
+        ["list", "--workers", "h:1"],
+        ["detectors", "--control"],
+        ["--json", "detectors"],  # flags follow the verb
+    ],
+)
+def test_a_flag_its_verb_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["checkpoint", "frobnicate"], ["incidents", "purge"]],
+)
+def test_an_unknown_sub_action_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+#: Every feature-group sub-flag, a value for it, and its arming flag.
+SUB_FLAGS = [
+    ("--reorder-window", "8", "--validate"),
+    ("--min-packet-size", "60", "--validate"),
+    ("--max-packet-size", "1500", "--validate"),
+    ("--watcher-counters", "4", "--watcher clef|loft"),
+    ("--watcher-depth", "3", "--watcher clef|loft"),
+    ("--watcher-fast-period-ms", "1", "--watcher clef|loft"),
+    ("--watcher-slow-period-ms", "10", "--watcher clef|loft"),
+    ("--watcher-epoch-ms", "5", "--watcher clef|loft"),
+    ("--watcher-stages", "2", "--watcher clef|loft"),
+    ("--watcher-watchlist", "16", "--watcher clef|loft"),
+    ("--watcher-flow-limit", "64", "--watcher clef|loft"),
+    ("--watcher-seed", "1", "--watcher clef|loft"),
+    ("--forensics-ring-capacity", "100", "--forensics-dir"),
+    ("--high-watermark", "0.5", "--overload-policy ladder"),
+    ("--low-watermark", "0.1", "--overload-policy ladder"),
+    ("--overload-cooldown", "2", "--overload-policy ladder"),
+    ("--drain-budget", "8", "--overload-policy ladder"),
+    ("--aggregate-window-ms", "5", "--overload-policy ladder"),
+    ("--defer-deadline-batches", "2", "--overload-policy ladder"),
+    ("--skew-high", "3", "--coordinate"),
+    ("--skew-low", "1.1", "--coordinate"),
+    ("--reshard-persistence", "2", "--coordinate"),
+    ("--reshard-cooldown", "2", "--coordinate"),
+    ("--max-shards", "4", "--coordinate"),
+    ("--control-every", "4", "--control"),
+    ("--control-min-window", "100", "--control"),
+    ("--control-persistence", "2", "--control"),
+    ("--control-cooldown", "2", "--control"),
+    ("--control-widen", "3", "--control"),
+    ("--control-max-counters", "64", "--control"),
+    ("--slo-drop-budget", "0.01", "--control"),
+    ("--max-restarts", "2", "--supervise"),
+    ("--heartbeat-timeout", "1", "--supervise"),
+]
+
+
+@pytest.mark.parametrize("flag,value,arming", SUB_FLAGS)
+def test_a_sub_flag_without_its_arming_flag_is_refused(
+    flag, value, arming, tmp_path
+):
+    """All seven feature groups follow one rule; the refusal fires before
+    the trace is opened or the thresholds are needed."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--trace", str(tmp_path / "absent.csv"), flag, value])
+    assert excinfo.value.code == f"{flag} requires {arming}"
+
+
+def _serve_args(*flags):
+    return build_parser().parse_args(["serve", *flags])
+
+
+@pytest.mark.parametrize(
+    "group", ["guard", "watcher", "forensics", "overload", "reshard",
+              "control", "supervise"],
+)
+def test_an_armed_group_without_sub_flags_builds_its_default_policy(
+    group, tmp_path
+):
+    """Only the sub-flags actually given reach a policy: armed bare, each
+    group's policy is its dataclass default."""
+    from repro.control import ControlPolicy
+    from repro.forensics import DEFAULT_RING_CAPACITY
+    from repro.guard import GuardPolicy
+    from repro.service import (
+        CoordinatorPolicy,
+        OverloadPolicy,
+        RestartPolicy,
+        WatcherPolicy,
+    )
+
+    if group == "guard":
+        assert cli._guard_policy(_serve_args("--validate", "strict")) == (
+            GuardPolicy()
+        )
+        assert cli._guard_policy(_serve_args("--validate", "reorder")) == (
+            GuardPolicy.reordering(cli.REORDER_WINDOW)
+        )
+    elif group == "watcher":
+        assert cli._watcher_policy(_serve_args("--watcher", "loft")) == (
+            WatcherPolicy(kind="loft")
+        )
+    elif group == "forensics":
+        lab = cli._forensics_lab(
+            _serve_args("--forensics-dir", str(tmp_path / "lab"))
+        )
+        try:
+            assert lab.capture.ring_capacity == DEFAULT_RING_CAPACITY
+        finally:
+            lab.close()
+    elif group == "overload":
+        assert cli._overload_policy(
+            _serve_args("--overload-policy", "ladder")
+        ) == OverloadPolicy()
+    elif group == "reshard":
+        assert cli._coordinator_policy(_serve_args("--coordinate")) == (
+            CoordinatorPolicy()
+        )
+    elif group == "control":
+        assert cli._control_policy(
+            _serve_args("--control", "--gamma-h", "200000")
+        ) == ControlPolicy(gamma_h=200000, t_upincb_seconds=1.0)
+    else:
+        assert cli._supervision(_serve_args("--supervise")) == {
+            "policy": RestartPolicy(),
+            "heartbeat_timeout_s": None,
+        }
+
+
+def test_given_sub_flags_reach_the_policy():
+    policy = cli._overload_policy(
+        _serve_args(
+            "--overload-policy", "ladder", "--overload-cooldown", "2",
+            "--aggregate-window-ms", "0.5",
+        )
+    )
+    assert (policy.cooldown, policy.aggregate_window_ns) == (2, 500_000)
+    assert policy.high_watermark == 0.75  # the dataclass default
+
+
+# --------------------------------------------- documented commands parse
+
+#: Every file whose fenced blocks show ``eardet`` invocations.
+DOC_FILES = [
+    REPO / "README.md",
+    REPO / "EXPERIMENTS.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    *sorted(REPO.glob(".*/skills/*/SKILL.md")),  # the verify skill's notes
+]
+
+_FENCE = re.compile(r"^\s*```[^\n]*\n(.*?)^\s*```", re.M | re.S)
+_ASSIGNMENT = re.compile(r"""\b([A-Za-z_]\w*)=("[^"]*"|'[^']*'|[^\s;]*)""")
+_FOR_LOOP = re.compile(r"\bfor\s+(\w+)\s+in\s+([^;\n]+);")
+_VARIABLE = re.compile(r"\$\{?([A-Za-z_]\w*)\}?")
+_OPERATORS = {";", "&&", "||", "|", "&", ">", ">>", "<", "(", ")", ">&"}
+
+
+def _block_commands(block):
+    """The ``eardet`` argument lists of one fenced block: ``\\``
+    continuations joined, comments and redirections dropped, shell
+    variables expanded from the block's own assignments (a ``for``
+    variable takes its first value), ``...`` elisions removed."""
+    block = block.replace("\\\n", " ")
+    values = {
+        name: value.strip("\"'") for name, value in _ASSIGNMENT.findall(block)
+    }
+    values.update(
+        (name, items.split()[0]) for name, items in _FOR_LOOP.findall(block)
+    )
+    for line in block.splitlines():
+        if "eardet" not in line and "repro.cli" not in line:
+            continue
+        line = _VARIABLE.sub(
+            lambda match: values.get(match.group(1), match.group(0)), line
+        )
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        command = []
+        for token in [*lexer, ";"]:
+            if token not in _OPERATORS:
+                command.append(token)
+                continue
+            while command and re.fullmatch(r"[A-Za-z_]\w*=.*", command[0]):
+                command.pop(0)
+            if command[:1] == ["eardet"]:
+                yield [word for word in command[1:] if word != "..."]
+            elif command[1:3] == ["-m", "repro.cli"]:
+                yield [word for word in command[3:] if word != "..."]
+            command = []
+
+
+def _documented_commands(path):
+    text = path.read_text(encoding="utf-8")
+    for block in _FENCE.findall(text):
+        yield from _block_commands(block)
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in DOC_FILES if path.exists()],
+    ids=lambda path: str(path.relative_to(REPO)),
+)
+def test_every_documented_command_parses(path):
+    failures = []
+    for argv in _documented_commands(path):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as stop:
+            if stop.code:
+                failures.append(" ".join(argv))
+    assert failures == []
+
+
+def test_the_docs_show_commands_of_every_kind():
+    """The extractor above finds the documented commands at all."""
+    commands = [
+        argv for path in DOC_FILES if path.exists()
+        for argv in _documented_commands(path)
+    ]
+    assert len(commands) > 50
+    verbs = {argv[0] for argv in commands if argv}
+    assert {"serve", "detect", "tune", "replay", "incidents"} <= verbs

@@ -719,6 +719,53 @@ class TestRemoteLifecycle:
             engine.close()
 
 
+class TestPipelinedBarriers:
+    def test_fleet_wide_barriers_send_every_frame_before_the_first_wait(
+        self, monkeypatch
+    ):
+        """A fleet-wide control barrier puts every shard's frame on the
+        wire before it waits on any reply — one round trip, not one per
+        shard (the multiprocess engine's queue markers do the same)."""
+        events = []
+        send, wait_reply = ShardConnection.send, ShardConnection.wait_reply
+
+        def recording_send(conn, ftype, payload):
+            if ftype == FT_CONTROL:
+                events.append(("send", conn.shard, payload["op"]))
+            return send(conn, ftype, payload)
+
+        def recording_wait(conn, seq, deadline_s):
+            events.append(("wait", conn.shard, None))
+            return wait_reply(conn, seq, deadline_s)
+
+        monkeypatch.setattr(ShardConnection, "send", recording_send)
+        monkeypatch.setattr(ShardConnection, "wait_reply", recording_wait)
+        with fleet(3) as servers:
+            engine = remote_engine(servers)
+            try:
+                ingest_all(engine, make_packets(count=1500))
+                for op, barrier in (
+                    ("snapshot", engine.snapshot),
+                    ("scrape", engine.scrape_workers),
+                ):
+                    events.clear()
+                    barrier()
+                    sends = [
+                        index for index, (kind, _shard, sent_op)
+                        in enumerate(events)
+                        if kind == "send" and sent_op == op
+                    ]
+                    waits = [
+                        index for index, (kind, _shard, _op)
+                        in enumerate(events) if kind == "wait"
+                    ]
+                    assert sorted(events[i][1] for i in sends) == [0, 1, 2]
+                    assert len(waits) == 3
+                    assert max(sends) < min(waits), events
+            finally:
+                engine.close()
+
+
 class TestRemoteResharding:
     def test_live_split_across_hosts_bit_identical(self):
         """Cross-host live resharding: grow from 2 to 3 shards onto a
@@ -933,3 +980,124 @@ class TestWorkerCLI:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+
+
+class TestRemoteCheckpointCLI:
+    """``serve --resume`` and ``tune --apply`` check the engine flags
+    against the engine that will run: ``--engine`` if given, else the
+    one the checkpoint records."""
+
+    BASE = [
+        "--rho", "1000000", "--gamma-l", "25000", "--beta-l", "1000",
+        "--gamma-h", "200000",
+    ]
+    TUNE = ["--gamma-h", "200000", "--tune-gamma-l", "50000", "--apply"]
+
+    @staticmethod
+    def workers(servers):
+        return ",".join(server.endpoint for server in servers)
+
+    def serve(self, trace, *flags):
+        from repro.cli import main
+
+        return main(["serve", "--trace", str(trace), *flags])
+
+    @pytest.fixture
+    def remote_checkpoint(self, tmp_path, capsys):
+        """A trace and the checkpoint a remote serve wrote 2,000 packets
+        into it."""
+        from repro.traffic.trace_io import write_csv
+
+        trace = tmp_path / "trace.csv"
+        write_csv(trace, make_packets(count=3000))
+        ckpt = tmp_path / "remote.ckpt"
+        with fleet(2) as servers:
+            assert self.serve(
+                trace, *self.BASE, "--shards", "2", "--engine", "remote",
+                "--workers", self.workers(servers), "--checkpoint", str(ckpt),
+                "--checkpoint-every", "1000", "--max-packets", "2000",
+            ) == 0
+        capsys.readouterr()
+        return trace, ckpt
+
+    def test_resume_without_workers_names_the_flag(self, remote_checkpoint):
+        trace, ckpt = remote_checkpoint
+        with pytest.raises(SystemExit) as excinfo:
+            self.serve(trace, "--checkpoint", str(ckpt), "--resume")
+        assert excinfo.value.code == (
+            "a remote-engine checkpoint requires --workers HOST:PORT,..."
+        )
+
+    def test_tune_apply_without_workers_names_the_flag(
+        self, remote_checkpoint
+    ):
+        from repro.cli import main
+
+        _trace, ckpt = remote_checkpoint
+        before = ckpt.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--checkpoint", str(ckpt), *self.TUNE])
+        assert "--workers" in excinfo.value.code
+        assert "\n" not in excinfo.value.code
+        assert ckpt.read_bytes() == before
+
+    def test_tune_apply_engine_remote_without_workers_names_the_flag(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.traffic.trace_io import write_csv
+
+        trace = tmp_path / "trace.csv"
+        write_csv(trace, make_packets(count=1000))
+        ckpt = tmp_path / "local.ckpt"
+        assert self.serve(trace, *self.BASE, "--checkpoint", str(ckpt)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "tune", "--checkpoint", str(ckpt), *self.TUNE,
+                "--engine", "remote",
+            ])
+        assert excinfo.value.code == (
+            "--engine remote requires --workers HOST:PORT,..."
+        )
+
+    def test_resume_on_a_loopback_fleet_matches_the_uninterrupted_run(
+        self, remote_checkpoint, capsys
+    ):
+        trace, ckpt = remote_checkpoint
+        assert self.serve(trace, *self.BASE, "--shards", "2") == 0
+        reference = capsys.readouterr().out
+        with fleet(2) as servers:
+            assert self.serve(
+                trace, "--checkpoint", str(ckpt), "--resume",
+                "--workers", self.workers(servers),
+            ) == 0
+        resumed = capsys.readouterr().out
+        assert "(2 shards, remote)" in resumed
+
+        def detections(text):
+            return sorted(
+                line.strip() for line in text.splitlines()
+                if line.strip().startswith("large flow '")
+            )
+
+        assert detections(resumed) == detections(reference)
+        assert detections(resumed)
+
+    def test_tune_apply_on_a_loopback_fleet_rewrites_the_checkpoint(
+        self, remote_checkpoint, capsys
+    ):
+        from repro.cli import main
+        from repro.service import read_checkpoint
+
+        _trace, ckpt = remote_checkpoint
+        with fleet(2) as servers:
+            assert main([
+                "tune", "--checkpoint", str(ckpt), *self.TUNE,
+                "--workers", self.workers(servers),
+            ]) == 0
+        assert "retune committed" in capsys.readouterr().out
+        meta = read_checkpoint(str(ckpt))["meta"]
+        assert meta["engine"] == "remote"
+        assert meta["control"]["epoch"] == 1
+        assert meta["config"]["gamma_l"] == 50000
