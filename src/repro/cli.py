@@ -965,26 +965,36 @@ def _print_validation_summary(stats) -> None:
         )
 
 
+#: How ``serve``, ``detect`` and ``analyze`` refuse a time-disordered
+#: trace read without a reorder policy.
+DISORDER_HINT = "(disordered trace — use --validate reorder to repair it)"
+
+
 def load_trace(path: str, by_host_pair: bool = False, validator=None):
     """Load a trace by extension: .csv, .ert (binary), or .pcap.
 
     ``validator`` is an optional :class:`~repro.guard.StreamValidator`
     applied to the parsed packets before stream construction (required
     for repair/reorder policies — a disordered trace never survives
-    :class:`~repro.model.stream.PacketStream` construction otherwise).
+    :class:`~repro.model.stream.PacketStream` construction otherwise, and
+    exits 1 here with :data:`DISORDER_HINT`).
     """
+    from .model.stream import StreamOrderError
     from .traffic import pcap, trace_io
 
     suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return trace_io.read_csv(path, validator=validator)
-    if suffix == ".ert":
-        return trace_io.read_binary(path, validator=validator)
-    if suffix in (".pcap", ".cap"):
-        stream, _ = pcap.read_pcap(path, by_host_pair=by_host_pair)
-        if validator is not None:
-            return validator.validate(list(stream))
-        return stream
+    try:
+        if suffix == ".csv":
+            return trace_io.read_csv(path, validator=validator)
+        if suffix == ".ert":
+            return trace_io.read_binary(path, validator=validator)
+        if suffix in (".pcap", ".cap"):
+            stream, _ = pcap.read_pcap(path, by_host_pair=by_host_pair)
+            if validator is not None:
+                return validator.validate(list(stream))
+            return stream
+    except StreamOrderError as error:
+        raise SystemExit(f"trace rejected: {error} {DISORDER_HINT}")
     raise SystemExit(
         f"unsupported trace extension {suffix!r}; expected .csv, .ert or .pcap"
     )
@@ -1349,10 +1359,7 @@ def run_serve(args: argparse.Namespace) -> int:
     except (InvariantViolation, StreamViolationError) as error:
         raise SystemExit(f"serve aborted: {error}")
     except StreamOrderError as error:
-        raise SystemExit(
-            f"serve aborted: {error} "
-            "(disordered trace — use --validate reorder to repair it)"
-        )
+        raise SystemExit(f"serve aborted: {error} {DISORDER_HINT}")
     finally:
         _restore_drain_handlers(handlers)
         runner.shutdown(drain=runner.drain_requested)

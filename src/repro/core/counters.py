@@ -420,6 +420,19 @@ class HeapCounterStore(CounterStore):
         self._entries.clear()
         self._heap.clear()
 
+    def _kernel_locals(
+        self,
+    ) -> Tuple[Dict[FlowId, Tuple[int, int]], List[Tuple[int, int, FlowId]], int, int]:
+        """What EARDet's column kernel holds in locals; it mutates the
+        entries and heap in place and hands the two ints back."""
+        return self._entries, self._heap, self._ground, self._version
+
+    def _kernel_return(self, ground: int, version: int, evictions: int) -> None:
+        """Take back the kernel's ground and version; add its evictions."""
+        self._ground = ground
+        self._version = version
+        self.evictions += evictions
+
     def rebase(self) -> None:
         """Rewrite absolute values relative to a zero ground.
 

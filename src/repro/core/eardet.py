@@ -28,14 +28,15 @@ see ``tests/test_properties_eardet.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, cast
 
 from ..detectors.base import Detector
 from ..model.packet import FlowId, Packet
 from ..model.units import NS_PER_S
 from .blacklist import Blacklist
 from .config import EARDetConfig
-from .counters import CounterStore, HeapCounterStore
+from .counters import CounterStore, HeapCounterStore, VirtualUnit
 from .virtual import Carryover, apply_virtual_traffic, apply_virtual_traffic_reference
 
 
@@ -203,27 +204,190 @@ class EARDet(Detector):
         fids: Iterable[FlowId],
     ) -> None:
         """Process parallel packet columns in order, without building a
-        :class:`~repro.model.packet.Packet`.
-
-        Per packet this is exactly :meth:`observe`: Algorithm 1 through
-        :meth:`_step`, a sink report when the flow crosses the
-        threshold, and the invariant checker.  The columns are not
-        validated here; a caller taking them from outside the process
-        checks ``time >= 0`` and ``size > 0`` first, as ``Packet``
-        would."""
+        :class:`~repro.model.packet.Packet`; everything ends exactly as
+        per-packet :meth:`observe` leaves it.  A plain heap store on the
+        fast virtual path with no checker runs :meth:`_kernel`; anything
+        else (a checker audits every packet, another store or the
+        reference virtual loop is a specification) runs :meth:`_step`.
+        The columns are not validated here; a caller taking them from
+        outside the process checks ``time >= 0`` and ``size > 0`` first,
+        as ``Packet`` would."""
+        store = self._store
+        checker = self.checker
+        if (
+            type(store) is HeapCounterStore
+            and checker is None
+            and self._apply_virtual is apply_virtual_traffic
+        ):
+            self._kernel(store, times, sizes, fids)
+            return
         step = self._step
         report = self.sink.report
-        checker = self.checker
         for now, size, fid in zip(times, sizes, fids):
             if step(now, size, fid):
                 report(fid, now)
             if checker is not None:
                 checker.after_packet(self)
 
+    def _kernel(
+        self,
+        store: HeapCounterStore,
+        times: Iterable[int],
+        sizes: Iterable[int],
+        fids: Iterable[FlowId],
+    ) -> None:
+        """:meth:`_step` over columns, with the detector's and the heap
+        store's state in locals (a rebase goes through the store).  A gap
+        of at most ``min(4, n)`` virtual units is stepped inline, unit by
+        unit; a longer one goes to :func:`apply_virtual_traffic`, whose
+        periodic shortcut from ``n + 1`` units on skips evictions unit
+        stepping would count.  Stats, evictions, carryover and link clock
+        are written back in a ``finally``, so a batch that raises
+        part-way leaves the state the :meth:`_step` loop leaves."""
+        config = self.config
+        rho, beta_th = config.rho, config.beta_th
+        unit_size = cast(int, config.virtual_unit)  # set in __post_init__
+        capacity = store.capacity
+        inline_volume = min(4, capacity) * unit_size
+        rebase_at = store.REBASE_THRESHOLD
+        ns, half_ns = NS_PER_S, NS_PER_S // 2
+        consumes_link = self._blacklisted_consumes_link
+        blacklist = self._blacklist
+        flows = blacklist._flows
+        report = self.sink.report
+        remainder = self._carryover.remainder_scaled
+        last_time, last_size = self._last_time, self._last_size
+        started = self._started
+        entries, heap, ground, version = store._kernel_locals()
+        packets = blacklisted = virtual_bytes = oversubscribed = 0
+        detections = prunes = evictions = 0
+        try:
+            for now, size, fid in zip(times, sizes, fids):
+                packets += 1
+                cut = False
+                if fid in flows:
+                    if fid in entries:
+                        blacklisted += 1
+                        if not consumes_link:
+                            continue
+                        cut = True
+                    else:
+                        flows.discard(fid)
+                        prunes += 1
+                volume = 0
+                if started:
+                    idle = rho * (now - last_time) - last_size * ns
+                    if idle < 0:
+                        oversubscribed += 1
+                    elif idle:
+                        idle += remainder
+                        volume = (idle + half_ns) // ns
+                        remainder = idle - volume * ns
+                        virtual_bytes += volume
+                    last_size = size
+                else:
+                    started = True
+                    last_size += size
+                last_time = now
+                if volume > inline_volume:
+                    store._kernel_return(ground, version, 0)
+                    apply_virtual_traffic(store, volume, unit_size)
+                    entries, heap, ground, version = store._kernel_locals()
+                    volume = 0
+                while volume:
+                    # One virtual unit, a brand-new flow: admit it, then
+                    # insert what is left of it.
+                    unit = unit_size if volume > unit_size else volume
+                    volume -= unit
+                    if len(entries) >= capacity:
+                        while True:
+                            top, stamp, key = heap[0]
+                            current = entries.get(key)
+                            if current is not None and current[1] == stamp:
+                                break
+                            heappop(heap)
+                        leftover = unit - (top - ground)
+                        if leftover < 0:
+                            ground += unit
+                        else:
+                            ground = top
+                            while heap and heap[0][0] <= top:
+                                _, stamp, key = heappop(heap)
+                                current = entries.get(key)
+                                if current is not None and current[1] == stamp:
+                                    del entries[key]
+                                    evictions += 1
+                        if ground >= rebase_at:
+                            store._kernel_return(ground, version, 0)
+                            store.rebase()
+                            entries, heap, ground, version = store._kernel_locals()
+                        if leftover <= 0:
+                            continue
+                        unit = leftover
+                    version += 1
+                    key = VirtualUnit()
+                    entries[key] = (ground + unit, version)
+                    heappush(heap, (ground + unit, version, key))
+                if cut:
+                    continue
+                # Misra-Gries update with byte weights (lines 10-17), then
+                # the counter-threshold check (lines 21-22).
+                current = entries.get(fid)
+                if current is not None:
+                    absolute = current[0] + size
+                else:
+                    value = size
+                    if len(entries) >= capacity:
+                        while True:
+                            top, stamp, key = heap[0]
+                            current = entries.get(key)
+                            if current is not None and current[1] == stamp:
+                                break
+                            heappop(heap)
+                        value -= top - ground
+                        if value < 0:
+                            ground += size
+                        else:
+                            ground = top
+                            while heap and heap[0][0] <= top:
+                                _, stamp, key = heappop(heap)
+                                current = entries.get(key)
+                                if current is not None and current[1] == stamp:
+                                    del entries[key]
+                                    evictions += 1
+                        if ground >= rebase_at:
+                            store._kernel_return(ground, version, 0)
+                            store.rebase()
+                            entries, heap, ground, version = store._kernel_locals()
+                    if value <= 0:
+                        continue
+                    absolute = ground + value
+                version += 1
+                entries[fid] = (absolute, version)
+                heappush(heap, (absolute, version, fid))
+                if absolute - ground <= beta_th:
+                    continue
+                flows.add(fid)
+                detections += 1
+                prunes += blacklist.prune(entries)
+                report(fid, now)
+        finally:
+            stats = self.stats
+            stats.packets += packets
+            stats.blacklisted_packets += blacklisted
+            stats.virtual_bytes += virtual_bytes
+            stats.oversubscribed_gaps += oversubscribed
+            stats.detections += detections
+            stats.blacklist_prunes += prunes
+            self._carryover.remainder_scaled = remainder
+            self._last_time, self._last_size = last_time, last_size
+            self._started = started
+            store._kernel_return(ground, version, evictions)
+
     def _step(self, now: int, size: int, fid: FlowId) -> bool:
         """Algorithm 1 for one packet; True when its flow is detected at
-        it.  The one body both :meth:`observe` and :meth:`observe_batch`
-        run."""
+        it.  The specification :meth:`observe` and the fallback of
+        :meth:`observe_batch` run, and :meth:`_kernel` must equal."""
         stats = self.stats
         stats.packets += 1
         store = self._store

@@ -59,6 +59,18 @@ DEFAULT_STAGES = 2
 DEFAULT_WATCHLIST = 64
 DEFAULT_FLOW_LIMIT = 4096
 
+#: The least value each kind's constructor accepts for each sizing field
+#: it reads (``RecursiveLargeFlowDetector`` for clef, ``LOFT`` for loft).
+SIZING_FLOORS = {
+    "clef": {
+        "counters": 2, "depth": 1, "fast_period_ns": 1, "slow_period_ns": 1,
+    },
+    "loft": {
+        "counters": 1, "stages": 1, "watchlist": 1, "flow_limit": 1,
+        "epoch_ns": 1,
+    },
+}
+
 
 @dataclass(frozen=True)
 class WatcherPolicy:
@@ -66,7 +78,10 @@ class WatcherPolicy:
 
     ``counters`` is the RLFD branching factor for ``kind="clef"`` and
     the per-stage aggregate count for ``kind="loft"``; the remaining
-    fields apply to one kind each and are ignored by the other.
+    fields apply to one kind each and are ignored by the other.  Each
+    field the kind reads is checked against :data:`SIZING_FLOORS` here,
+    so a policy (CLI-built or restored by :meth:`from_dict`) that
+    constructs at all builds its watchers.
     """
 
     kind: str
@@ -86,6 +101,12 @@ class WatcherPolicy:
                 f"watcher kind must be one of {WATCHER_KINDS}, got "
                 f"{self.kind!r}"
             )
+        for name, floor in SIZING_FLOORS[self.kind].items():
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(
+                    f"{self.kind} {name} must be >= {floor}, got {value}"
+                )
 
     def build(self, config: EARDetConfig, shard: int) -> Watcher:
         """Instantiate this policy's watcher for one shard (seeds are

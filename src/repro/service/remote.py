@@ -50,7 +50,7 @@ come for free.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import EARDetConfig, config_as_dict
 from ..model.packet import Packet
@@ -248,30 +248,33 @@ class RemoteEngine(ShardedEngine):
             )
             for index, (host, port) in enumerate(self._endpoints)
         ]
-        for index in range(self._layout.shards):
-            self._assign_shard(index)
+        self._assign(range(self._layout.shards))
         self._slot_states = None
 
-    def _assign_shard(self, index: int) -> None:
-        """Connect shard ``index`` and deliver its configuration + any
-        restored slot states (blocking, with reconnect-under-backoff up
-        to the barrier deadline — a fleet that cannot even start is an
-        error, not an outage to mask)."""
-        slot_ids = self._layout.slots_of(index)
-        reply = self._barrier({index: {
-            "op": "assign",
-            "config": config_as_dict(self.config),
-            "seed": self._hash.seed,
-            "slots": self._layout.slots,
-            "slot_ids": list(slot_ids),
-            "states": self._staged_states(slot_ids),
-            "invariant_every": self.invariant_every,
-        }})[index]
-        if reply.get("op") != "assigned":
-            raise TransportError(
-                f"shard {index} rejected its assignment: {reply!r}",
-                shard=index,
-            )
+    def _assign(self, shards: Iterable[int]) -> None:
+        """Connect each of ``shards`` and deliver its configuration + any
+        restored slot states in one barrier (blocking, with
+        reconnect-under-backoff up to the barrier deadline — a fleet that
+        cannot even start is an error, not an outage to mask)."""
+        config = config_as_dict(self.config)
+        payloads = {}
+        for index in shards:
+            slot_ids = self._layout.slots_of(index)
+            payloads[index] = {
+                "op": "assign",
+                "config": config,
+                "seed": self._hash.seed,
+                "slots": self._layout.slots,
+                "slot_ids": list(slot_ids),
+                "states": self._staged_states(slot_ids),
+                "invariant_every": self.invariant_every,
+            }
+        for index, reply in self._barrier(payloads).items():
+            if reply.get("op") != "assigned":
+                raise TransportError(
+                    f"shard {index} rejected its assignment: {reply!r}",
+                    shard=index,
+                )
 
     def terminate(self) -> None:
         """Drop every connection without stopping the servers (crash
@@ -491,8 +494,7 @@ class RemoteEngine(ShardedEngine):
         self._outage_since.extend([None] * grow)
         self._outages.extend([0] * grow)
         if self._connections is not None:
-            for index in range(first_new, self._shards):
-                self._assign_shard(index)
+            self._assign(range(first_new, self._shards))
 
     def _adopt(self, layout: ShardLayout, slot_states: List) -> None:
         if layout.shards > len(self._endpoints):

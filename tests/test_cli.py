@@ -175,6 +175,26 @@ class TestDetectCommand:
         assert "no flow violated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "verb", [
+        ["detect", "--rho", "1000000", "--gamma-l", "10000", "--gamma-h", "100000"],
+        ["analyze"],
+    ],
+    ids=["detect", "analyze"],
+)
+def test_a_disordered_trace_is_refused_in_one_line(verb, tmp_path):
+    """Without ``--validate reorder`` a time-disordered trace exits 1 (a
+    ``str`` exit code) with serve's repair hint, not a traceback."""
+    path = tmp_path / "disordered.csv"
+    path.write_text("time_ns,size,fid\n1000,100,a\n500,100,b\n2000,100,c\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb[0], "--trace", str(path), *verb[1:]])
+    message = excinfo.value.code
+    assert isinstance(message, str)
+    assert "packet #1 at t=500ns" in message
+    assert message.endswith(cli.DISORDER_HINT)
+
+
 def test_json_output(capsys):
     import json
 
@@ -383,6 +403,31 @@ def test_a_sub_flag_without_its_arming_flag_is_refused(
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--trace", str(tmp_path / "absent.csv"), flag, value])
     assert excinfo.value.code == f"{flag} requires {arming}"
+
+
+@pytest.mark.parametrize(
+    "kind,flag,value",
+    [
+        ("clef", "--watcher-counters", "1"),
+        ("loft", "--watcher-counters", "0"),
+        ("clef", "--watcher-depth", "0"),
+        ("loft", "--watcher-stages", "0"),
+        ("loft", "--watcher-watchlist", "0"),
+        ("loft", "--watcher-flow-limit", "0"),
+    ],
+)
+def test_an_out_of_range_watcher_size_is_refused_in_one_line(
+    kind, flag, value, tmp_path
+):
+    """``WatcherPolicy`` holds each sizing flag to its kind's floor, so
+    ``_build`` refuses it before any watcher constructor runs.  (The
+    period flags go through ``_ns``, which never yields less than 1 ns.)"""
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "serve", "--trace", str(tmp_path / "absent.csv"),
+            "--watcher", kind, flag, value,
+        ])
+    assert excinfo.value.code.startswith(f"bad watcher options: {kind} ")
 
 
 def _serve_args(*flags):

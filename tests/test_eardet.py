@@ -3,28 +3,36 @@ mechanics, virtual-traffic accounting, stats, and the reference/optimized
 configuration switches."""
 
 import dataclasses
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EARDetConfig, engineer
-from repro.core.counters import ReferenceCounterStore
+from repro.core.counters import HeapCounterStore, ReferenceCounterStore
 from repro.core.eardet import EARDet
+from repro.experiments.ablations import _CountingStore
 from repro.guard import InvariantChecker, InvariantViolation
 from repro.model.packet import Packet
 from repro.model.units import NS_PER_S
+from repro.service.checkpoint import dumps
 from repro.traffic.attacks import FloodingAttack
 from repro.traffic.datasets import federico_like
 from repro.traffic.mix import build_attack_scenario
 
-from conftest import packet_lists
+from conftest import FID_KINDS, feed_columns, packet_lists, with_fid_kind
+
+#: The CI guard-fuzz job sweeps this (see .github/workflows/ci.yml); here
+#: it seeds the paper-scale case of the kernel differential.
+GUARD_SEED = int(os.environ.get("EARDET_GUARD_SEED", "7"))
 
 
-def flooded_federico():
+def flooded_federico(seed=7):
     """A seeded paper-scale config and a federico_like(0.05) stream with
     five flooders on a mostly idle link."""
-    dataset = federico_like(seed=7, scale=0.05)
+    dataset = federico_like(seed=seed, scale=0.05)
     config = engineer(
         rho=dataset.rho,
         gamma_l=dataset.gamma_l,
@@ -37,7 +45,7 @@ def flooded_federico():
         FloodingAttack(rate=2 * dataset.gamma_h),
         attack_flows=5,
         rho=dataset.rho,
-        seed=7,
+        seed=seed,
     )
     return config, scenario.stream
 
@@ -313,6 +321,15 @@ class _TripChecker(InvariantChecker):
             )
 
 
+def columns(packets):
+    """``packets`` as ``(times, sizes, fids)`` columns."""
+    return (
+        [p.time for p in packets],
+        [p.size for p in packets],
+        [p.fid for p in packets],
+    )
+
+
 def fed_detector(config, packets, chunk=None, checker=None):
     """An EARDet fed ``packets`` per packet through ``observe`` (``chunk``
     None) or in ``chunk``-packet column slices through ``observe_batch``."""
@@ -324,12 +341,7 @@ def fed_detector(config, packets, chunk=None, checker=None):
             detector.observe(packet)
     else:
         for start in range(0, len(packets), chunk):
-            part = packets[start:start + chunk]
-            detector.observe_batch(
-                [p.time for p in part],
-                [p.size for p in part],
-                [p.fid for p in part],
-            )
+            detector.observe_batch(*columns(packets[start:start + chunk]))
     return detector
 
 
@@ -393,11 +405,197 @@ class TestObserveBatch:
         with pytest.raises(InvariantViolation, match="tripped"):
             per_packet.observe_stream(packets)
         with pytest.raises(InvariantViolation, match="tripped"):
-            batched.observe_batch(
-                [p.time for p in packets],
-                [p.size for p in packets],
-                [p.fid for p in packets],
-            )
+            batched.observe_batch(*columns(packets))
         assert per_packet.stats.packets == 1234
         assert batched.stats == per_packet.stats
         assert batched.detected == per_packet.detected
+
+
+@st.composite
+def kernel_scenarios(draw):
+    """A small config and a stream whose gaps carry chosen numbers of
+    virtual units: none (busy or oversubscribed), one, two to four,
+    exactly ``n + 1``, and enough to reach cycle detection.  Flow ids
+    are rewritten per a drawn :data:`FID_KINDS` kind, and now and then
+    one packet carries an unhashable id, which raises part-way."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    beta_th = draw(st.integers(min_value=2, max_value=30))
+    unit = draw(st.integers(min_value=1, max_value=min(beta_th, 6)))
+    config = EARDetConfig(
+        rho=draw(st.sampled_from([NS_PER_S, NS_PER_S - 63])),
+        n=n,
+        beta_th=beta_th,
+        alpha=draw(st.integers(min_value=1, max_value=2 * beta_th)),
+        virtual_unit=unit,
+    )
+    cycle = (n + 1) * unit
+    idle_units = {
+        "busy": (-config.alpha, 0),
+        "one": (1, unit),
+        "few": (unit + 1, 4 * unit),
+        "n+1": (cycle, cycle),
+        "cycles": (2 * cycle + 1, 7 * cycle),
+    }
+    flows = draw(st.integers(min_value=1, max_value=2 * n))
+    packets, time, last_size = [], 0, 0
+    for _ in range(draw(st.integers(min_value=0, max_value=50))):
+        low, high = idle_units[draw(st.sampled_from(sorted(idle_units)))]
+        idle = draw(st.integers(min_value=low, max_value=high))
+        # rho * gap - last_size * 1e9 ~ idle bytes (exact at 1 B/ns).
+        gap = max(0, -(-(idle + last_size) * NS_PER_S // config.rho))
+        time += gap if packets else 0
+        last_size = draw(st.integers(min_value=1, max_value=config.alpha))
+        fid = draw(st.integers(min_value=0, max_value=flows - 1))
+        packets.append(Packet(time=time, size=last_size, fid=fid))
+    packets = with_fid_kind(packets, draw(st.sampled_from(FID_KINDS)))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        raise_at = draw(st.integers(min_value=0, max_value=len(packets)))
+        time = packets[raise_at - 1].time if raise_at else 0
+        packets.insert(raise_at, Packet(time=time, size=1, fid=["unhashable"]))
+    # Close enough below REBASE_THRESHOLD that one decrement rebases.
+    ground = draw(st.one_of(
+        st.none(), st.integers(min_value=1, max_value=unit + 1)
+    ))
+    return config, packets, ground
+
+
+def three_ways(config, packets, split_seed, ground=None, chunk=None, **options):
+    """Feed ``packets`` to the kernel (random column splits, empty chunks
+    included, or ``chunk``-packet columns), to per-packet ``observe``,
+    and to ``observe`` over a ``ReferenceCounterStore``.  An unhashable
+    id, and nothing else, stops all three feeds with a ``TypeError``
+    where it stands.  ``ground`` sets both heap stores' floating ground
+    that far below ``REBASE_THRESHOLD``."""
+    kernel = EARDet(config, **options)
+    per_packet = EARDet(config, **options)
+    reference = EARDet(config, store_factory=ReferenceCounterStore, **options)
+    if ground is not None:
+        for detector in (kernel, per_packet):
+            detector._store._ground = HeapCounterStore.REBASE_THRESHOLD - ground
+
+    def feed_kernel():
+        if chunk is None:
+            feed_columns(kernel, packets, random.Random(split_seed))
+        else:
+            for start in range(0, len(packets), chunk):
+                kernel.observe_batch(*columns(packets[start:start + chunk]))
+
+    raised = []
+    for feed in (
+        feed_kernel,
+        lambda: per_packet.observe_stream(packets),
+        lambda: reference.observe_stream(packets),
+    ):
+        try:
+            feed()
+        except TypeError:
+            raised.append(True)
+        else:
+            raised.append(False)
+    unhashable = any(type(packet.fid) is list for packet in packets)
+    assert raised == [unhashable] * 3
+    return kernel, per_packet, reference
+
+
+def assert_equal_three_ways(kernel, per_packet, reference):
+    assert dumps(kernel.snapshot()) == dumps(per_packet.snapshot())
+    assert dumps(kernel.snapshot()) == dumps(reference.snapshot())
+    assert kernel.stats == per_packet.stats
+    assert kernel.store_evictions == per_packet.store_evictions
+    assert kernel.detected == per_packet.detected
+
+
+class TestKernelDifferential:
+    """The column kernel against its specification: per-packet
+    ``observe`` (the ``_step`` body) and the O(n) reference store.
+    Snapshots compare as checkpoint bytes; stats, store evictions and
+    the sink must equal ``observe``'s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scenario=kernel_scenarios(),
+        split_seed=st.integers(min_value=0, max_value=2**32),
+        monitor=st.booleans(),
+    )
+    def test_matches_observe_and_the_reference_store(
+        self, scenario, split_seed, monitor
+    ):
+        config, packets, ground = scenario
+        assert_equal_three_ways(*three_ways(
+            config, packets, split_seed, ground=ground,
+            blacklisted_consumes_link=monitor,
+        ))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_n_plus_one_units_from_an_empty_store(self, n):
+        """``n`` equal flows, then a new flow of the same size that the
+        decrement evicts them all for, leave the store empty; the next
+        gap carries exactly ``n + 1`` units, which
+        ``apply_virtual_traffic`` reduces to nothing (no eviction)
+        where unit stepping would count ``n``.  The kernel hands such a
+        gap on, so the eviction counts agree."""
+        config = make_config(n=n, beta_th=10, alpha=10, virtual_unit=2)
+        packets = [Packet(time=4 * i, size=4, fid=i) for i in range(n + 1)]
+        time = packets[-1].time + 4 + (n + 1) * 2
+        packets.append(Packet(time=time, size=1, fid="after"))
+        kernel, per_packet, reference = three_ways(
+            config, packets, split_seed=0, chunk=len(packets)
+        )
+        assert per_packet.stats.virtual_bytes == (n + 1) * 2
+        assert per_packet.store_evictions == n
+        assert_equal_three_ways(kernel, per_packet, reference)
+
+    @pytest.mark.parametrize("monitor", [False, True])
+    def test_paper_scale_flooded_federico(self, monitor):
+        """A paper-scale config under flooding in 1,024-packet columns,
+        seeded from ``EARDET_GUARD_SEED``: gaps inline and handed on,
+        evictions, detections and blacklist prunes all run."""
+        config, stream = flooded_federico(seed=GUARD_SEED)
+        kernel, per_packet, reference = three_ways(
+            config, list(stream), split_seed=0, chunk=1024,
+            blacklisted_consumes_link=monitor,
+        )
+        stats = per_packet.stats
+        assert stats.detections > 0 and stats.blacklisted_packets > 0
+        assert stats.virtual_bytes > 0 and per_packet.store_evictions > 0
+        assert_equal_three_ways(kernel, per_packet, reference)
+
+
+class TestKernelPath:
+    """Which detectors ``observe_batch`` runs through the kernel: a
+    default ``EARDet`` never calls ``_step``, and every fallback does."""
+
+    PACKETS = 2000
+
+    def steps_taken(self, make):
+        """``_step`` calls while ``make(config)`` observes a flooded
+        federico slice as one batch."""
+        config, stream = flooded_federico()
+        detector = make(config)
+        calls = []
+        step = detector._step
+
+        def counting_step(now, size, fid):
+            calls.append(fid)
+            return step(now, size, fid)
+
+        detector._step = counting_step
+        detector.observe_batch(*columns(list(stream)[:self.PACKETS]))
+        return len(calls)
+
+    def test_a_default_eardet_takes_the_kernel(self):
+        assert self.steps_taken(EARDet) == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda config: EARDet(config).attach_checker(InvariantChecker(64)),
+            lambda config: EARDet(config, store_factory=ReferenceCounterStore),
+            lambda config: EARDet(config, reference_virtual=True),
+            lambda config: EARDet(config, store_factory=_CountingStore),
+        ],
+        ids=["checker", "reference-store", "reference-virtual",
+             "store-subclass"],
+    )
+    def test_each_fallback_takes_step(self, make):
+        assert self.steps_taken(make) == self.PACKETS

@@ -725,7 +725,9 @@ class TestPipelinedBarriers:
     ):
         """A fleet-wide control barrier puts every shard's frame on the
         wire before it waits on any reply — one round trip, not one per
-        shard (the multiprocess engine's queue markers do the same)."""
+        shard (the multiprocess engine's queue markers do the same).
+        That holds for the start-up ``assign`` the first ingest sends
+        too."""
         events = []
         send, wait_reply = ShardConnection.send, ShardConnection.wait_reply
 
@@ -743,8 +745,11 @@ class TestPipelinedBarriers:
         with fleet(3) as servers:
             engine = remote_engine(servers)
             try:
-                ingest_all(engine, make_packets(count=1500))
                 for op, barrier in (
+                    (
+                        "assign",
+                        lambda: ingest_all(engine, make_packets(count=1500)),
+                    ),
                     ("snapshot", engine.snapshot),
                     ("scrape", engine.scrape_workers),
                 ):

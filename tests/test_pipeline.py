@@ -38,6 +38,7 @@ from repro.service import (
     WatcherPolicy,
     WatcherStage,
 )
+from repro.service.pipeline import SIZING_FLOORS
 
 #: The CI ambiguity-corpus job sweeps this (see .github/workflows/ci.yml).
 PIPELINE_SEED = int(os.environ.get("EARDET_PIPELINE_SEED", "7"))
@@ -86,6 +87,31 @@ class TestWatcherPolicy:
         data["crystal_ball"] = True
         with pytest.raises(ValueError):
             WatcherPolicy.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "kind,field,floor",
+        [
+            (kind, field, floor)
+            for kind, floors in SIZING_FLOORS.items()
+            for field, floor in floors.items()
+        ],
+    )
+    def test_each_sizing_field_is_held_to_its_kinds_floor(
+        self, kind, field, floor
+    ):
+        """Below the floor the policy and ``from_dict`` refuse the field;
+        at the floor the watcher builds, so no floor is stricter than
+        its constructor."""
+        with pytest.raises(ValueError, match=f"{kind} {field} must be >= "):
+            WatcherPolicy(kind=kind, **{field: floor - 1})
+        data = {**WatcherPolicy(kind=kind).as_dict(), field: floor - 1}
+        with pytest.raises(ValueError, match=f"{kind} {field}"):
+            WatcherPolicy.from_dict(data)
+        WatcherPolicy(kind=kind, **{field: floor}).build(CONFIG, shard=0)
+
+    def test_a_field_its_kind_ignores_is_not_checked(self):
+        WatcherPolicy(kind="clef", stages=0, watchlist=0, epoch_ns=0)
+        WatcherPolicy(kind="loft", depth=0, fast_period_ns=0)
 
     def test_shards_get_distinct_salted_watchers(self):
         stage = WatcherStage(POLICIES[1], CONFIG, shards=2)
